@@ -3,7 +3,7 @@
 A self-contained implementation of an encoder/decoder vessel-segmentation
 network and all of its numeric building blocks: a small reverse-mode
 autodiff engine over 4-D tensors, the convolution operator family
-(dilated, depthwise-separable, transposed, pooling, bilinear resampling),
+(dilated, depthwise, transposed, pooling, bilinear resampling),
 receptive-field and sampling-coverage analysis, the training objective and
 optimizer, evaluation metrics with ROC/PR curves, and a CLI for desk-scale
 experiments on synthetic data.
@@ -33,17 +33,14 @@ from .tensor import (
     sigmoid,
     slice_channels,
     sum_all,
-    tensor,
     using_dtype,
     zeros,
 )
 from .convops import (
     ConvKernel,
-    batch_norm,
     bilinear_upsample,
     conv2d,
     depthwise_conv2d,
-    depthwise_separable_conv,
     deterministic_mode,
     dilated_kernel_extent,
     global_avg_pool,
@@ -72,7 +69,6 @@ from .model import (
     MSIF,
     ResidualBottleneck,
     build_encoder,
-    encoder_concat,
     encoder_layer_specs,
     load_checkpoint,
     save_checkpoint,

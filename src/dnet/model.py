@@ -7,12 +7,12 @@ rate triple (d1, d2, d3) so the receptive field grows without further
 striding; the outputs of stages 3, 4 and 5 (all at 1/16 resolution) are
 channel-concatenated into a single feature map. A multi-scale fusion module
 pools that map through five parallel branches (a 1x1 convolution, three
-dilated depthwise-separable 3x3 convolutions, and a global-average branch
-that is upsampled back), concatenates them, and fuses to a fixed width. The
-decoder doubles resolution four times with transposed convolutions,
-concatenating an encoder skip feature after each of the first three
-doublings, and ends in two 3x3 refinement convolutions and a 1x1 head whose
-sigmoid gives the per-pixel vessel probability.
+dilated depthwise 3x3 convolutions each mixed by a 1x1 convolution, and a
+global-average branch that is upsampled back), concatenates them, and fuses
+to a fixed width. The decoder doubles resolution four times with transposed
+convolutions, concatenating an encoder skip feature after each of the first
+three doublings, and ends in two 3x3 refinement convolutions and a 1x1 head
+whose sigmoid gives the per-pixel vessel probability.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from .tensor import (
 )
 from .convops import (
     ConvKernel,
-    batch_norm,
     bilinear_upsample,
     conv2d,
-    depthwise_separable_conv,
+    depthwise_conv2d,
     global_avg_pool,
     max_pool,
     same_pads,
@@ -52,7 +51,6 @@ __all__ = [
     "Decoder",
     "DNet",
     "build_encoder",
-    "encoder_concat",
     "encoder_layer_specs",
     "save_checkpoint",
     "load_checkpoint",
@@ -99,7 +97,6 @@ class DNetConfig:
     msif_enabled: bool = True
     in_channels: int = 3
     channels_scale: float = 1.0
-    batchnorm: bool = False
 
     def __post_init__(self) -> None:
         if not _is_valid_triple(tuple(self.dilations)):
@@ -179,27 +176,16 @@ class _Builder:
         b = self._bias(f"{name}.b", cout)
         return ConvKernel(w, b, stride, 1, (0, 0, 0, 0))
 
-    def bn(self, name: str, c: int) -> tuple[Tensor, Tensor]:
-        gamma = Tensor(np.ones((1, 1, 1, c), dtype=default_dtype()), requires_grad=True)
-        beta = Tensor(np.zeros((1, 1, 1, c), dtype=default_dtype()), requires_grad=True)
-        self._register(f"{name}.gamma", gamma)
-        self._register(f"{name}.beta", beta)
-        return gamma, beta
-
 
 class _ConvUnit:
-    """Convolution with optional batch norm and optional ReLU."""
+    """Convolution, followed by a ReLU when ``activate`` is set."""
 
-    def __init__(self, builder: _Builder, name: str, kernel: ConvKernel,
-                 use_bn: bool, activate: bool):
+    def __init__(self, kernel: ConvKernel, activate: bool):
         self.kernel = kernel
         self.activate = activate
-        self.bn = builder.bn(f"{name}.bn", kernel.out_channels) if use_bn else None
 
     def __call__(self, x: Tensor) -> Tensor:
         h = conv2d(x, self.kernel)
-        if self.bn is not None:
-            h = batch_norm(h, *self.bn)
         return relu(h) if self.activate else h
 
 
@@ -220,26 +206,16 @@ class ResidualBottleneck:
         widths: tuple[int, int, int],
         stride: int = 1,
         dilation: int = 1,
-        use_bn: bool = False,
     ):
         c_reduce, c_spatial, c_out = widths
-        self.reduce = _ConvUnit(
-            builder, f"{name}.reduce",
-            builder.conv(f"{name}.reduce", 1, cin, c_reduce), use_bn, True,
-        )
+        self.reduce = _ConvUnit(builder.conv(f"{name}.reduce", 1, cin, c_reduce), True)
         self.spatial = _ConvUnit(
-            builder, f"{name}.spatial",
-            builder.conv(f"{name}.spatial", 3, c_reduce, c_spatial, stride, dilation),
-            use_bn, True,
+            builder.conv(f"{name}.spatial", 3, c_reduce, c_spatial, stride, dilation), True
         )
-        self.restore = _ConvUnit(
-            builder, f"{name}.restore",
-            builder.conv(f"{name}.restore", 1, c_spatial, c_out), use_bn, False,
-        )
+        self.restore = _ConvUnit(builder.conv(f"{name}.restore", 1, c_spatial, c_out), False)
         if cin != c_out or stride != 1:
             self.project = _ConvUnit(
-                builder, f"{name}.project",
-                builder.conv(f"{name}.project", 1, cin, c_out, stride), use_bn, False,
+                builder.conv(f"{name}.project", 1, cin, c_out, stride), False
             )
         else:
             self.project = None
@@ -269,15 +245,11 @@ class Encoder:
     """Root block plus five residual stages, total downsampling 16."""
 
     def __init__(self, builder: _Builder, cfg: DNetConfig):
-        bn = cfg.batchnorm
         w = cfg.width
         c1, c2, c3 = (w(c) for c in ROOT_WIDTHS)
-        self.root1 = _ConvUnit(builder, "root.conv1",
-                               builder.conv("root.conv1", 3, cfg.in_channels, c1, 2), bn, True)
-        self.root2 = _ConvUnit(builder, "root.conv2",
-                               builder.conv("root.conv2", 3, c1, c2), bn, True)
-        self.root3 = _ConvUnit(builder, "root.conv3",
-                               builder.conv("root.conv3", 3, c2, c3), bn, True)
+        self.root1 = _ConvUnit(builder.conv("root.conv1", 3, cfg.in_channels, c1, 2), True)
+        self.root2 = _ConvUnit(builder.conv("root.conv2", 3, c1, c2), True)
+        self.root3 = _ConvUnit(builder.conv("root.conv3", 3, c2, c3), True)
 
         self.blocks: list[list[ResidualBottleneck]] = []
         cin = c3
@@ -289,7 +261,7 @@ class Encoder:
                 dilation = cfg.dilations[unit] if stage in (4, 5) else 1
                 block = ResidualBottleneck(
                     builder, f"block{stage}.unit{unit + 1}", cin, widths,
-                    stride=stride, dilation=dilation, use_bn=bn,
+                    stride=stride, dilation=dilation,
                 )
                 units.append(block)
                 cin = block.out_channels
@@ -329,47 +301,35 @@ def build_encoder(cfg: DNetConfig, seed: int = 0) -> Encoder:
     return enc
 
 
-def encoder_concat(b3: Tensor, b4: Tensor, b5: Tensor) -> Tensor:
-    """Concatenate the three deep stage outputs, in stage order."""
-    return concat_channels((b3, b4, b5))
-
-
 class MSIF:
     """Multi-scale fusion: five parallel branches concatenated and fused.
 
     Branches: a 1x1 convolution keeping the current scale, three dilated
-    depthwise-separable 3x3 convolutions at the configured rates, and a
-    global-average branch (spatial mean, 1x1 convolution, bilinear upsample
-    back to the input size). Every branch emits the same width; the stacked
-    result is fused by a 1x1 convolution to that width again.
+    3x3 depthwise convolutions at the configured rates, each mixed across
+    channels by a 1x1 convolution, and a global-average branch (spatial
+    mean, 1x1 convolution, bilinear upsample back to the input size). Every
+    branch emits the same width; the stacked result is fused by a 1x1
+    convolution to that width again.
     """
 
     def __init__(self, builder: _Builder, cfg: DNetConfig, cin: int):
         width = cfg.width(MSIF_WIDTH)
-        bn = cfg.batchnorm
         self.enabled = cfg.msif_enabled
         self.rates = cfg.msif_rates
-        self.point = _ConvUnit(builder, "msif.point",
-                               builder.conv("msif.point", 1, cin, width), bn, True)
+        self.point = _ConvUnit(builder.conv("msif.point", 1, cin, width), True)
         self.sep_branches = []
         for i, rate in enumerate(cfg.msif_rates, start=1):
             dw = builder.depthwise(f"msif.branch{i}.dw", 3, cin, rate)
             pw = builder.conv(f"msif.branch{i}.pw", 1, cin, width)
-            pw_bn = builder.bn(f"msif.branch{i}.bn", width) if bn else None
-            self.sep_branches.append((dw, pw, pw_bn))
-        self.gap_conv = _ConvUnit(builder, "msif.gap",
-                                  builder.conv("msif.gap", 1, cin, width), bn, True)
-        self.fuse = _ConvUnit(builder, "msif.fuse",
-                              builder.conv("msif.fuse", 1, 5 * width, width), bn, True)
+            self.sep_branches.append((dw, pw))
+        self.gap_conv = _ConvUnit(builder.conv("msif.gap", 1, cin, width), True)
+        self.fuse = _ConvUnit(builder.conv("msif.fuse", 1, 5 * width, width), True)
         self.out_channels = width
 
     def branch_outputs(self, g: Tensor) -> list[Tensor]:
         outs = [self.point(g)]
-        for dw, pw, pw_bn in self.sep_branches:
-            h = depthwise_separable_conv(g, dw, pw)
-            if pw_bn is not None:
-                h = batch_norm(h, *pw_bn)
-            outs.append(relu(h))
+        for dw, pw in self.sep_branches:
+            outs.append(relu(conv2d(depthwise_conv2d(g, dw), pw)))
         pooled = self.gap_conv(global_avg_pool(g))
         outs.append(bilinear_upsample(pooled, g.shape[1], g.shape[2]))
         return outs
@@ -395,23 +355,17 @@ class Decoder:
 
     def __init__(self, builder: _Builder, cfg: DNetConfig, cin: int,
                  skip_channels: tuple[int, int, int]):
-        bn = cfg.batchnorm
         w1, w2, w3, w4 = (cfg.width(c) for c in DECODER_WIDTHS)
         s8, s4, s2 = skip_channels
         self.up1 = builder.tconv("decoder.up1", 2, cin, w1, 2)
-        self.fuse1 = _ConvUnit(builder, "decoder.fuse1",
-                               builder.conv("decoder.fuse1", 3, w1 + s8, w1), bn, True)
+        self.fuse1 = _ConvUnit(builder.conv("decoder.fuse1", 3, w1 + s8, w1), True)
         self.up2 = builder.tconv("decoder.up2", 2, w1, w2, 2)
-        self.fuse2 = _ConvUnit(builder, "decoder.fuse2",
-                               builder.conv("decoder.fuse2", 3, w2 + s4, w2), bn, True)
+        self.fuse2 = _ConvUnit(builder.conv("decoder.fuse2", 3, w2 + s4, w2), True)
         self.up3 = builder.tconv("decoder.up3", 2, w2, w3, 2)
-        self.fuse3 = _ConvUnit(builder, "decoder.fuse3",
-                               builder.conv("decoder.fuse3", 3, w3 + s2, w3), bn, True)
+        self.fuse3 = _ConvUnit(builder.conv("decoder.fuse3", 3, w3 + s2, w3), True)
         self.up4 = builder.tconv("decoder.up4", 2, w3, w4, 2)
-        self.refine1 = _ConvUnit(builder, "decoder.refine1",
-                                 builder.conv("decoder.refine1", 3, w4, w4), bn, True)
-        self.refine2 = _ConvUnit(builder, "decoder.refine2",
-                                 builder.conv("decoder.refine2", 3, w4, w4), bn, True)
+        self.refine1 = _ConvUnit(builder.conv("decoder.refine1", 3, w4, w4), True)
+        self.refine2 = _ConvUnit(builder.conv("decoder.refine2", 3, w4, w4), True)
         self.head = builder.conv("decoder.head", 1, w4, 1)
 
     @staticmethod
@@ -468,7 +422,7 @@ class DNet:
 
     def logits(self, image: Tensor) -> Tensor:
         feats = self.encoder(image)
-        g = encoder_concat(feats.b3, feats.b4, feats.b5)
+        g = concat_channels((feats.b3, feats.b4, feats.b5))
         u = self.msif(g) if self.msif is not None else g
         return self.decoder(u, (feats.skip8, feats.skip4, feats.skip2))
 
@@ -506,7 +460,9 @@ def encoder_layer_specs(cfg: DNetConfig) -> list[LayerSpec]:
 
 
 CHECKPOINT_MAGIC = b"DNET1"
-_HEADER = struct.Struct("<11I")  # d1 d2 d3 msif r1 r2 r3 in_ch scale_micro bn n_params
+# d1 d2 d3 msif r1 r2 r3 in_ch scale_micro bn n_params; the bn slot is a
+# retired batch-norm flag, always written as 0 and rejected when nonzero.
+_HEADER = struct.Struct("<11I")
 
 
 def save_checkpoint(model: DNet, path) -> None:
@@ -526,7 +482,7 @@ def save_checkpoint(model: DNet, path) -> None:
                 *cfg.msif_rates,
                 cfg.in_channels,
                 round(cfg.channels_scale * 1_000_000),
-                1 if cfg.batchnorm else 0,
+                0,
                 len(params),
             )
         )
@@ -553,13 +509,16 @@ def load_checkpoint(path) -> DNet:
         (d1, d2, d3, msif, r1, r2, r3, in_ch, scale_micro, bn, n_params) = _HEADER.unpack(
             _read_exact(fh, _HEADER.size)
         )
+        if bn:
+            raise CheckpointError(
+                f"{path}: batch-norm flag is set; batch norm is not supported"
+            )
         cfg = DNetConfig(
             dilations=(d1, d2, d3),
             msif_rates=(r1, r2, r3),
             msif_enabled=bool(msif),
             in_channels=in_ch,
             channels_scale=scale_micro / 1_000_000,
-            batchnorm=bool(bn),
         )
         model = DNet(cfg, seed=0)
         params = model.parameters()

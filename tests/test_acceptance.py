@@ -16,7 +16,7 @@ from dnet.convops import (
     ConvKernel,
     bilinear_upsample,
     conv2d,
-    depthwise_separable_conv,
+    depthwise_conv2d,
     global_avg_pool,
     max_pool,
     same_pads,
@@ -28,7 +28,6 @@ from dnet.metrics import ConfusionCounts, metrics, roc_pr_curves
 from dnet.model import (
     DNet,
     DNetConfig,
-    encoder_concat,
     load_checkpoint,
     save_checkpoint,
 )
@@ -36,6 +35,7 @@ from dnet.receptive import LayerSpec, coverage_map, rf_stack, rf_single
 from dnet.convops import dilated_kernel_extent
 from dnet.tensor import (
     backward,
+    concat_channels,
     multiply,
     recording,
     relu,
@@ -133,7 +133,7 @@ def test_criterion_05_gradient_suite():
             kern = ConvKernel(w, b, 1, d, same_pads(3, d))
             _fd_check(lambda: sum_all(multiply(conv2d(x, kern), weigh)), (x, w, b))
 
-        # depthwise separable
+        # depthwise then pointwise
         x = tensor(rng.normal(size=(1, 4, 4, 2)), requires_grad=True)
         dw_w = tensor(rng.normal(size=(3, 3, 2, 1)), requires_grad=True)
         pw_w = tensor(rng.normal(size=(1, 1, 2, 3)), requires_grad=True)
@@ -141,7 +141,7 @@ def test_criterion_05_gradient_suite():
         pw = ConvKernel(pw_w, None)
         weigh = tensor(rng.normal(size=(1, 4, 4, 3)))
         _fd_check(
-            lambda: sum_all(multiply(depthwise_separable_conv(x, dw, pw), weigh)),
+            lambda: sum_all(multiply(conv2d(depthwise_conv2d(x, dw), pw), weigh)),
             (x, dw_w, pw_w),
         )
 
@@ -234,7 +234,7 @@ def test_criterion_06_shape_contract():
     x = tensor(rng.uniform(size=(1, 64, 64, 3)))
     with using_deterministic(False):  # shape contract; tap order irrelevant
         feats = model.encoder(x)
-        g = encoder_concat(feats.b3, feats.b4, feats.b5)
+        g = concat_channels((feats.b3, feats.b4, feats.b5))
         u = model.msif(g)
         probs = model(x)
     assert feats.b3.shape == (1, 4, 4, 256)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnet.errors import ShapeError
 from dnet.convops import (
@@ -7,7 +9,6 @@ from dnet.convops import (
     bilinear_upsample,
     conv2d,
     depthwise_conv2d,
-    depthwise_separable_conv,
     dilated_kernel_extent,
     global_avg_pool,
     max_pool,
@@ -161,7 +162,7 @@ class TestDepthwiseSeparable:
         pw_w[0, 0] = np.eye(2)
         dw = ConvKernel(tensor(dw_w), None)
         pw = ConvKernel(tensor(pw_w), None)
-        assert np.array_equal(depthwise_separable_conv(x, dw, pw).data, x.data)
+        assert np.array_equal(conv2d(depthwise_conv2d(x, dw), pw).data, x.data)
 
     def test_two_channel_hand_composition(self, rng):
         # dw kernels [1,1] and [1,-1]; pw sums channels.
@@ -172,7 +173,7 @@ class TestDepthwiseSeparable:
         pw_w = np.ones((1, 1, 2, 1), dtype=np.float32)
         dw = ConvKernel(tensor(dw_w), None)
         pw = ConvKernel(tensor(pw_w), None)
-        got = depthwise_separable_conv(x, dw, pw).data
+        got = conv2d(depthwise_conv2d(x, dw), pw).data
 
         c0 = conv2d_naive(x.data[:, :, :, :1], dw_w[:, :, :1], None, 1, 1, (0, 0, 0, 0))
         c1 = conv2d_naive(x.data[:, :, :, 1:], dw_w[:, :, 1:], None, 1, 1, (0, 0, 0, 0))
@@ -209,11 +210,11 @@ class TestDepthwiseSeparable:
             weigh = tensor(rng.normal(size=(1, 4, 4, 3)))
 
             def loss_fn():
-                return sum_all(multiply(depthwise_separable_conv(x, dw, pw), weigh)).item()
+                return sum_all(multiply(conv2d(depthwise_conv2d(x, dw), pw), weigh)).item()
 
             with recording() as g:
                 grads = backward(
-                    sum_all(multiply(depthwise_separable_conv(x, dw, pw), weigh)), g
+                    sum_all(multiply(conv2d(depthwise_conv2d(x, dw), pw), weigh)), g
                 )
             for t in (x, dw_w, dw_b, pw_w):
                 assert max_rel_err(grads[t], fd_full_grad(loss_fn, t)) < 1e-4
@@ -388,3 +389,118 @@ class TestSamePads:
             tensor(rng.normal(size=(3, 3, 1, 1))), None, 2, 1, same_pads(3, 1, 2)
         )
         assert conv2d(x, kern).shape == (1, 4, 6, 1)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Inner product <a, b> and the sum of |a * b|, its rounding scale."""
+    prod = a * b
+    return float(prod.sum()), float(np.abs(prod).sum())
+
+
+class TestTapEngineAdjoint:
+    """Dot-product tests of the shared tap scatter over every geometry.
+
+    Each operator is linear in its input and in its weight, so for an
+    upstream u the backward rule must satisfy <op(x; w), u> = <x, dx(u)>
+    and <op(x; w), u> = <w, dw(u)>. Both sides agree to 1e-10 of the sum
+    of absolute products, in float64 and in both convolution modes.
+    """
+
+    geometry = dict(
+        k=st.integers(1, 3),
+        stride=st.integers(1, 2),
+        dilation=st.integers(1, 3),
+        pads=st.tuples(*[st.integers(0, 2)] * 4),
+        extra=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        deterministic=st.booleans(),
+    )
+
+    @staticmethod
+    def _assert_adjoint(op, x, w, rng):
+        with recording() as g:
+            y = op(x, w)
+            u = tensor(rng.normal(size=y.shape))
+            grads = backward(sum_all(multiply(y, u)), g)
+        lhs, scale = _dot(y.data, u.data)
+        for t in (x, w):
+            rhs, _ = _dot(t.data, grads[t])
+            assert abs(lhs - rhs) <= 1e-10 * scale
+
+    @staticmethod
+    def _input_extent(k, dilation, pads, extra):
+        """Smallest input extent with a valid output, plus ``extra``."""
+        return max(1, dilated_kernel_extent(k, dilation) - pads[0] - pads[1]) + extra
+
+    @settings(deadline=None, max_examples=60)
+    @given(**geometry)
+    def test_conv2d(self, k, stride, dilation, pads, extra, seed, deterministic):
+        rng = np.random.default_rng(seed)
+        h = self._input_extent(k, dilation, pads, extra)
+        w_ = self._input_extent(k, dilation, pads[2:], extra)
+        with using_dtype(np.float64), using_deterministic(deterministic):
+            x = tensor(rng.normal(size=(2, h, w_, 2)), requires_grad=True)
+            w = tensor(rng.normal(size=(k, k, 2, 3)), requires_grad=True)
+            self._assert_adjoint(
+                lambda x, w: conv2d(x, ConvKernel(w, None, stride, dilation, pads)), x, w, rng
+            )
+
+    @settings(deadline=None, max_examples=60)
+    @given(**geometry)
+    def test_depthwise_conv2d(self, k, stride, dilation, pads, extra, seed, deterministic):
+        rng = np.random.default_rng(seed)
+        h = self._input_extent(k, dilation, pads, extra)
+        w_ = self._input_extent(k, dilation, pads[2:], extra)
+        with using_dtype(np.float64), using_deterministic(deterministic):
+            x = tensor(rng.normal(size=(2, h, w_, 3)), requires_grad=True)
+            w = tensor(rng.normal(size=(k, k, 3, 1)), requires_grad=True)
+            self._assert_adjoint(
+                lambda x, w: depthwise_conv2d(x, ConvKernel(w, None, stride, dilation, pads)),
+                x, w, rng,
+            )
+
+    @settings(deadline=None, max_examples=60)
+    @given(**geometry)
+    def test_transposed_conv(self, k, stride, dilation, pads, extra, seed, deterministic):
+        rng = np.random.default_rng(seed)
+        kd = dilated_kernel_extent(k, dilation)
+        # Input extents whose output, before output padding, is positive.
+        h = max(1, -((kd - pads[0] - pads[1] - 1) // stride) + 1) + extra
+        w_ = max(1, -((kd - pads[2] - pads[3] - 1) // stride) + 1) + extra
+        out_pad = (int(rng.integers(0, stride)), int(rng.integers(0, stride)))
+        with using_dtype(np.float64), using_deterministic(deterministic):
+            x = tensor(rng.normal(size=(2, h, w_, 2)), requires_grad=True)
+            w = tensor(rng.normal(size=(k, k, 2, 3)), requires_grad=True)
+            self._assert_adjoint(
+                lambda x, w: transposed_conv(
+                    x, ConvKernel(w, None, stride, dilation, pads), out_pad
+                ),
+                x, w, rng,
+            )
+
+    @settings(deadline=None, max_examples=60)
+    @given(**geometry)
+    def test_transposed_conv_is_conv2d_adjoint(
+        self, k, stride, dilation, pads, extra, seed, deterministic
+    ):
+        # <conv2d(x; w), u> = <x, transposed_conv(u; w with channels swapped)>,
+        # with output padding restoring x's extent after a strided conv2d.
+        rng = np.random.default_rng(seed)
+        h = self._input_extent(k, dilation, pads, extra)
+        w_ = self._input_extent(k, dilation, pads[2:], extra)
+        kd = dilated_kernel_extent(k, dilation)
+        with using_dtype(np.float64), using_deterministic(deterministic):
+            x = tensor(rng.normal(size=(2, h, w_, 2)))
+            w = tensor(rng.normal(size=(k, k, 2, 3)))
+            y = conv2d(x, ConvKernel(w, None, stride, dilation, pads))
+            u = tensor(rng.normal(size=y.shape))
+            out_pad = (
+                h - ((y.shape[1] - 1) * stride + kd - pads[0] - pads[1]),
+                w_ - ((y.shape[2] - 1) * stride + kd - pads[2] - pads[3]),
+            )
+            swapped = ConvKernel(tensor(np.swapaxes(w.data, 2, 3)), None, stride, dilation, pads)
+            adjoint = transposed_conv(u, swapped, out_pad)
+        assert adjoint.shape == x.shape
+        lhs, scale = _dot(y.data, u.data)
+        rhs, _ = _dot(x.data, adjoint.data)
+        assert abs(lhs - rhs) <= 1e-10 * scale

@@ -5,17 +5,17 @@ from dnet.errors import CheckpointError, ConfigError, ShapeError
 from dnet.convops import ConvKernel, conv2d, same_pads
 from dnet.model import (
     BLOCK_WIDTHS,
+    CHECKPOINT_MAGIC,
     DNet,
     DNetConfig,
     ResidualBottleneck,
     _Builder,
     build_encoder,
-    encoder_concat,
     encoder_layer_specs,
     load_checkpoint,
     save_checkpoint,
 )
-from dnet.tensor import Tensor, backward, recording, tensor, using_dtype
+from dnet.tensor import Tensor, backward, concat_channels, recording, tensor, using_dtype
 from dnet.losses import LossConfig, total_loss
 
 from conftest import conv2d_naive, fd_grad_entries, max_rel_err
@@ -157,7 +157,7 @@ def _collect_kernels(model) -> list[ConvKernel]:
                 kernels.append(block.project.kernel)
     if model.msif is not None:
         kernels.append(model.msif.point.kernel)
-        for dw, pw, _bn in model.msif.sep_branches:
+        for dw, pw in model.msif.sep_branches:
             kernels.extend([dw, pw])
         kernels.append(model.msif.gap_conv.kernel)
         kernels.append(model.msif.fuse.kernel)
@@ -175,23 +175,25 @@ def _collect_kernels(model) -> list[ConvKernel]:
 class TestEncoderConcat:
     def test_channel_sum(self, rng):
         parts = [tensor(rng.normal(size=(1, 4, 4, c))) for c in (256, 512, 256)]
-        assert encoder_concat(*parts).shape == (1, 4, 4, 1024)
+        assert concat_channels(parts).shape == (1, 4, 4, 1024)
 
     def test_constant_layout(self):
         b3 = tensor(np.full((1, 2, 2, 256), 1.0))
         b4 = tensor(np.full((1, 2, 2, 512), 2.0))
         b5 = tensor(np.full((1, 2, 2, 256), 3.0))
-        g = encoder_concat(b3, b4, b5)
+        g = concat_channels((b3, b4, b5))
         assert np.all(g.data[..., :256] == 1.0)
         assert np.all(g.data[..., 256:768] == 2.0)
         assert np.all(g.data[..., 768:] == 3.0)
 
     def test_spatial_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError):
-            encoder_concat(
-                tensor(rng.normal(size=(1, 4, 4, 2))),
-                tensor(rng.normal(size=(1, 2, 2, 2))),
-                tensor(rng.normal(size=(1, 4, 4, 2))),
+            concat_channels(
+                (
+                    tensor(rng.normal(size=(1, 4, 4, 2))),
+                    tensor(rng.normal(size=(1, 2, 2, 2))),
+                    tensor(rng.normal(size=(1, 4, 4, 2))),
+                )
             )
 
 
@@ -234,7 +236,7 @@ class TestMSIF:
         model = DNet(DNetConfig(), seed=0)
         separable = 0
         standard = 0
-        for dw, pw, _bn in model.msif.sep_branches:
+        for dw, pw in model.msif.sep_branches:
             kh, kw, cin, _ = dw.weight.shape
             cout = pw.weight.shape[3]
             separable += kh * kw * cin + cin * cout
@@ -261,7 +263,7 @@ class TestDecoder:
         model = DNet(DNetConfig(**TINY), seed=0)
         x = tensor(rng.uniform(size=(1, 64, 64, 3)))
         feats = model.encoder(x)
-        g = encoder_concat(feats.b3, feats.b4, feats.b5)
+        g = concat_channels((feats.b3, feats.b4, feats.b5))
         u = model.msif(g)
         with pytest.raises(ShapeError):
             model.decoder(u, (feats.skip4, feats.skip8, feats.skip2))
@@ -270,7 +272,7 @@ class TestDecoder:
         model = DNet(DNetConfig(**TINY), seed=0)
         x = tensor(rng.uniform(size=(1, 64, 64, 3)))
         feats = model.encoder(x)
-        g = encoder_concat(feats.b3, feats.b4, feats.b5)
+        g = concat_channels((feats.b3, feats.b4, feats.b5))
         u = model.msif(g)
         with pytest.raises(ShapeError):
             model.decoder(u, (feats.skip8, feats.skip4))
@@ -301,11 +303,6 @@ class TestDNetForward:
         model = DNet(DNetConfig(msif_enabled=False, **TINY), seed=0)
         p = model(tensor(rng.uniform(size=(1, 32, 32, 3))))
         assert p.shape == (1, 32, 32, 1)
-
-    def test_batchnorm_variant_runs(self, rng):
-        model = DNet(DNetConfig(batchnorm=True, **TINY), seed=0)
-        p = model(tensor(rng.uniform(size=(2, 32, 32, 3))))
-        assert np.isfinite(p.data).all()
 
 
 class TestEndToEndGradients:
@@ -372,6 +369,18 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_nonzero_batchnorm_slot_rejected(self, tmp_path):
+        model = DNet(DNetConfig(**TINY), seed=0)
+        path = tmp_path / "m.dnet"
+        save_checkpoint(model, path)
+        data = bytearray(path.read_bytes())
+        bn_slot = len(CHECKPOINT_MAGIC) + 9 * 4  # tenth header word
+        assert data[bn_slot : bn_slot + 4] == b"\x00" * 4
+        data[bn_slot] = 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="m.dnet"):
             load_checkpoint(path)
 
 

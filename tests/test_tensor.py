@@ -1,3 +1,6 @@
+import sys
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,3 +262,12 @@ def test_forward_outputs_remain_finite(rng):
     x = tensor(rng.normal(size=(1, 4, 4, 2)) * 50)
     for op in (relu, sigmoid):
         assert np.isfinite(op(x).data).all()
+
+
+def test_dnet_tensor_is_the_module():
+    # The package must not shadow its submodule with the ``tensor`` factory.
+    import dnet
+    import dnet.tensor as tensor_module
+
+    assert isinstance(dnet.tensor, types.ModuleType)
+    assert tensor_module is sys.modules["dnet.tensor"]
