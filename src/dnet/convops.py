@@ -6,10 +6,9 @@ All operators use the (batch, height, width, channels) layout and zero
 padding; out-of-range taps contribute nothing. The strided operators share
 one tap engine over ``_tap_view``, the view of the padded input that kernel
 tap (a, b) reads: ``_scatter`` is its adjoint and yields every input
-gradient plus the transposed-convolution forward; ``_dense`` is the dense
-convolution forward, which is also the transposed-convolution input
-gradient; ``_tap_wgrad`` is the dense weight gradient of both. Dense
-convolution has two execution strategies:
+gradient plus the transposed-convolution forward; ``_im2col`` lays the
+taps side by side as one column matrix; ``_dense`` is the dense
+convolution forward. Only that forward has two execution strategies:
 
 * tap-ordered accumulation (default, ``deterministic`` mode): the output is
   built by adding one (kernel row, kernel col, input channel) tap at a time,
@@ -21,6 +20,11 @@ convolution has two execution strategies:
   reduction order, so results agree with the tap-ordered path only to
   floating-point tolerance. It is therefore gated out of deterministic mode
   rather than offered as a bit-exact replacement.
+
+The backward rules are GEMM-shaped and the same in both modes: a dense
+weight gradient is one ``_im2col(...).T @ g`` product, conv2d's input
+gradient scatters one 2-D ``g @ w[a, b].T`` product per tap, and an
+unpadded unit-stride 1x1 convolution needs no column copy or scatter.
 """
 
 from __future__ import annotations
@@ -171,6 +175,21 @@ def _scatter(shape, pads, taps, d: int, s: int, ho: int, wo: int, contrib, dtype
     return buf[:, pt : pt + h, pl : pl + w, :]
 
 
+def _im2col(xp: np.ndarray, kh: int, kw: int, d: int, s: int, ho: int, wo: int) -> np.ndarray:
+    """Column matrix of the tap gather: row (n, i, j), column (a, b, channel).
+
+    A 1x1 kernel whose one tap reads all of ``xp`` reshapes it without a copy.
+    """
+    n, _, _, c = xp.shape
+    if kh == kw == 1 and xp.shape[1:3] == (ho, wo):
+        return xp.reshape(-1, c)
+    cols = np.empty((n, ho, wo, kh * kw * c), dtype=xp.dtype)
+    for a, b in np.ndindex(kh, kw):
+        base = (a * kw + b) * c
+        cols[..., base : base + c] = _tap_view(xp, a, b, d, s, ho, wo)
+    return cols.reshape(-1, kh * kw * c)
+
+
 def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
     """Dense tap gather: out += sum over taps (a, b) of tap(a, b) @ w[a, b].
 
@@ -179,7 +198,7 @@ def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> No
     are lowered to one im2col GEMM.
     """
     kh, kw, cin, cout = w.shape
-    n, ho, wo, _ = out.shape
+    _, ho, wo, _ = out.shape
     if _deterministic:
         for a in range(kh):
             for b in range(kw):
@@ -187,27 +206,8 @@ def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> No
                 for m in range(cin):
                     out += xs[:, :, :, m : m + 1] * w[a, b, m]
     else:
-        k_total = kh * kw * cin
-        cols = np.empty((n, ho, wo, k_total), dtype=xp.dtype)
-        for a in range(kh):
-            for b in range(kw):
-                base = (a * kw + b) * cin
-                cols[:, :, :, base : base + cin] = _tap_view(xp, a, b, d, s, ho, wo)
-        out += (cols.reshape(-1, k_total) @ w.reshape(k_total, cout)).reshape(out.shape)
-
-
-def _tap_wgrad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int, d: int, s: int) -> np.ndarray:
-    """Per-tap dense weight gradient: gw[a, b] = tap(a, b)^T g over (n, i, j).
-
-    The tap grid is ``g``'s spatial extent; the result is (kh, kw, C_xp, C_g).
-    """
-    _, ho, wo, _ = g.shape
-    gw = np.empty((kh, kw, xp.shape[3], g.shape[3]), dtype=g.dtype)
-    for a in range(kh):
-        for b in range(kw):
-            xs = _tap_view(xp, a, b, d, s, ho, wo)
-            gw[a, b] = np.tensordot(xs, g, axes=([0, 1, 2], [0, 1, 2]))
-    return gw
+        cols = _im2col(xp, kh, kw, d, s, ho, wo)
+        out += (cols @ w.reshape(-1, cout)).reshape(out.shape)
 
 
 def _check_channels(op: str, x: Tensor, kernel: ConvKernel, cin: int, bias_channels: int) -> None:
@@ -269,11 +269,16 @@ def conv2d(x: Tensor, kernel: ConvKernel) -> Tensor:
     out = _bias_filled(kernel, (x.shape[0], ho, wo, cout), x.dtype)
     _dense(xp, w, d, s, out)
     x_shape = x.shape
+    pointwise = kh == kw == 1 and s == 1 and not any(kernel.padding)
 
     def grads(g: np.ndarray):
-        gx = _scatter(x_shape, kernel.padding, (kh, kw), d, s, ho, wo,
-                      lambda a, b: g @ w[a, b].T, g.dtype)
-        return gx, _tap_wgrad(xp, g, kh, kw, d, s)
+        g2 = g.reshape(-1, cout)
+        if pointwise:
+            gx = (g2 @ w[0, 0].T).reshape(x_shape)
+        else:
+            gx = _scatter(x_shape, kernel.padding, (kh, kw), d, s, ho, wo,
+                          lambda a, b: (g2 @ w[a, b].T).reshape(-1, ho, wo, cin), g.dtype)
+        return gx, (_im2col(xp, kh, kw, d, s, ho, wo).T @ g2).reshape(w.shape)
 
     return _record("conv2d", x, kernel, out, grads)
 
@@ -330,14 +335,9 @@ def max_pool(
     ho = _out_extent("max_pool", hp, kh, stride)
     wo = _out_extent("max_pool", wp, kw, stride)
 
-    taps = np.stack(
-        [
-            _tap_view(xp, a, b, 1, stride, ho, wo)
-            for a in range(kh)
-            for b in range(kw)
-        ],
-        axis=-1,
-    )  # (n, ho, wo, c, kh*kw), row-major window order
+    # (n, ho, wo, c, kh*kw), row-major window order
+    taps = np.stack([_tap_view(xp, a, b, 1, stride, ho, wo)
+                     for a in range(kh) for b in range(kw)], axis=-1)
     argmax = taps.argmax(axis=-1)
     out = np.take_along_axis(taps, argmax[..., None], axis=-1)[..., 0]
     if not np.isfinite(out).all():
@@ -387,10 +387,10 @@ def transposed_conv(
         out = out + kernel.bias.data
 
     def grads(g: np.ndarray):
-        gp = _pad_input(g, kernel.padding)
-        gx = np.zeros(x_data.shape, dtype=g.dtype)
-        _dense(gp, w.swapaxes(2, 3), d, s, gx)
-        return gx, _tap_wgrad(gp, x_data, kh, kw, d, s).swapaxes(2, 3)
+        cols = _im2col(_pad_input(g, kernel.padding), kh, kw, d, s, h, wdt)
+        gx = (cols @ w.swapaxes(2, 3).reshape(-1, cin)).reshape(x_data.shape)
+        gw = (cols.T @ x_data.reshape(-1, cin)).reshape(kh, kw, cout, cin)
+        return gx, gw.swapaxes(2, 3)
 
     return _record("transposed_conv", x, kernel, out, grads)
 

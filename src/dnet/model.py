@@ -502,45 +502,53 @@ def _read_exact(fh, count: int) -> bytes:
 
 
 def load_checkpoint(path) -> DNet:
-    """Rebuild a model from a checkpoint; parameter sets must match exactly."""
+    """Rebuild a model from a checkpoint; parameter sets must match exactly.
+
+    Every defect of the file raises ``CheckpointError`` naming ``path``.
+    """
     with open(path, "rb") as fh:
-        if _read_exact(fh, len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic; not a checkpoint file")
-        (d1, d2, d3, msif, r1, r2, r3, in_ch, scale_micro, bn, n_params) = _HEADER.unpack(
-            _read_exact(fh, _HEADER.size)
-        )
-        if bn:
+        try:
+            return _read_model(fh)
+        except (CheckpointError, ConfigError) as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
+
+
+def _read_model(fh) -> DNet:
+    if _read_exact(fh, len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+        raise CheckpointError("bad magic; not a checkpoint file")
+    (d1, d2, d3, msif, r1, r2, r3, in_ch, scale_micro, bn, n_params) = _HEADER.unpack(
+        _read_exact(fh, _HEADER.size)
+    )
+    if bn:
+        raise CheckpointError("batch-norm flag is set; batch norm is not supported")
+    cfg = DNetConfig(
+        dilations=(d1, d2, d3),
+        msif_rates=(r1, r2, r3),
+        msif_enabled=bool(msif),
+        in_channels=in_ch,
+        channels_scale=scale_micro / 1_000_000,
+    )
+    model = DNet(cfg, seed=0)
+    params = model.parameters()
+    seen = set()
+    for _ in range(n_params):
+        (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
+        name = _read_exact(fh, name_len).decode("utf-8", errors="replace")
+        dims = struct.unpack("<4I", _read_exact(fh, 16))
+        count = int(np.prod(dims))
+        raw = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4").reshape(dims)
+        target = params.get(name)
+        if target is None:
+            raise CheckpointError(f"unknown parameter {name!r} in checkpoint")
+        if target.shape != dims:
             raise CheckpointError(
-                f"{path}: batch-norm flag is set; batch norm is not supported"
+                f"parameter {name!r} has shape {dims} but model expects {target.shape}"
             )
-        cfg = DNetConfig(
-            dilations=(d1, d2, d3),
-            msif_rates=(r1, r2, r3),
-            msif_enabled=bool(msif),
-            in_channels=in_ch,
-            channels_scale=scale_micro / 1_000_000,
-        )
-        model = DNet(cfg, seed=0)
-        params = model.parameters()
-        seen = set()
-        for _ in range(n_params):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, name_len).decode("utf-8")
-            dims = struct.unpack("<4I", _read_exact(fh, 16))
-            count = int(np.prod(dims))
-            raw = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4").reshape(dims)
-            target = params.get(name)
-            if target is None:
-                raise CheckpointError(f"unknown parameter {name!r} in checkpoint")
-            if target.shape != dims:
-                raise CheckpointError(
-                    f"parameter {name!r} has shape {dims} but model expects {target.shape}"
-                )
-            target.data = raw.astype(default_dtype())
-            seen.add(name)
-        if len(seen) != len(params):
-            missing = sorted(set(params) - seen)
-            raise CheckpointError(f"checkpoint missing parameters: {missing[:5]} ...")
-        if fh.read(1):
-            raise CheckpointError("trailing data after checkpoint payload")
+        target.data = raw.astype(default_dtype())
+        seen.add(name)
+    if len(seen) != len(params):
+        missing = sorted(set(params) - seen)
+        raise CheckpointError(f"checkpoint missing parameters: {missing[:5]} ...")
+    if fh.read(1):
+        raise CheckpointError("trailing data after checkpoint payload")
     return model

@@ -114,6 +114,9 @@ def adam_step(
 
     The step counter increments first, then bias-corrected moments drive
     p -= lr * m_hat / (sqrt(v_hat) + eps), with eps added outside the root.
+    Every intermediate is written into two scratch buffers sized to the
+    largest parameter and shared by all of them, in the operation order of
+    the plain array expression, so the result is bit-identical to it.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError(
@@ -123,6 +126,16 @@ def adam_step(
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
+    size = max((p.data.size for p in params), default=0)
+    scratch: dict[tuple[int, np.dtype], np.ndarray] = {}
+
+    def temp(slot: int, like: np.ndarray) -> np.ndarray:
+        """Scratch shaped and typed like ``like``; slot 0 or 1."""
+        key = (slot, like.dtype)
+        if key not in scratch:
+            scratch[key] = np.empty(size, dtype=like.dtype)
+        return scratch[key][: like.size].reshape(like.shape)
+
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g.shape != p.data.shape:
             raise ShapeError(
@@ -130,10 +143,18 @@ def adam_step(
                 f"shape {p.data.shape}"
             )
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=temp(0, g))
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        gg = np.multiply(g, g, out=temp(0, g))
+        gg *= 1.0 - state.beta2
+        v += gg
+        step = np.divide(m, bc1, out=temp(0, m))
+        step *= lr
+        denom = np.divide(v, bc2, out=temp(1, v))
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p.data -= step
 
 
 class _BatchSampler:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dnet.cli import main
-from dnet.model import load_checkpoint
+from dnet.model import DNet, DNetConfig, load_checkpoint, save_checkpoint
 from dnet.pnm import read_pnm
 
 
@@ -167,6 +167,17 @@ class TestErrorPaths:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: not-found:")
+
+    def test_truncated_checkpoint_named(self, tmp_path, capsys):
+        ckpt = tmp_path / "half.dnet"
+        save_checkpoint(DNet(DNetConfig(channels_scale=0.0625), seed=0), ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:100])
+        code = run_cli("predict", "--checkpoint", ckpt,
+                       "--image", tmp_path / "nope.ppm", "--out", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: checkpoint: {ckpt}: ")
+        assert "truncated" in err and "\n" not in err
 
     def test_bad_arguments_exit_one(self, capsys):
         assert run_cli("train") == 1

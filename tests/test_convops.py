@@ -391,6 +391,119 @@ class TestSamePads:
         assert conv2d(x, kern).shape == (1, 4, 6, 1)
 
 
+def _taps(xp: np.ndarray, kh: int, kw: int, d: int, s: int, ho: int, wo: int):
+    """(a, b, view of xp read by tap (a, b)) over a kh x kw kernel."""
+    for a in range(kh):
+        for b in range(kw):
+            yield a, b, xp[:, a * d : a * d + (ho - 1) * s + 1 : s,
+                           b * d : b * d + (wo - 1) * s + 1 : s]
+
+
+def _pad(x: np.ndarray, pads) -> np.ndarray:
+    pt, pb, pl, pr = pads
+    return np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+
+
+def reference_conv2d_grads(x, w, g, stride, dilation, pads):
+    """conv2d's former per-tap backward: the input gradient scatters the
+    broadcast product g @ w[a, b].T of the 4-D upstream g, and the weight
+    gradient is a tensordot of each tap view with g."""
+    kh, kw = w.shape[:2]
+    _, ho, wo, _ = g.shape
+    xp = _pad(x, pads)
+    gxp = np.zeros_like(xp)
+    gw = np.empty_like(w)
+    for (a, b, xs), (_, _, gs) in zip(_taps(xp, kh, kw, dilation, stride, ho, wo),
+                                      _taps(gxp, kh, kw, dilation, stride, ho, wo)):
+        gs += g @ w[a, b].T
+        gw[a, b] = np.tensordot(xs, g, axes=([0, 1, 2], [0, 1, 2]))
+    pt, _, pl, _ = pads
+    return gxp[:, pt : pt + x.shape[1], pl : pl + x.shape[2]], gw
+
+
+def reference_transposed_conv_grads(x, w, g, stride, dilation, pads):
+    """The same per-tap loop for transposed_conv, conv2d's adjoint: the input
+    gradient gathers tap(g) @ w[a, b].T, and gw[a, b] = x^T tap(g)."""
+    kh, kw = w.shape[:2]
+    _, h, wd, _ = x.shape
+    gx = np.zeros_like(x)
+    gw = np.empty_like(w)
+    for a, b, gs in _taps(_pad(g, pads), kh, kw, dilation, stride, h, wd):
+        gx += gs @ w[a, b].T
+        gw[a, b] = np.tensordot(x, gs, axes=([0, 1, 2], [0, 1, 2]))
+    return gx, gw
+
+
+class TestGradientsMatchPerTapLoop:
+    """The GEMM-shaped backward rules against the per-tap loop they replaced.
+
+    Each element agrees with the loop to ``100 * eps`` of its dtype, relative
+    to the same loop run on |x|, |w| and |g| (the sum of absolute products
+    that element adds up), in both convolution modes.
+    """
+
+    # name -> (kernel, stride, dilation, pads, input shape)
+    CONV2D = {
+        "1x1 unit stride unpadded": (1, 1, 1, (0, 0, 0, 0), (2, 5, 6, 4)),
+        "1x1 stride 2": (1, 2, 1, (0, 0, 0, 0), (2, 5, 6, 4)),
+        "1x1 padded": (1, 1, 1, (1, 0, 0, 2), (2, 5, 6, 4)),
+        "3x3 dilation 4 on 4x4 (block 5)": (3, 1, 4, same_pads(3, 4), (2, 4, 4, 8)),
+        "3x3 stride 2 asymmetric pads": (3, 2, 1, (0, 1, 0, 1), (2, 7, 8, 3)),
+        "3x3 dilation 2": (3, 1, 2, same_pads(3, 2), (1, 6, 6, 3)),
+    }
+    # name -> (kernel, stride, dilation, pads, output padding, input shape)
+    TRANSPOSED = {
+        "2x2 stride 2 (decoder)": (2, 2, 1, (0, 0, 0, 0), (0, 0), (2, 3, 4, 4)),
+        "1x1 unit stride": (1, 1, 1, (0, 0, 0, 0), (0, 0), (2, 3, 4, 4)),
+        "1x1 output padding": (1, 1, 1, (0, 0, 0, 0), (1, 0), (2, 3, 4, 4)),
+        "3x3 stride 2 padded": (3, 2, 1, (1, 0, 1, 1), (1, 0), (2, 3, 3, 2)),
+        "2x2 stride 2 dilation 2": (2, 2, 2, (0, 1, 1, 0), (0, 1), (1, 3, 2, 3)),
+    }
+
+    @staticmethod
+    def _check(op, reference, x, w, rng):
+        with recording() as graph:
+            y = op(x, w)
+            u = tensor(rng.normal(size=y.shape))
+            grads = backward(sum_all(multiply(y, u)), graph)
+        expected = reference(x.data, w.data, u.data)
+        scale = reference(np.abs(x.data), np.abs(w.data), np.abs(u.data))
+        tol = 100 * np.finfo(x.dtype).eps
+        for t, ref, bound in zip((x, w), expected, scale):
+            assert grads[t].shape == ref.shape and grads[t].dtype == x.dtype
+            assert np.all(np.abs(grads[t] - ref) <= tol * bound)
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CONV2D))
+    def test_conv2d(self, case, dtype, deterministic, rng):
+        k, stride, dilation, pads, shape = self.CONV2D[case]
+        with using_dtype(dtype), using_deterministic(deterministic):
+            x = tensor(rng.normal(size=shape), requires_grad=True)
+            w = tensor(rng.normal(size=(k, k, shape[3], 5)), requires_grad=True)
+            self._check(
+                lambda x, w: conv2d(x, ConvKernel(w, None, stride, dilation, pads)),
+                lambda x, w, g: reference_conv2d_grads(x, w, g, stride, dilation, pads),
+                x, w, rng,
+            )
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(TRANSPOSED))
+    def test_transposed_conv(self, case, dtype, deterministic, rng):
+        k, stride, dilation, pads, out_pad, shape = self.TRANSPOSED[case]
+        with using_dtype(dtype), using_deterministic(deterministic):
+            x = tensor(rng.normal(size=shape), requires_grad=True)
+            w = tensor(rng.normal(size=(k, k, shape[3], 5)), requires_grad=True)
+            self._check(
+                lambda x, w: transposed_conv(
+                    x, ConvKernel(w, None, stride, dilation, pads), out_pad
+                ),
+                lambda x, w, g: reference_transposed_conv_grads(x, w, g, stride, dilation, pads),
+                x, w, rng,
+            )
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Inner product <a, b> and the sum of |a * b|, its rounding scale."""
     prod = a * b

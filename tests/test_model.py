@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -335,7 +338,71 @@ class TestEndToEndGradients:
                 assert max_rel_err(analytic, fd) < 1e-3, name
 
 
+def _split_checkpoint(data: bytes):
+    """Header bytes (magic included) and the (name, dims, payload) records."""
+    off = len(CHECKPOINT_MAGIC) + 11 * 4
+    header, records = data[:off], []
+    while off < len(data):
+        (name_len,) = struct.unpack_from("<I", data, off)
+        name = data[off + 4 : off + 4 + name_len].decode("utf-8")
+        off += 4 + name_len
+        dims = struct.unpack_from("<4I", data, off)
+        size = 4 * int(np.prod(dims))
+        records.append((name, dims, data[off + 16 : off + 16 + size]))
+        off += 16 + size
+    return header, records
+
+
+def _join_checkpoint(header: bytes, records) -> bytes:
+    out = bytearray(header)
+    struct.pack_into("<I", out, len(out) - 4, len(records))  # n_params, last header word
+    for name, dims, payload in records:
+        encoded = name.encode("utf-8")
+        out += struct.pack("<I", len(encoded)) + encoded + struct.pack("<4I", *dims) + payload
+    return bytes(out)
+
+
+def _edit_records(edit):
+    """A defect that rewrites the parameter records with ``edit``."""
+
+    def defect(data: bytes) -> bytes:
+        header, records = _split_checkpoint(data)
+        return _join_checkpoint(header, edit(records))
+
+    return defect
+
+
+def _reshape_first(records):
+    name, (kh, kw, cin, cout), payload = records[0]
+    return [(name, (1, kh * kw, cin, cout), payload)] + records[1:]
+
+
+# defect -> (file edit, what the message must say after the path)
+CHECKPOINT_DEFECTS = {
+    "bad magic": (lambda data: b"NOTDN" + data[5:], "bad magic"),
+    "truncated": (lambda data: data[: len(data) // 2], "truncated"),
+    "trailing data": (lambda data: data + b"\x00", "trailing data"),
+    "zero dilation": (lambda data: data[:5] + b"\x00" * 4 + data[9:], "dilations"),
+    "unknown parameter": (
+        _edit_records(lambda r: [("no.such.param", *r[0][1:])] + r[1:]), "unknown parameter"
+    ),
+    "shape mismatch": (_edit_records(_reshape_first), "has shape"),
+    "missing parameter": (_edit_records(lambda r: r[:-1]), "missing parameters"),
+}
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
+    def test_defect_names_the_file(self, defect, tmp_path):
+        model = DNet(DNetConfig(**TINY), seed=0)
+        path = tmp_path / "under-test.dnet"
+        save_checkpoint(model, path)
+        assert _join_checkpoint(*_split_checkpoint(path.read_bytes())) == path.read_bytes()
+        edit, says = CHECKPOINT_DEFECTS[defect]
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: ") + ".*" + says):
+            load_checkpoint(path)
+
     def test_round_trip_bit_exact(self, tmp_path, rng):
         model = DNet(DNetConfig(dilations=(1, 2, 3), msif_rates=(3, 6, 8), **TINY), seed=7)
         first = tmp_path / "a.dnet"

@@ -3,7 +3,7 @@ import pytest
 
 from dnet.errors import ConfigError, ShapeError
 from dnet.model import DNet, DNetConfig
-from dnet.tensor import tensor, using_dtype
+from dnet.tensor import Tensor, tensor, using_dtype
 from dnet.training import (
     AdamState,
     TrainConfig,
@@ -31,6 +31,19 @@ def reference_adam(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             v_hat = v[i] / (1 - beta2**t)
             params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
     return params
+
+
+def expression_adam(params, grads, state, lr):
+    """The plain-array Adam update that ``adam_step`` computes in place."""
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
 class TestPolyLR:
@@ -86,6 +99,26 @@ class TestAdam:
             expected = reference_adam(initial, grad_steps, lr=1e-3)
             for p, e in zip(params, expected):
                 assert np.abs(p.data - e).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "param_dtype, grad_dtype",
+        [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
+    )
+    def test_bit_identical_to_array_expression(self, param_dtype, grad_dtype, rng):
+        shapes = [(3, 3, 4, 5), (1, 1, 1, 5), (1, 1, 5, 2), (2, 2, 2, 2)]
+        initial = [rng.normal(size=s).astype(param_dtype) for s in shapes]
+        ours = [Tensor(p.copy(), requires_grad=True) for p in initial]
+        theirs = [Tensor(p.copy(), requires_grad=True) for p in initial]
+        ours_state, theirs_state = AdamState.for_params(ours), AdamState.for_params(theirs)
+        for step in range(6):
+            grads = [(rng.normal(size=s) * 10.0 ** -step).astype(grad_dtype) for s in shapes]
+            lr = 1e-3 * (1.0 - step / 6) ** 0.9
+            adam_step(ours, grads, ours_state, lr)
+            expression_adam(theirs, grads, theirs_state, lr)
+            for a, b in zip([p.data for p in ours] + ours_state.m + ours_state.v,
+                            [p.data for p in theirs] + theirs_state.m + theirs_state.v):
+                assert a.dtype == b.dtype == param_dtype
+                assert np.array_equal(a, b)
 
     def test_gradient_rescaling_near_invariance(self):
         with using_dtype(np.float64):
