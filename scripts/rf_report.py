@@ -10,7 +10,7 @@ table is the documentation of how each number arises.
 import sys
 
 from dnet.model import DNetConfig, encoder_layer_specs
-from dnet.receptive import network_rf
+from dnet.receptive import rf_stack
 
 TRIPLES = [(1, 1, 1), (1, 2, 3), (1, 2, 4)]
 
@@ -19,7 +19,7 @@ def main() -> int:
     summary = []
     for triple in TRIPLES:
         cfg = DNetConfig(dilations=triple)
-        report = network_rf(encoder_layer_specs(cfg))
+        report = rf_stack(encoder_layer_specs(cfg))
         print(f"== encoder with dilations {triple} ==")
         print("layer,k_eff,jump,rf")
         for row in report.layers:

@@ -55,7 +55,6 @@ from .receptive import (
     LayerSpec,
     RFReport,
     coverage_map,
-    network_rf,
     rf_single,
     rf_stack,
 )

@@ -22,7 +22,7 @@ from .manifest import load_dataset, read_manifest, write_manifest
 from .metrics import ConfusionCounts, confusion, metrics, roc_pr_curves
 from .model import DNet, load_checkpoint, save_checkpoint, encoder_layer_specs
 from .pnm import read_pnm, write_mask_pgm, write_ppm, write_prob_pgm
-from .receptive import LayerSpec, RFReport, network_rf
+from .receptive import LayerSpec, RFReport, rf_stack
 from .training import predict_probs, save_loss_trace, synth_vessels, train
 
 __all__ = ["main"]
@@ -219,7 +219,7 @@ def _cmd_rf_analyze(args) -> int:
     else:
         model_cfg, _ = parse_run_config(args.config)
         layers = encoder_layer_specs(model_cfg)
-    _print_rf_report(network_rf(layers), args.out)
+    _print_rf_report(rf_stack(layers), args.out)
     return 0
 
 

@@ -28,6 +28,8 @@ LOSS_FORMULA = (
     "loss = lambda * sum||W||^2 + mean_ce(pred, target) + beta * mean((pred - target)^2)"
 )
 
+EPS = 1e-7  # predictions are clamped to [EPS, 1 - EPS] before the logs
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -36,7 +38,6 @@ class LossConfig:
     lam: float = 1e-4
     beta: float = 1.0
     ce_weight: float = 1.0
-    eps: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.lam < 0 or self.beta < 0 or self.ce_weight < 0:
@@ -44,20 +45,18 @@ class LossConfig:
                 f"loss weights must be non-negative, got lambda={self.lam} "
                 f"beta={self.beta} ce_weight={self.ce_weight}"
             )
-        if not (0.0 < self.eps < 0.5):
-            raise ConfigError(f"clamping eps must be in (0, 0.5), got {self.eps}")
 
 
-def bce_mean(pred: Tensor, target: Tensor, eps: float = 1e-7) -> Tensor:
-    """Mean binary cross entropy with predictions clamped to [eps, 1-eps]."""
+def bce_mean(pred: Tensor, target: Tensor) -> Tensor:
+    """Mean binary cross entropy with predictions clamped to [EPS, 1-EPS]."""
     if pred.shape != target.shape:
         raise ShapeError(f"bce_mean: shape mismatch {pred.shape} vs {target.shape}")
-    p = np.clip(pred.data, eps, 1.0 - eps)
+    p = np.clip(pred.data, EPS, 1.0 - EPS)
     t = target.data
     m = p.size
     ce = -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
     out = ce.mean(dtype=pred.dtype).reshape(1, 1, 1, 1)
-    active = (pred.data > eps) & (pred.data < 1.0 - eps)
+    active = (pred.data > EPS) & (pred.data < 1.0 - EPS)
 
     def rule(g: np.ndarray):
         gp = g.reshape(()) * active * (p - t) / (p * (1.0 - p)) / m
@@ -101,7 +100,7 @@ def total_loss(
     """Scalar training loss over a batch; see module docstring for the formula."""
     if pred.shape != target.shape:
         raise ShapeError(f"total_loss: shape mismatch {pred.shape} vs {target.shape}")
-    loss = scale(bce_mean(pred, target, cfg.eps), cfg.ce_weight)
+    loss = scale(bce_mean(pred, target), cfg.ce_weight)
     if cfg.beta != 0.0:
         loss = elementwise_add(loss, scale(mse_mean(pred, target), cfg.beta))
     if cfg.lam != 0.0 and params:

@@ -314,7 +314,6 @@ class MSIF:
 
     def __init__(self, builder: _Builder, cfg: DNetConfig, cin: int):
         width = cfg.width(MSIF_WIDTH)
-        self.enabled = cfg.msif_enabled
         self.rates = cfg.msif_rates
         self.point = _ConvUnit(builder.conv("msif.point", 1, cin, width), True)
         self.sep_branches = []
@@ -335,11 +334,6 @@ class MSIF:
         return outs
 
     def forward(self, g: Tensor) -> Tensor:
-        if not self.enabled:
-            raise ConfigError(
-                "msif_forward called while the module is disabled; "
-                "the caller must route around it"
-            )
         return self.fuse(concat_channels(self.branch_outputs(g)))
 
     __call__ = forward

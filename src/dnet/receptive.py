@@ -24,7 +24,6 @@ __all__ = [
     "rf_single",
     "rf_stack",
     "coverage_map",
-    "network_rf",
 ]
 
 _KINDS = ("conv", "pool", "tconv")
@@ -161,18 +160,3 @@ def coverage_map(dilations, k: int = 3) -> CoverageReport:
     assert positions is not None
     return _coverage_of(positions)
 
-
-def network_rf(arch) -> RFReport:
-    """RF report for a whole serial architecture path.
-
-    ``arch`` is a sequence of LayerSpec; anything else (an architecture with
-    branches and no designated path) is rejected.
-    """
-    layers = list(arch)
-    for layer in layers:
-        if not isinstance(layer, LayerSpec):
-            raise ShapeError(
-                "network_rf: architecture must be a serial path of LayerSpec entries; "
-                "designate a path before analysis"
-            )
-    return rf_stack(layers)

@@ -7,7 +7,10 @@ numpy buffer, always row-major and always 4-D; scalars live in shape
 differentiation appends a :class:`Node` holding the input tensors, the
 produced output, and a closure mapping the upstream gradient to per-input
 gradients. :func:`backward` replays the tape once, in reverse, accumulating
-gradients across fan-out.
+gradients across fan-out, and returns the gradients of the leaves only: the
+``requires_grad`` tensors that no recorded operation produced. Each
+intermediate gradient is released as soon as the rule that consumes it has
+run.
 
 Tensors are treated as immutable once produced by an operation; optimizers
 may rewrite leaf ``.data`` buffers between recorded forward passes. Nothing
@@ -84,11 +87,11 @@ class Tensor:
     """Dense (batch, height, width, channels) value.
 
     ``requires_grad`` marks leaves that should receive gradients; outputs of
-    recorded operations inherit it so gradients can chain. ``grad`` is filled
-    by :func:`backward` and always matches ``data`` in shape.
+    recorded operations inherit it so gradients can chain. Gradients are not
+    stored on the tensor: :func:`backward` returns them.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is not None:
@@ -103,7 +106,6 @@ class Tensor:
             )
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -347,12 +349,16 @@ def _validate_graph(graph: Graph) -> dict[int, int]:
 
 
 def backward(loss: Tensor, graph: Graph) -> dict[Tensor, np.ndarray]:
-    """Reverse-sweep the tape and return d(loss)/d(t) for participating tensors.
+    """Reverse-sweep the tape and return d(loss)/d(leaf) for every leaf on it.
 
-    ``loss`` must be scalar and must have been produced by ``graph``. Every
-    tensor with ``requires_grad`` that appears in the graph ends up in the
-    returned map (zero-filled if the loss does not depend on it) and gets its
-    ``grad`` attribute set. Gradients accumulate across fan-out.
+    A leaf is a ``requires_grad`` input of some node that no node produced,
+    such as a parameter; every leaf on the tape is in the returned map,
+    zero-filled if the loss does not depend on it. ``loss`` must be scalar
+    and must have been produced by ``graph``. Gradients accumulate across
+    fan-out in tape order. A node's output gradient is dropped once its rule
+    has run, and a gradient for an input that does not require one (a
+    constant such as the network's input image) is shape-checked and
+    discarded.
     """
     if loss.shape != (1, 1, 1, 1):
         raise ShapeError(f"backward: loss must be scalar (1,1,1,1), got {loss.shape}")
@@ -361,10 +367,9 @@ def backward(loss: Tensor, graph: Graph) -> dict[Tensor, np.ndarray]:
         raise GraphError("backward: loss tensor was not produced by this graph")
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1, 1, 1), dtype=loss.dtype)}
-    by_id: dict[int, Tensor] = {id(loss): loss}
 
     for node in reversed(graph.nodes):
-        g_out = grads.get(id(node.output))
+        g_out = grads.pop(id(node.output), None)
         if g_out is None:
             continue  # not on the loss's ancestor path
         in_grads = node.backward(g_out)
@@ -378,25 +383,20 @@ def backward(loss: Tensor, graph: Graph) -> dict[Tensor, np.ndarray]:
                     f"backward rule of {node.op} produced gradient shape {gi.shape} "
                     f"for input shape {inp.shape}"
                 )
+            if not inp.requires_grad:
+                continue
             key = id(inp)
             if key in grads:
                 grads[key] = grads[key] + gi
             else:
                 grads[key] = gi
-            by_id[key] = inp
 
-    # Tensors that participate in the graph but are unreachable from the loss
-    # have a well-defined gradient of zero.
-    for node in graph.nodes:
-        for t in (*node.inputs, node.output):
-            if t.requires_grad and id(t) not in grads:
-                grads[id(t)] = np.zeros(t.shape, dtype=loss.dtype)
-                by_id[id(t)] = t
-
+    # Every produced gradient was popped above; what is left belongs to leaves.
+    # Leaves the loss does not depend on have a well-defined gradient of zero.
     result: dict[Tensor, np.ndarray] = {}
-    for key, g in grads.items():
-        t = by_id[key]
-        if t.requires_grad:
-            t.grad = g
-            result[t] = g
+    for node in graph.nodes:
+        for inp in node.inputs:
+            if inp.requires_grad and id(inp) not in produced and inp not in result:
+                g = grads.get(id(inp))
+                result[inp] = g if g is not None else np.zeros(inp.shape, dtype=loss.dtype)
     return result

@@ -50,7 +50,6 @@ class TrainConfig:
     lam: float = 1e-4
     beta: float = 1.0
     ce_weight: float = 1.0
-    augment_flips: bool = False
 
     def __post_init__(self) -> None:
         if self.lr < 0:
@@ -174,20 +173,9 @@ class _BatchSampler:
         return out
 
 
-def _stack_batch(dataset, indices, flip_draws=None):
-    images, masks = [], []
-    for pos, i in enumerate(indices):
-        img, mask = dataset[i][0], dataset[i][1]
-        if flip_draws is not None:
-            fh, fv = flip_draws[pos]
-            if fh:
-                img, mask = img[:, ::-1], mask[:, ::-1]
-            if fv:
-                img, mask = img[::-1], mask[::-1]
-        images.append(img)
-        masks.append(mask)
-    x = np.stack(images).astype(default_dtype())
-    y = np.stack(masks).astype(default_dtype())
+def _stack_batch(dataset, indices):
+    x = np.stack([dataset[i][0] for i in indices]).astype(default_dtype())
+    y = np.stack([dataset[i][1] for i in indices]).astype(default_dtype())
     if y.ndim == 3:
         y = y[..., None]
     return Tensor(x), Tensor(y)
@@ -202,8 +190,8 @@ def train(
     """Run max_iter optimization steps and return the (step, lr, loss) trace.
 
     ``on_step(step, loss)`` may return True to stop early (the trace keeps
-    whatever was run). Deterministic given the seed: batch order, flips and
-    arithmetic all derive from it.
+    whatever was run). Deterministic given the seed: batch order and
+    arithmetic both derive from it.
     """
     if len(dataset) == 0:
         raise ConfigError("train: dataset is empty")
@@ -217,13 +205,12 @@ def train(
 
     for step in range(cfg.max_iter):
         indices = sampler.take(cfg.batch)
-        flips = rng.integers(0, 2, size=(cfg.batch, 2)) if cfg.augment_flips else None
-        xb, yb = _stack_batch(dataset, indices, flips)
+        xb, yb = _stack_batch(dataset, indices)
         with recording() as graph:
             probs = model.forward(xb)
             loss = total_loss(probs, yb, reg_params, loss_cfg)
             grad_map = backward(loss, graph)
-        grads = [grad_map.get(p, np.zeros_like(p.data)) for p in params]
+        grads = [grad_map[p] for p in params]
         lr = poly_lr(step, cfg)
         adam_step(params, grads, state, lr)
         loss_value = loss.item()

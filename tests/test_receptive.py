@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dnet.convops import dilated_kernel_extent
 from dnet.errors import ShapeError
 from dnet.model import DNetConfig, encoder_layer_specs
-from dnet.receptive import LayerSpec, coverage_map, network_rf, rf_single, rf_stack
+from dnet.receptive import LayerSpec, coverage_map, rf_single, rf_stack
 
 
 def conv_layers(*specs):
@@ -163,7 +163,7 @@ class TestCoverage:
 
 class TestNetworkRF:
     def test_single_root_conv(self):
-        report = network_rf([LayerSpec("conv", 3, 2, 1, "root")])
+        report = rf_stack([LayerSpec("conv", 3, 2, 1, "root")])
         assert report.final_rf == 3
         assert report.final_jump == 2
 
@@ -171,20 +171,20 @@ class TestNetworkRF:
         rfs = []
         for dil in ((1, 1, 1), (1, 2, 3), (1, 2, 4)):
             cfg = DNetConfig(dilations=dil, channels_scale=0.125)
-            rfs.append(network_rf(encoder_layer_specs(cfg)).final_rf)
+            rfs.append(rf_stack(encoder_layer_specs(cfg)).final_rf)
         assert rfs[0] < rfs[1] < rfs[2]
 
     def test_same_arch_twice_identical(self):
         cfg = DNetConfig(channels_scale=0.125)
-        a = network_rf(encoder_layer_specs(cfg))
-        b = network_rf(encoder_layer_specs(cfg))
+        a = rf_stack(encoder_layer_specs(cfg))
+        b = rf_stack(encoder_layer_specs(cfg))
         assert a == b
 
     def test_rejects_non_layerspec_path(self):
         with pytest.raises(ShapeError):
-            network_rf([("conv", 3, 1, 1)])
+            rf_stack([("conv", 3, 1, 1)])
 
     def test_encoder_path_is_dense_for_increasing_rates(self):
         cfg = DNetConfig(dilations=(1, 2, 4))
-        report = network_rf(encoder_layer_specs(cfg))
+        report = rf_stack(encoder_layer_specs(cfg))
         assert report.coverage is not None and report.coverage.dense

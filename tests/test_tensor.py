@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnet.convops import using_deterministic
 from dnet.errors import GraphError, ShapeError
+from dnet.losses import LossConfig, total_loss
+from dnet.model import DNet, DNetConfig
 from dnet.tensor import (
     Graph,
     Node,
@@ -15,6 +18,7 @@ from dnet.tensor import (
     concat_channels,
     elementwise_add,
     multiply,
+    record_op,
     recording,
     relu,
     scale,
@@ -182,7 +186,6 @@ def test_backward_independent_parameter_gets_zero():
         loss = sum_all(scale(x, 3.0))
         grads = backward(loss, g)
     assert np.all(grads[p] == 0.0)
-    assert p.grad is not None and np.all(p.grad == 0.0)
 
 
 def test_backward_union_of_independent_subgraphs(rng):
@@ -206,6 +209,69 @@ def test_backward_accumulates_over_fanout():
         y = elementwise_add(x, x)
         grads = backward(sum_all(y), g)
     assert grads[x].ravel()[0] == 2.0
+
+
+def keep_everything_backward(loss, graph):
+    """The sweep that kept every gradient until the end, as a reference.
+
+    It stores the gradient of every tensor it reaches, produced or constant,
+    in the same accumulation order as :func:`backward`, and returns those of
+    the ``requires_grad`` tensors.
+    """
+    grads = {id(loss): np.ones((1, 1, 1, 1), dtype=loss.dtype)}
+    by_id = {id(loss): loss}
+    for node in reversed(graph.nodes):
+        g_out = grads.get(id(node.output))
+        if g_out is None:
+            continue
+        for inp, gi in zip(node.inputs, node.backward(g_out)):
+            if gi is None:
+                continue
+            key = id(inp)
+            grads[key] = grads[key] + gi if key in grads else gi
+            by_id[key] = inp
+    return {by_id[k]: g for k, g in grads.items() if by_id[k].requires_grad}
+
+
+def test_backward_returns_exactly_the_leaves(rng):
+    w = tensor(rng.normal(size=(1, 2, 2, 3)), requires_grad=True)
+    b = tensor(rng.normal(size=(1, 2, 2, 3)), requires_grad=True)
+    unused = tensor(rng.normal(size=(1, 1, 1, 1)), requires_grad=True)
+    image = tensor(rng.normal(size=(1, 2, 2, 3)))  # a constant input
+    with recording() as g:
+        h = relu(elementwise_add(multiply(image, w), b))
+        _ = scale(unused, 2.0)
+        loss = sum_all(multiply(h, h))
+        grads = backward(loss, g)
+    assert set(map(id, grads)) == {id(w), id(b), id(unused)}
+    produced = {id(node.output) for node in g.nodes}
+    assert not produced & set(map(id, grads))
+    assert np.all(grads[unused] == 0.0)
+
+
+def test_backward_shape_checks_constant_input_gradient():
+    x = tensor([1.0], shape=(1, 1, 1, 1), requires_grad=True)
+    c = tensor([2.0], shape=(1, 1, 1, 1))
+    with recording() as g:
+        bad = record_op("bad", (x, c), x.data * c.data, lambda gr: (gr, np.zeros((1, 1, 2, 1))))
+        loss = sum_all(bad)
+    with pytest.raises(GraphError):
+        backward(loss, g)
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_backward_parameter_gradients_match_keep_everything_sweep(deterministic, rng):
+    model = DNet(DNetConfig(channels_scale=0.125), seed=2)
+    x = tensor(rng.uniform(size=(2, 32, 32, 3)))
+    target = tensor((rng.uniform(size=(2, 32, 32, 1)) > 0.8).astype(np.float32))
+    with using_deterministic(deterministic), recording() as g:
+        loss = total_loss(model(x), target, model.kernel_parameters(), LossConfig())
+        grads = backward(loss, g)
+        reference = keep_everything_backward(loss, g)
+    params = model.parameters()
+    assert set(map(id, grads)) == set(map(id, params.values()))
+    for name, p in params.items():
+        assert np.array_equal(grads[p], reference[p]), name
 
 
 def test_backward_rejects_non_scalar_loss():
