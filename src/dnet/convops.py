@@ -19,7 +19,10 @@ convolution forward. Only that forward has two execution strategies:
 * im2col + GEMM fast path (``set_deterministic(False)``): same math, BLAS
   reduction order, so results agree with the tap-ordered path only to
   floating-point tolerance. It is therefore gated out of deterministic mode
-  rather than offered as a bit-exact replacement.
+  rather than offered as a bit-exact replacement. It lowers one band of
+  whole output rows at a time into a column buffer of bounded size and
+  runs one GEMM per band, so a large image never needs the whole column
+  matrix (hundreds of MB for a 3x3 layer at 576x576).
 
 The backward rules are GEMM-shaped and the same in both modes: a dense
 weight gradient is one ``_im2col(...).T @ g`` product, conv2d's input
@@ -53,6 +56,12 @@ __all__ = [
 ]
 
 _deterministic = True
+
+# Element budget of one band's im2col column matrix in the GEMM forward
+# (4 MB in float32): the whole matrix of a full-resolution 3x3 layer at
+# 576x576 would be hundreds of MB. Bands of 1, 4 and 16 MB ran a 576x576
+# full-width predict at the same speed within noise on a 2-core host.
+_BAND_ELEMENTS = 1 << 20
 
 
 def set_deterministic(flag: bool) -> None:
@@ -175,19 +184,28 @@ def _scatter(shape, pads, taps, d: int, s: int, ho: int, wo: int, contrib, dtype
     return buf[:, pt : pt + h, pl : pl + w, :]
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, d: int, s: int, ho: int, wo: int) -> np.ndarray:
+def _im2col(
+    xp: np.ndarray, kh: int, kw: int, d: int, s: int, ho: int, wo: int,
+    buf: np.ndarray | None = None,
+) -> np.ndarray:
     """Column matrix of the tap gather: row (n, i, j), column (a, b, channel).
 
     A 1x1 kernel whose one tap reads all of ``xp`` reshapes it without a copy.
+    Otherwise the matrix is written into the leading elements of the flat
+    array ``buf`` when one is given, or into a new array.
     """
     n, _, _, c = xp.shape
     if kh == kw == 1 and xp.shape[1:3] == (ho, wo):
         return xp.reshape(-1, c)
-    cols = np.empty((n, ho, wo, kh * kw * c), dtype=xp.dtype)
+    k = kh * kw * c
+    if buf is None:
+        cols = np.empty((n, ho, wo, k), dtype=xp.dtype)
+    else:
+        cols = buf[: n * ho * wo * k].reshape(n, ho, wo, k)
     for a, b in np.ndindex(kh, kw):
         base = (a * kw + b) * c
         cols[..., base : base + c] = _tap_view(xp, a, b, d, s, ho, wo)
-    return cols.reshape(-1, kh * kw * c)
+    return cols.reshape(-1, k)
 
 
 def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
@@ -195,19 +213,32 @@ def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> No
 
     The output grid is ``out``'s spatial extent. Deterministic mode adds one
     (kernel row, kernel col, input channel) tap at a time; otherwise the taps
-    are lowered to one im2col GEMM.
+    are lowered to im2col GEMMs, one per band of whole output rows across
+    the batch, each band's column matrix at most ``_BAND_ELEMENTS`` elements
+    (but at least one row) in one buffer reused by every band. A 1x1 kernel
+    whose column matrix is a reshape of ``xp`` is one GEMM.
     """
     kh, kw, cin, cout = w.shape
-    _, ho, wo, _ = out.shape
+    n, ho, wo, _ = out.shape
     if _deterministic:
         for a in range(kh):
             for b in range(kw):
                 xs = _tap_view(xp, a, b, d, s, ho, wo)
                 for m in range(cin):
                     out += xs[:, :, :, m : m + 1] * w[a, b, m]
-    else:
-        cols = _im2col(xp, kh, kw, d, s, ho, wo)
-        out += (cols @ w.reshape(-1, cout)).reshape(out.shape)
+        return
+    wm = w.reshape(-1, cout)
+    if kh == kw == 1 and xp.shape[1:3] == (ho, wo):
+        out += (xp.reshape(-1, cin) @ wm).reshape(out.shape)
+        return
+    row = n * wo * wm.shape[0]
+    rows = max(1, _BAND_ELEMENTS // row)
+    buf = np.empty(min(rows, ho) * row, dtype=xp.dtype)
+    for i0 in range(0, ho, rows):
+        i1 = min(i0 + rows, ho)
+        xs = xp[:, i0 * s : (i1 - 1) * s + (kh - 1) * d + 1]
+        cols = _im2col(xs, kh, kw, d, s, i1 - i0, wo, buf)
+        out[:, i0:i1] += (cols @ wm).reshape(n, i1 - i0, wo, cout)
 
 
 def _check_channels(op: str, x: Tensor, kernel: ConvKernel, cin: int, bias_channels: int) -> None:
@@ -270,10 +301,13 @@ def conv2d(x: Tensor, kernel: ConvKernel) -> Tensor:
     _dense(xp, w, d, s, out)
     x_shape = x.shape
     pointwise = kh == kw == 1 and s == 1 and not any(kernel.padding)
+    input_grad = x.requires_grad
 
     def grads(g: np.ndarray):
         g2 = g.reshape(-1, cout)
-        if pointwise:
+        if not input_grad:
+            gx = None  # a constant input, such as the network's image
+        elif pointwise:
             gx = (g2 @ w[0, 0].T).reshape(x_shape)
         else:
             gx = _scatter(x_shape, kernel.padding, (kh, kw), d, s, ho, wo,
@@ -335,18 +369,23 @@ def max_pool(
     ho = _out_extent("max_pool", hp, kh, stride)
     wo = _out_extent("max_pool", wp, kw, stride)
 
-    # (n, ho, wo, c, kh*kw), row-major window order
-    taps = np.stack([_tap_view(xp, a, b, 1, stride, ho, wo)
-                     for a in range(kh) for b in range(kw)], axis=-1)
-    argmax = taps.argmax(axis=-1)
-    out = np.take_along_axis(taps, argmax[..., None], axis=-1)[..., 0]
+    # np.maximum returns its second operand on a tie, so the earlier tap is
+    # kept: the same bits as taking the first maximum in row-major order.
+    taps = [(a, b) for a in range(kh) for b in range(kw)]
+    out = _tap_view(xp, 0, 0, 1, stride, ho, wo).copy()
+    for a, b in taps[1:]:
+        np.maximum(_tap_view(xp, a, b, 1, stride, ho, wo), out, out=out)
     if not np.isfinite(out).all():
         raise ShapeError("max_pool: window contains no valid input positions")
 
-    x_shape = x.shape
+    x_data = x.data
 
     def rule(g: np.ndarray):
-        gx = _scatter(x_shape, padding, (kh, kw), 1, stride, ho, wo,
+        xp = _pad_input(x_data, padding, fill=-np.inf)
+        # (n, ho, wo, c, kh*kw), row-major window order
+        argmax = np.stack([_tap_view(xp, a, b, 1, stride, ho, wo) for a, b in taps],
+                          axis=-1).argmax(axis=-1)
+        gx = _scatter(x_data.shape, padding, (kh, kw), 1, stride, ho, wo,
                       lambda a, b: g * (argmax == a * kw + b), g.dtype)
         return (gx,)
 

@@ -252,10 +252,9 @@ def scale(x: Tensor, alpha: float) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """max(0, x); gradient passes where x > 0 and is zero elsewhere."""
     out = np.maximum(x.data, 0)
-    positive = x.data > 0
 
     def rule(g: np.ndarray):
-        return (g * positive,)
+        return (g * (out > 0),)  # out > 0 exactly where x > 0, NaN included
 
     return record_op("relu", (x,), out, rule)
 

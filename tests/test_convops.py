@@ -1,8 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnet import convops
 from dnet.errors import ShapeError
 from dnet.convops import (
     ConvKernel,
@@ -136,6 +140,27 @@ class TestConv2d:
                     fd = fd_full_grad(loss_fn, t)
                     assert max_rel_err(grads[t], fd) < 1e-4
 
+    @pytest.mark.parametrize("deterministic", [True, False])
+    @pytest.mark.parametrize("k, pads", [(3, (1, 0, 2, 1)), (1, (0, 0, 0, 0))])
+    def test_constant_input_gets_no_gradient(self, k, pads, deterministic, rng):
+        # The rule skips the input gradient of an input that needs none; the
+        # parameter gradients are the same bits either way.
+        x = rng.normal(size=(2, 6, 5, 3)).astype(np.float32)
+        w = tensor(rng.normal(size=(k, k, 3, 4)), requires_grad=True)
+        bias = tensor(rng.normal(size=(1, 1, 1, 4)), requires_grad=True)
+        kern = ConvKernel(w, bias, 1, 1, pads)
+        rules = {}
+        with using_deterministic(deterministic):
+            for input_grad in (True, False):
+                with recording() as g:
+                    y = conv2d(tensor(x, requires_grad=input_grad), kern)
+                rules[input_grad] = g.nodes[-1].backward
+        u = rng.normal(size=y.shape).astype(np.float32)
+        gx, gw, gb = rules[True](u)
+        none, gw_const, gb_const = rules[False](u)
+        assert gx.shape == x.shape and none is None
+        assert np.array_equal(gw, gw_const) and np.array_equal(gb, gb_const)
+
 
 class TestDilatedKernelExtent:
     def test_rate2_extent_of_3x3(self):
@@ -259,6 +284,26 @@ class TestMaxPool:
                     sum_all(multiply(max_pool(x, 3, 2, (0, 1, 0, 1)), weigh)), g
                 )
             assert max_rel_err(grads[x], fd_full_grad(loss_fn, x, eps=1e-5)) < 1e-4
+
+    def test_forward_matches_stack_reference(self, rng):
+        # The running maximum equals taking the first maximum of the stacked
+        # window taps; small integer values make ties common.
+        for _ in range(40):
+            k, stride = (int(v) for v in rng.integers(1, [5, 4]))
+            pads = tuple(int(v) for v in rng.integers(0, k, size=4))
+            h, w = (int(v) for v in rng.integers(1, 9, size=2))
+            data = rng.integers(-2, 3, size=(2, h, w, 3)).astype(np.float32)
+            if rng.random() < 0.5:
+                data = data + rng.normal(size=data.shape).astype(np.float32)
+            pt, pb, pl, pr = pads
+            xp = np.pad(data, ((0, 0), (pt, pb), (pl, pr), (0, 0)), constant_values=-np.inf)
+            kh, kw = min(k, xp.shape[1]), min(k, xp.shape[2])
+            ho = (xp.shape[1] - kh) // stride + 1
+            wo = (xp.shape[2] - kw) // stride + 1
+            stack = np.stack([t for _, _, t in _taps(xp, kh, kw, 1, stride, ho, wo)], axis=-1)
+            want = np.take_along_axis(stack, stack.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+            got = max_pool(tensor(data), k, stride, pads).data
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestTransposedConv:
@@ -502,6 +547,80 @@ class TestGradientsMatchPerTapLoop:
                 lambda x, w, g: reference_transposed_conv_grads(x, w, g, stride, dilation, pads),
                 x, w, rng,
             )
+
+
+def reference_im2col_conv2d(x, w, bias, stride, dilation, pads):
+    """conv2d as one GEMM over the whole im2col column matrix."""
+    kh, kw, cin, cout = w.shape
+    xp = _pad(x, pads)
+    ho = (xp.shape[1] - dilated_kernel_extent(kh, dilation)) // stride + 1
+    wo = (xp.shape[2] - dilated_kernel_extent(kw, dilation)) // stride + 1
+    cols = np.concatenate([t for _, _, t in _taps(xp, kh, kw, dilation, stride, ho, wo)],
+                          axis=-1)
+    return (cols.reshape(-1, kh * kw * cin) @ w.reshape(-1, cout)).reshape(
+        x.shape[0], ho, wo, cout
+    ) + bias
+
+
+class TestBandedGemmForward:
+    """The GEMM forward lowers bounded bands of output rows, one GEMM each."""
+
+    # name -> (kernel, stride, dilation, pads, input shape); every output
+    # height leaves a partial last band of three rows. A unit-stride 1x1
+    # kernel reads all of the padded input, a reshape: one GEMM, no band.
+    CASES = {
+        "3x3 stride 2 asymmetric pads": (3, 2, 1, (0, 1, 0, 1), (2, 9, 8, 3)),
+        "3x3 dilation 4 on 4x4 (block 5)": (3, 1, 4, same_pads(3, 4), (2, 4, 4, 8)),
+        "3x3 dilation 2 asymmetric pads": (3, 1, 2, (2, 0, 1, 2), (1, 7, 6, 3)),
+        "1x1 stride 2 batch 4": (1, 2, 1, (0, 0, 0, 0), (4, 7, 6, 4)),
+        "1x1 padded batch 4": (1, 1, 1, (1, 1, 0, 2), (4, 5, 6, 4)),
+        "1x1 unpadded batch 4": (1, 1, 1, (0, 0, 0, 0), (4, 5, 6, 4)),
+    }
+
+    @pytest.mark.parametrize("band_rows", [0, 3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_whole_matrix_reference(self, case, band_rows, rng, monkeypatch):
+        k, stride, dilation, pads, shape = self.CASES[case]
+        n, _, _, cin = shape
+        with using_dtype(np.float64):
+            x = tensor(rng.normal(size=shape))
+            w = tensor(rng.normal(size=(k, k, cin, 5)))
+            bias = tensor(rng.normal(size=(1, 1, 1, 5)))
+        kern = ConvKernel(w, bias, stride, dilation, pads)
+        want = reference_im2col_conv2d(x.data, w.data, bias.data, stride, dilation, pads)
+        _, ho, wo, _ = want.shape
+        # band_rows 0 sets a budget below one row, which still lowers one row.
+        monkeypatch.setattr(convops, "_BAND_ELEMENTS", band_rows * n * wo * k * k * cin)
+        lowered = []  # output rows of each band
+
+        def counting_im2col(*args):
+            lowered.append(args[5])
+            return im2col(*args)
+
+        im2col = convops._im2col
+        monkeypatch.setattr(convops, "_im2col", counting_im2col)
+        with using_deterministic(False):
+            fast = conv2d(x, kern).data
+        exact = conv2d(x, kern).data
+        if k == 1 and stride == 1:
+            assert lowered == []
+        else:
+            assert len(lowered) == math.ceil(ho / max(band_rows, 1)) and sum(lowered) == ho
+        assert np.all(np.abs(fast - want) <= 1e-12 * np.abs(want).max())
+        assert np.abs(exact - fast).max() < 1e-12
+
+    def test_peak_below_half_the_whole_column_matrix(self, rng):
+        x = tensor(rng.normal(size=(1, 128, 128, 64)))
+        kern = ConvKernel(tensor(rng.normal(size=(3, 3, 64, 64))), None, 1, 1, same_pads(3))
+        whole = 128 * 128 * 9 * 64 * x.data.itemsize
+        with using_deterministic(False):
+            tracemalloc.start()
+            try:
+                conv2d(x, kern)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < whole / 2
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
