@@ -3,13 +3,17 @@
 
 The deterministic (tap-ordered) forward is the correctness reference,
 bit-identical to the naive loop; the GEMM forward trades that guarantee for
-BLAS throughput. The backward rule is the same GEMM-shaped code in both
-modes, so its two columns should agree; a gap between them, or a jump in
-either against an earlier run, is a shape-level regression. Times are
-medians in ms; ``gemm MB`` is the peak that ``tracemalloc`` sees during one
-GEMM forward, which lowers bounded bands of output rows, so a jump there is
-a shape-level memory regression; ``max diff`` is the largest forward
-difference between the modes. Run from the repository root:
+BLAS throughput. ``nhwc`` and ``c-first`` time the two layouts of the
+tap-ordered loop on their own, and ``det fwd`` the one that conv2d picks
+(channel-first when ``cout < wo``), so the layout rule can be checked on
+every shape: ``det fwd`` should track the smaller of the two. The backward
+rule is the same GEMM-shaped code in both modes, so its two columns should
+agree; a gap between them, or a jump in either against an earlier run, is a
+shape-level regression. Times are medians in ms; ``gemm MB`` is the peak
+that ``tracemalloc`` sees during one GEMM forward, which lowers bounded
+bands of output rows, so a jump there is a shape-level memory regression;
+``max diff`` is the largest forward difference between the modes. Run from
+the repository root:
 
     PYTHONPATH=src python scripts/bench_conv.py
 """
@@ -20,20 +24,30 @@ import tracemalloc
 
 import numpy as np
 
+from dnet import convops
 from dnet.convops import ConvKernel, conv2d, same_pads, using_deterministic
 from dnet.tensor import recording, tensor
 
 CASES = [
-    # (batch, height, width, cin, cout, k, dilation)
-    (1, 64, 64, 8, 8, 3, 1),
-    (1, 32, 32, 32, 32, 3, 1),
-    (1, 16, 16, 64, 64, 3, 1),
-    (1, 4, 4, 256, 256, 3, 2),
-    (1, 64, 64, 3, 32, 3, 1),
-    (4, 32, 32, 128, 64, 3, 1),  # full-width decoder, 1/2 resolution
-    (4, 64, 64, 32, 32, 3, 1),  # full-width decoder, full resolution
-    (4, 4, 4, 1024, 256, 1, 1),  # full-width 1x1 reduce at 1/16
-    (1, 128, 128, 64, 64, 3, 1),  # whole column matrix 36 MB in float32
+    # (batch, height, width, cin, cout, k, dilation, stride)
+    (1, 64, 64, 8, 8, 3, 1, 1),
+    (1, 32, 32, 32, 32, 3, 1, 1),
+    (1, 16, 16, 64, 64, 3, 1, 1),
+    (1, 4, 4, 256, 256, 3, 2, 1),
+    (1, 64, 64, 3, 32, 3, 1, 1),
+    (4, 32, 32, 128, 64, 3, 1, 1),  # full-width decoder, 1/2 resolution
+    (4, 64, 64, 32, 32, 3, 1, 1),  # full-width decoder, full resolution
+    (4, 4, 4, 1024, 256, 1, 1, 1),  # full-width 1x1 reduce at 1/16
+    (1, 128, 128, 64, 64, 3, 1, 1),  # whole column matrix 36 MB in float32
+    # desk scale (channels_scale 0.125, 64x64, batch 4), the exact forward's
+    # shapes on both sides of the layout rule
+    (4, 64, 64, 3, 4, 3, 1, 2),  # root.conv1
+    (4, 64, 64, 4, 4, 3, 1, 1),  # decoder, full resolution
+    (4, 32, 32, 16, 8, 3, 1, 1),  # decoder, 1/2 resolution
+    (4, 16, 16, 8, 8, 3, 1, 1),  # block 1 spatial
+    (4, 8, 8, 32, 16, 3, 1, 1),  # decoder, 1/8 resolution
+    (4, 4, 4, 32, 32, 3, 4, 1),  # block 5 spatial
+    (4, 4, 4, 128, 32, 1, 1, 1),  # MSIF mix at 1/16
 ]
 
 
@@ -47,6 +61,14 @@ def median_ms(fn, budget_s: float = 0.5, min_repeats: int = 3) -> float:
         fn()
         times.append(time.perf_counter() - t0)
     return float(np.median(times)) * 1e3
+
+
+def layout_ms(x, kern, exact) -> float:
+    """Median ms of one tap-ordered layout helper, from the padded input."""
+    w = kern.weight.data
+    xp, ho, wo = convops._gather_frame("conv2d", x, kern)
+    shape = (x.shape[0], ho, wo, w.shape[3])
+    return median_ms(lambda: exact(xp, w, kern.dilation, kern.stride, np.zeros(shape, x.dtype)))
 
 
 def time_case(x, kern, upstream, deterministic: bool) -> tuple[float, float, np.ndarray]:
@@ -74,25 +96,28 @@ def gemm_peak_mb(x, kern) -> float:
 def main() -> int:
     rng = np.random.default_rng(0)
     print(
-        f"{'case':>30} {'det fwd':>9} {'gemm fwd':>9} {'speedup':>8} "
-        f"{'det bwd':>9} {'gemm bwd':>9} {'gemm MB':>8} {'max diff':>10}"
+        f"{'case':>34} {'nhwc':>8} {'c-first':>8} {'det fwd':>9} {'gemm fwd':>9} "
+        f"{'speedup':>8} {'det bwd':>9} {'gemm bwd':>9} {'gemm MB':>8} {'max diff':>10}"
     )
-    for n, h, w, cin, cout, k, d in CASES:
+    for n, h, w, cin, cout, k, d, s in CASES:
         x = tensor(rng.normal(size=(n, h, w, cin)), requires_grad=True)
         kern = ConvKernel(
             tensor(rng.normal(size=(k, k, cin, cout)), requires_grad=True),
             tensor(rng.normal(size=(1, 1, 1, cout)), requires_grad=True),
-            1, d, same_pads(k, d),
+            s, d, same_pads(k, d, s),
         )
-        upstream = rng.normal(size=(n, h, w, cout)).astype(x.dtype)
+        nhwc = layout_ms(x, kern, convops._exact_nhwc)
+        cfirst = layout_ms(x, kern, convops._exact_channel_first)
+        ho, wo = conv2d(x, kern).shape[1:3]
+        upstream = rng.normal(size=(n, ho, wo, cout)).astype(x.dtype)
         det_fwd, det_bwd, ref = time_case(x, kern, upstream, True)
         gemm_fwd, gemm_bwd, fast = time_case(x, kern, upstream, False)
         peak = gemm_peak_mb(x, kern)
         diff = float(np.abs(ref - fast).max())
-        label = f"{n}x{h}x{w}x{cin}->{cout} k{k} d{d}"
+        label = f"{n}x{h}x{w}x{cin}->{cout} k{k} d{d} s{s}"
         print(
-            f"{label:>30} {det_fwd:9.2f} {gemm_fwd:9.2f} {det_fwd / gemm_fwd:8.1f} "
-            f"{det_bwd:9.2f} {gemm_bwd:9.2f} {peak:8.1f} {diff:10.2e}"
+            f"{label:>34} {nhwc:8.2f} {cfirst:8.2f} {det_fwd:9.2f} {gemm_fwd:9.2f} "
+            f"{det_fwd / gemm_fwd:8.1f} {det_bwd:9.2f} {gemm_bwd:9.2f} {peak:8.1f} {diff:10.2e}"
         )
     return 0
 

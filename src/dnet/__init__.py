@@ -31,7 +31,6 @@ from .tensor import (
     scale,
     set_default_dtype,
     sigmoid,
-    slice_channels,
     sum_all,
     using_dtype,
     zeros,
@@ -67,7 +66,6 @@ from .model import (
     Encoder,
     MSIF,
     ResidualBottleneck,
-    build_encoder,
     encoder_layer_specs,
     load_checkpoint,
     save_checkpoint,

@@ -15,7 +15,11 @@ convolution forward. Only that forward has two execution strategies:
   which reproduces, element for element, the arithmetic of a naive
   sliding-window loop. Inserting explicit zeros between kernel taps then
   changes nothing, so dilation equals zero-insertion exactly, not just to
-  tolerance.
+  tolerance. The memory layout is picked by shape: the loop runs over
+  channel-first copies when the output row is longer than the output
+  channel count, so numpy's inner loops are long, and in NHWC otherwise.
+  Either way each output element sees the same multiplies and adds in the
+  same order, so the result stays bit-identical to the naive loop.
 * im2col + GEMM fast path (``set_deterministic(False)``): same math, BLAS
   reduction order, so results agree with the tap-ordered path only to
   floating-point tolerance. It is therefore gated out of deterministic mode
@@ -208,24 +212,48 @@ def _im2col(
     return cols.reshape(-1, k)
 
 
+def _exact_nhwc(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
+    """Tap-ordered forward in NHWC: numpy's innermost run is ``cout``."""
+    kh, kw, cin, _ = w.shape
+    _, ho, wo, _ = out.shape
+    for a, b in np.ndindex(kh, kw):
+        xs = _tap_view(xp, a, b, d, s, ho, wo)
+        for m in range(cin):
+            out += xs[:, :, :, m : m + 1] * w[a, b, m]
+
+
+def _exact_channel_first(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
+    """``_exact_nhwc``'s multiplies and adds, in its order, over channel-first
+    copies whose innermost run is an output row; ``out`` is written once.
+    """
+    kh, kw, cin, _ = w.shape
+    _, ho, wo, _ = out.shape
+    xc = xp.transpose(3, 0, 1, 2).copy()
+    oc = out.transpose(3, 0, 1, 2).copy()
+    wc = w[..., None, None, None]  # w[a, b, m] broadcast over (n, ho, wo)
+    for a, b in np.ndindex(kh, kw):
+        i, j = a * d, b * d
+        xs = xc[:, :, i : i + (ho - 1) * s + 1 : s, j : j + (wo - 1) * s + 1 : s]
+        for m in range(cin):
+            oc += xs[m] * wc[a, b, m]
+    out[...] = oc.transpose(1, 2, 3, 0)
+
+
 def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
     """Dense tap gather: out += sum over taps (a, b) of tap(a, b) @ w[a, b].
 
     The output grid is ``out``'s spatial extent. Deterministic mode adds one
-    (kernel row, kernel col, input channel) tap at a time; otherwise the taps
-    are lowered to im2col GEMMs, one per band of whole output rows across
-    the batch, each band's column matrix at most ``_BAND_ELEMENTS`` elements
-    (but at least one row) in one buffer reused by every band. A 1x1 kernel
-    whose column matrix is a reshape of ``xp`` is one GEMM.
+    (kernel row, kernel col, input channel) tap at a time, channel-first when
+    the output row outruns the output channels, else in NHWC. Otherwise the
+    taps are lowered to im2col GEMMs, one per band of whole output rows
+    across the batch, each band's column matrix at most ``_BAND_ELEMENTS``
+    elements (but at least one row) in one buffer reused by every band. A
+    1x1 kernel whose column matrix is a reshape of ``xp`` is one GEMM.
     """
     kh, kw, cin, cout = w.shape
     n, ho, wo, _ = out.shape
     if _deterministic:
-        for a in range(kh):
-            for b in range(kw):
-                xs = _tap_view(xp, a, b, d, s, ho, wo)
-                for m in range(cin):
-                    out += xs[:, :, :, m : m + 1] * w[a, b, m]
+        (_exact_channel_first if cout < wo else _exact_nhwc)(xp, w, d, s, out)
         return
     wm = w.reshape(-1, cout)
     if kh == kw == 1 and xp.shape[1:3] == (ho, wo):
@@ -368,6 +396,12 @@ def max_pool(
     kw = min(k, wp)
     ho = _out_extent("max_pool", hp, kh, stride)
     wo = _out_extent("max_pool", wp, kw, stride)
+    # Windows start at multiples of stride, so one lies wholly in padding
+    # iff the first ends in the leading pad or the last starts in the trailing.
+    pt, _, pl, _ = padding
+    if (kh <= pt or (ho - 1) * stride >= pt + x.shape[1]
+            or kw <= pl or (wo - 1) * stride >= pl + x.shape[2]):
+        raise ShapeError("max_pool: window contains no valid input positions")
 
     # np.maximum returns its second operand on a tie, so the earlier tap is
     # kept: the same bits as taking the first maximum in row-major order.
@@ -375,8 +409,6 @@ def max_pool(
     out = _tap_view(xp, 0, 0, 1, stride, ho, wo).copy()
     for a, b in taps[1:]:
         np.maximum(_tap_view(xp, a, b, 1, stride, ho, wo), out, out=out)
-    if not np.isfinite(out).all():
-        raise ShapeError("max_pool: window contains no valid input positions")
 
     x_data = x.data
 

@@ -50,7 +50,6 @@ __all__ = [
     "MSIF",
     "Decoder",
     "DNet",
-    "build_encoder",
     "encoder_layer_specs",
     "save_checkpoint",
     "load_checkpoint",
@@ -291,14 +290,6 @@ class Encoder:
         )
 
     __call__ = forward
-
-
-def build_encoder(cfg: DNetConfig, seed: int = 0) -> Encoder:
-    """Standalone encoder with its own parameter store (mainly for tests)."""
-    builder = _Builder(np.random.default_rng(seed))
-    enc = Encoder(builder, cfg)
-    enc.params = builder.params  # type: ignore[attr-defined]
-    return enc
 
 
 class MSIF:

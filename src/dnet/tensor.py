@@ -39,14 +39,12 @@ __all__ = [
     "using_dtype",
     "tensor",
     "zeros",
-    "scalar",
     "elementwise_add",
     "multiply",
     "scale",
     "relu",
     "sigmoid",
     "concat_channels",
-    "slice_channels",
     "sum_all",
     "backward",
 ]
@@ -142,10 +140,6 @@ def tensor(data, shape: Sequence[int] | None = None, requires_grad: bool = False
 
 def zeros(shape: Sequence[int], requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(tuple(shape), dtype=_default_dtype), requires_grad=requires_grad)
-
-
-def scalar(value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full((1, 1, 1, 1), value, dtype=_default_dtype), requires_grad=requires_grad)
 
 
 # A backward rule receives d(loss)/d(output) and returns one gradient per
@@ -301,22 +295,6 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
         return grads
 
     return record_op("concat", tuple(parts), out, rule)
-
-
-def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
-    """Take channels [start, stop); gradient scatters back into place."""
-    c = x.channels
-    if not (0 <= start < stop <= c):
-        raise ShapeError(f"slice_channels: bad range [{start}, {stop}) for {c} channels")
-    out = x.data[:, :, :, start:stop]
-    shape = x.shape
-
-    def rule(g: np.ndarray):
-        gx = np.zeros(shape, dtype=g.dtype)
-        gx[:, :, :, start:stop] = g
-        return (gx,)
-
-    return record_op("slice", (x,), out, rule)
 
 
 def sum_all(x: Tensor) -> Tensor:

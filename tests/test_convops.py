@@ -162,6 +162,65 @@ class TestConv2d:
         assert np.array_equal(gw, gw_const) and np.array_equal(gb, gb_const)
 
 
+class TestExactLayouts:
+    """Both layouts of the tap-ordered forward are the naive loop, bit for bit."""
+
+    LAYOUTS = (convops._exact_nhwc, convops._exact_channel_first)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_naive_loop(self, dtype, rng):
+        sides = set()  # whether cout < wo, over the trials
+        for trial in range(60):
+            n = int(rng.integers(1, 4))
+            k, d, s = (int(v) for v in rng.integers(1, [4, 5, 3]))
+            pads = tuple(int(v) for v in rng.integers(0, 3, size=4))
+            kd = dilated_kernel_extent(k, d)
+            h, w = (int(v) for v in rng.integers(max(kd - 4, 1), kd + 5, size=2))
+            ho = (h + pads[0] + pads[1] - kd) // s + 1
+            wo = (w + pads[2] + pads[3] - kd) // s + 1
+            if ho < 1 or wo < 1:
+                continue
+            cin = int(rng.integers(1, 4))
+            cout = int(rng.integers(max(wo - 3, 1), wo + 3))
+            sides.add(cout < wo)
+            x = rng.normal(size=(n, h, w, cin)).astype(dtype)
+            if trial % 4 == 0:
+                x[tuple(rng.integers(0, x.shape))] = [np.nan, np.inf, -np.inf][trial % 3]
+            wk = rng.normal(size=(k, k, cin, cout)).astype(dtype)
+            bias = rng.normal(size=(1, 1, 1, cout)).astype(dtype)
+            want = conv2d_naive(x, wk, bias, s, d, pads)
+            for exact in self.LAYOUTS:
+                got = np.empty_like(want)
+                got[...] = bias
+                exact(convops._pad_input(x, pads), wk, d, s, got)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want, equal_nan=True), (exact.__name__, trial)
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize(
+        "shape, cout, dilation, layout",
+        [
+            ((4, 64, 64, 4), 4, 1, "_exact_channel_first"),  # decoder, full resolution
+            ((4, 32, 32, 16), 8, 1, "_exact_channel_first"),  # decoder, 1/2 resolution
+            ((4, 8, 8, 32), 16, 1, "_exact_nhwc"),  # decoder, 1/8 resolution
+            ((4, 4, 4, 32), 32, 4, "_exact_nhwc"),  # block 5 spatial
+        ],
+    )
+    def test_conv2d_picks_layout_by_shape(self, shape, cout, dilation, layout, rng, monkeypatch):
+        taken = []
+        for exact in self.LAYOUTS:
+            def spy(*args, exact=exact):
+                taken.append(exact.__name__)
+                exact(*args)
+
+            monkeypatch.setattr(convops, exact.__name__, spy)
+        x = tensor(rng.normal(size=shape))
+        kern = ConvKernel(tensor(rng.normal(size=(3, 3, shape[3], cout))), None, 1, dilation,
+                          same_pads(3, dilation))
+        conv2d(x, kern)
+        assert taken == [layout]
+
+
 class TestDilatedKernelExtent:
     def test_rate2_extent_of_3x3(self):
         assert dilated_kernel_extent(3, 2) == 5
@@ -264,10 +323,44 @@ class TestMaxPool:
             grads = backward(sum_all(max_pool(x, 3, 1)), g)
         assert grads[x].ravel().tolist() == [1.0, 0.0, 0.0]
 
-    def test_empty_window_rejected(self):
-        x = tensor([1.0], shape=(1, 1, 1, 1))
-        with pytest.raises(ShapeError):
-            max_pool(x, 3, 1, (0, 4, 0, 4))
+    def test_empty_window_rejected(self, rng):
+        for shape, stride in (((1, 1, 1, 1), 1), ((1, 4, 4, 2), 1), ((1, 4, 4, 2), 2)):
+            with pytest.raises(ShapeError):
+                max_pool(tensor(rng.normal(size=shape)), 3, stride, (0, 4, 0, 4))
+
+    def test_empty_window_is_geometric(self, rng):
+        # Rejected exactly when some window holds no data position, counted
+        # by brute force over a mask of the padded extent.
+        for _ in range(200):
+            k, stride = (int(v) for v in rng.integers(1, [5, 4]))
+            pads = tuple(int(v) for v in rng.integers(0, 6, size=4))
+            h, w = (int(v) for v in rng.integers(1, 7, size=2))
+            pt, pb, pl, pr = pads
+            mask = np.pad(np.ones((h, w), dtype=bool), ((pt, pb), (pl, pr)))
+            kh, kw = min(k, mask.shape[0]), min(k, mask.shape[1])
+            ho = (mask.shape[0] - kh) // stride + 1
+            wo = (mask.shape[1] - kw) // stride + 1
+            empty = any(
+                not mask[i * stride : i * stride + kh, j * stride : j * stride + kw].any()
+                for i in range(ho) for j in range(wo)
+            )
+            x = tensor(np.zeros((1, h, w, 1)))
+            if empty:
+                with pytest.raises(ShapeError):
+                    max_pool(x, k, stride, pads)
+            else:
+                assert max_pool(x, k, stride, pads).shape == (1, ho, wo, 1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_passes_through(self, value):
+        data = np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1)
+        data[0, 1, 2, 0] = value
+        got = max_pool(tensor(data), 3, 1, (1, 1, 1, 1)).data
+        want = np.array([[data[0, max(i - 1, 0) : i + 2, max(j - 1, 0) : j + 2].max()
+                          for j in range(4)] for i in range(4)])
+        assert np.array_equal(got[0, :, :, 0], want, equal_nan=True)
+        assert np.isnan(value) == np.isnan(got).any()
+        assert (value == np.inf) == np.isposinf(got).any()
 
     def test_gradient_finite_differences(self, rng):
         with using_dtype(np.float64):

@@ -13,7 +13,6 @@ from dnet.model import (
     DNetConfig,
     ResidualBottleneck,
     _Builder,
-    build_encoder,
     encoder_layer_specs,
     load_checkpoint,
     save_checkpoint,
@@ -107,7 +106,7 @@ class TestResidualBottleneck:
 
 class TestEncoder:
     def test_shape_contract_full_scale(self, rng):
-        enc = build_encoder(DNetConfig(), seed=0)
+        enc = DNet(DNetConfig(), seed=0).encoder
         x = tensor(rng.uniform(size=(1, 64, 64, 3)))
         feats = enc(x)
         assert feats.b3.shape == (1, 4, 4, 256)
@@ -118,7 +117,7 @@ class TestEncoder:
         assert feats.skip8.shape[1:3] == (8, 8)
 
     def test_indivisible_input_rejected(self, rng):
-        enc = build_encoder(DNetConfig(**TINY), seed=0)
+        enc = DNet(DNetConfig(**TINY), seed=0).encoder
         with pytest.raises(ShapeError):
             enc(tensor(rng.uniform(size=(1, 60, 64, 3))))
 
