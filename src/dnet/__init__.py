@@ -28,7 +28,6 @@ from .tensor import (
     multiply,
     recording,
     relu,
-    scale,
     set_default_dtype,
     sigmoid,
     sum_all,
@@ -57,7 +56,7 @@ from .receptive import (
     rf_single,
     rf_stack,
 )
-from .losses import LossConfig, bce_mean, mse_mean, sumsq, total_loss
+from .losses import LossConfig, total_loss
 from .metrics import ConfusionCounts, CurveReport, MetricsReport, confusion, metrics, roc_pr_curves
 from .model import (
     DNet,

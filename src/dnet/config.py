@@ -64,7 +64,7 @@ def parse_run_config(path) -> tuple[DNetConfig, TrainConfig]:
     """Read a config file and build validated model and training configs.
 
     Missing keys take defaults; the file may be empty. Lines starting with
-    ``#`` and blank lines are ignored.
+    ``#`` and blank lines are ignored. Every ``ConfigError`` names ``path``.
     """
     values = dict(_DEFAULTS)
     text = Path(path).read_text()
@@ -83,23 +83,26 @@ def parse_run_config(path) -> tuple[DNetConfig, TrainConfig]:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
         values[key] = raw
 
-    model_cfg = DNetConfig(
-        dilations=(
-            _parse_int("d1", values["d1"]),
-            _parse_int("d2", values["d2"]),
-            _parse_int("d3", values["d3"]),
-        ),
-        msif_rates=_parse_rates("msif_rates", values["msif_rates"]),
-        msif_enabled=_parse_bool("msif", values["msif"]),
-        channels_scale=_parse_float("channels_scale", values["channels_scale"]),
-    )
-    train_cfg = TrainConfig(
-        lr=_parse_float("lr", values["lr"]),
-        power=_parse_float("power", values["power"]),
-        max_iter=_parse_int("max_iter", values["max_iter"]),
-        batch=_parse_int("batch", values["batch"]),
-        seed=_parse_int("seed", values["seed"]),
-        lam=_parse_float("lambda", values["lambda"]),
-        beta=_parse_float("beta", values["beta"]),
-    )
+    try:
+        model_cfg = DNetConfig(
+            dilations=(
+                _parse_int("d1", values["d1"]),
+                _parse_int("d2", values["d2"]),
+                _parse_int("d3", values["d3"]),
+            ),
+            msif_rates=_parse_rates("msif_rates", values["msif_rates"]),
+            msif_enabled=_parse_bool("msif", values["msif"]),
+            channels_scale=_parse_float("channels_scale", values["channels_scale"]),
+        )
+        train_cfg = TrainConfig(
+            lr=_parse_float("lr", values["lr"]),
+            power=_parse_float("power", values["power"]),
+            max_iter=_parse_int("max_iter", values["max_iter"]),
+            batch=_parse_int("batch", values["batch"]),
+            seed=_parse_int("seed", values["seed"]),
+            lam=_parse_float("lambda", values["lambda"]),
+            beta=_parse_float("beta", values["beta"]),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return model_cfg, train_cfg

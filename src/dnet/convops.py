@@ -424,30 +424,22 @@ def max_pool(
     return record_op("max_pool", (x,), out, rule)
 
 
-def transposed_conv(
-    x: Tensor,
-    kernel: ConvKernel,
-    output_padding: tuple[int, int] = (0, 0),
-) -> Tensor:
+def transposed_conv(x: Tensor, kernel: ConvKernel) -> Tensor:
     """Transposed (fractionally strided) convolution; adjoint of conv2d.
 
     The forward is conv2d's input gradient for a kernel with its channel
     axes swapped: each input pixel scatters weight * value into a
-    stride-spaced grid, which ``kernel.padding`` then crops and
-    ``output_padding`` extends on the trailing side. With kernel size 2,
-    stride 2, no padding the spatial dims double exactly for every input
-    size, which is how the decoder uses it.
+    stride-spaced grid, which ``kernel.padding`` then crops. With kernel
+    size 2, stride 2, no padding the spatial dims double exactly for every
+    input size, which is how the decoder uses it.
     """
     kh, kw, cin, cout = kernel.weight.shape
     _check_channels("transposed_conv", x, kernel, cin, cout)
     s, d = kernel.stride, kernel.dilation
     pt, pb, pl, pr = kernel.padding
-    oph, opw = output_padding
-    if oph < 0 or opw < 0:
-        raise ShapeError(f"transposed_conv: output_padding must be >= 0, got {output_padding}")
     n, h, wdt, _ = x.shape
-    ho = (h - 1) * s + dilated_kernel_extent(kh, d) - pt - pb + oph
-    wo = (wdt - 1) * s + dilated_kernel_extent(kw, d) - pl - pr + opw
+    ho = (h - 1) * s + dilated_kernel_extent(kh, d) - pt - pb
+    wo = (wdt - 1) * s + dilated_kernel_extent(kw, d) - pl - pr
     if ho < 1 or wo < 1:
         raise ShapeError(f"transposed_conv: non-positive output size {ho}x{wo}")
 

@@ -41,7 +41,6 @@ __all__ = [
     "zeros",
     "elementwise_add",
     "multiply",
-    "scale",
     "relu",
     "sigmoid",
     "concat_channels",
@@ -231,16 +230,6 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
         return g * b_data, g * a_data
 
     return record_op("mul", (a, b), out, rule)
-
-
-def scale(x: Tensor, alpha: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    out = x.data * alpha
-
-    def rule(g: np.ndarray):
-        return (g * alpha,)
-
-    return record_op("scale", (x,), out, rule)
 
 
 def relu(x: Tensor) -> Tensor:

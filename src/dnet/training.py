@@ -60,6 +60,7 @@ class TrainConfig:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.batch < 1:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
+        self.loss_config()  # rejects negative loss weights at construction
 
     def loss_config(self) -> LossConfig:
         return LossConfig(lam=self.lam, beta=self.beta, ce_weight=self.ce_weight)
@@ -74,6 +75,12 @@ def poly_lr(iteration: int, cfg: TrainConfig) -> float:
     return cfg.lr * (1.0 - iteration / cfg.max_iter) ** cfg.power
 
 
+# Adam's moment decay rates and the denominator's eps, the standard values.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators plus the shared step counter."""
@@ -81,25 +88,12 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(
-        cls,
-        params: Sequence[Tensor],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> "AdamState":
+    def for_params(cls, params: Sequence[Tensor]) -> "AdamState":
         return cls(
             m=[np.zeros_like(p.data) for p in params],
             v=[np.zeros_like(p.data) for p in params],
-            t=0,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
         )
 
 
@@ -123,8 +117,8 @@ def adam_step(
             f"{len(state.m)} state slots"
         )
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     size = max((p.data.size for p in params), default=0)
     scratch: dict[tuple[int, np.dtype], np.ndarray] = {}
 
@@ -141,17 +135,17 @@ def adam_step(
                 f"adam_step: gradient shape {g.shape} does not match parameter "
                 f"shape {p.data.shape}"
             )
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=temp(0, g))
-        v *= state.beta2
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=temp(0, g))
+        v *= BETA2
         gg = np.multiply(g, g, out=temp(0, g))
-        gg *= 1.0 - state.beta2
+        gg *= 1.0 - BETA2
         v += gg
         step = np.divide(m, bc1, out=temp(0, m))
         step *= lr
         denom = np.divide(v, bc2, out=temp(1, v))
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += EPS
         step /= denom
         p.data -= step
 

@@ -124,6 +124,14 @@ class TestTrainSynthMode:
         assert run_cli("train", "--config", cfg, "--out", tmp_path / "o") == 1
         assert capsys.readouterr().err.startswith("error: config:")
 
+    def test_bad_loss_weight_fails_before_any_output(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = 1\nlambda = -1\n")
+        out = tmp_path / "out"
+        assert run_cli("train", "--config", cfg, "--synth", 2, "--out", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: config: {cfg}: loss weights")
+        assert not out.exists()
+
 
 class TestRFAnalyze:
     def test_two_layer_stack_file(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from dnet.config import parse_run_config
 from dnet.errors import ConfigError, ManifestError
 from dnet.manifest import load_dataset, read_manifest, write_manifest
 from dnet.pnm import write_mask_pgm, write_ppm
-from dnet.training import synth_vessels
+from dnet.training import TrainConfig, synth_vessels
 
 
 def write_cfg(tmp_path, text):
@@ -67,6 +69,20 @@ lambda = 0
     def test_missing_equals_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_run_config(write_cfg(tmp_path, "d1 1\n"))
+
+    @pytest.mark.parametrize(
+        "text", ["lr = abc", "lr = -1", "d1 = 3", "lambda = -1", "beta = -2", "learning_rate = 1"]
+    )
+    def test_errors_name_the_file(self, tmp_path, text):
+        path = write_cfg(tmp_path, text + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:"):
+            parse_run_config(path)
+
+    def test_negative_loss_weight_rejected_by_train_config(self):
+        with pytest.raises(ConfigError, match="loss weights"):
+            TrainConfig(lam=-1.0)
+        with pytest.raises(ConfigError, match="loss weights"):
+            TrainConfig(ce_weight=-0.5)
 
 
 def materialize(tmp_path, n=2, h=32, w=32, fov=False):

@@ -427,11 +427,7 @@ class TestTransposedConv:
                 grads = backward(sum_all(multiply(y, upstream)), g)
             swapped = tensor(np.swapaxes(w.data, 2, 3))
             tkern = ConvKernel(swapped, None, stride=2, padding=(1, 0, 1, 0))
-            # output padding resolves the stride-2 output-size ambiguity to
-            # exactly the original input size
-            oph = x.shape[1] - ((y.shape[1] - 1) * 2 + 3 - 1)
-            opw = x.shape[2] - ((y.shape[2] - 1) * 2 + 3 - 1)
-            adjoint = transposed_conv(upstream, tkern, output_padding=(oph, opw))
+            adjoint = transposed_conv(upstream, tkern)
             assert adjoint.shape == x.shape
             assert np.abs(adjoint.data - grads[x]).max() < 1e-12
 
@@ -589,13 +585,13 @@ class TestGradientsMatchPerTapLoop:
         "3x3 stride 2 asymmetric pads": (3, 2, 1, (0, 1, 0, 1), (2, 7, 8, 3)),
         "3x3 dilation 2": (3, 1, 2, same_pads(3, 2), (1, 6, 6, 3)),
     }
-    # name -> (kernel, stride, dilation, pads, output padding, input shape)
+    # name -> (kernel, stride, dilation, pads, input shape)
     TRANSPOSED = {
-        "2x2 stride 2 (decoder)": (2, 2, 1, (0, 0, 0, 0), (0, 0), (2, 3, 4, 4)),
-        "1x1 unit stride": (1, 1, 1, (0, 0, 0, 0), (0, 0), (2, 3, 4, 4)),
-        "1x1 output padding": (1, 1, 1, (0, 0, 0, 0), (1, 0), (2, 3, 4, 4)),
-        "3x3 stride 2 padded": (3, 2, 1, (1, 0, 1, 1), (1, 0), (2, 3, 3, 2)),
-        "2x2 stride 2 dilation 2": (2, 2, 2, (0, 1, 1, 0), (0, 1), (1, 3, 2, 3)),
+        "2x2 stride 2 (decoder)": (2, 2, 1, (0, 0, 0, 0), (2, 3, 4, 4)),
+        "1x1 unit stride": (1, 1, 1, (0, 0, 0, 0), (2, 3, 4, 4)),
+        "1x1 stride 2": (1, 2, 1, (0, 0, 0, 0), (2, 3, 4, 4)),
+        "3x3 stride 2 padded": (3, 2, 1, (1, 0, 1, 1), (2, 3, 3, 2)),
+        "2x2 stride 2 dilation 2": (2, 2, 2, (0, 1, 1, 0), (1, 3, 2, 3)),
     }
 
     @staticmethod
@@ -629,14 +625,12 @@ class TestGradientsMatchPerTapLoop:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", sorted(TRANSPOSED))
     def test_transposed_conv(self, case, dtype, deterministic, rng):
-        k, stride, dilation, pads, out_pad, shape = self.TRANSPOSED[case]
+        k, stride, dilation, pads, shape = self.TRANSPOSED[case]
         with using_dtype(dtype), using_deterministic(deterministic):
             x = tensor(rng.normal(size=shape), requires_grad=True)
             w = tensor(rng.normal(size=(k, k, shape[3], 5)), requires_grad=True)
             self._check(
-                lambda x, w: transposed_conv(
-                    x, ConvKernel(w, None, stride, dilation, pads), out_pad
-                ),
+                lambda x, w: transposed_conv(x, ConvKernel(w, None, stride, dilation, pads)),
                 lambda x, w, g: reference_transposed_conv_grads(x, w, g, stride, dilation, pads),
                 x, w, rng,
             )
@@ -789,17 +783,14 @@ class TestTapEngineAdjoint:
     def test_transposed_conv(self, k, stride, dilation, pads, extra, seed, deterministic):
         rng = np.random.default_rng(seed)
         kd = dilated_kernel_extent(k, dilation)
-        # Input extents whose output, before output padding, is positive.
+        # Input extents whose output is positive.
         h = max(1, -((kd - pads[0] - pads[1] - 1) // stride) + 1) + extra
         w_ = max(1, -((kd - pads[2] - pads[3] - 1) // stride) + 1) + extra
-        out_pad = (int(rng.integers(0, stride)), int(rng.integers(0, stride)))
         with using_dtype(np.float64), using_deterministic(deterministic):
             x = tensor(rng.normal(size=(2, h, w_, 2)), requires_grad=True)
             w = tensor(rng.normal(size=(k, k, 2, 3)), requires_grad=True)
             self._assert_adjoint(
-                lambda x, w: transposed_conv(
-                    x, ConvKernel(w, None, stride, dilation, pads), out_pad
-                ),
+                lambda x, w: transposed_conv(x, ConvKernel(w, None, stride, dilation, pads)),
                 x, w, rng,
             )
 
@@ -808,23 +799,22 @@ class TestTapEngineAdjoint:
     def test_transposed_conv_is_conv2d_adjoint(
         self, k, stride, dilation, pads, extra, seed, deterministic
     ):
-        # <conv2d(x; w), u> = <x, transposed_conv(u; w with channels swapped)>,
-        # with output padding restoring x's extent after a strided conv2d.
+        # <conv2d(x; w), u> = <x, transposed_conv(u; w with channels swapped)>.
+        # Extents are rounded up to ones conv2d's strides cover exactly:
+        # transposed_conv maps an output back onto such an extent only.
         rng = np.random.default_rng(seed)
+        kd = dilated_kernel_extent(k, dilation)
         h = self._input_extent(k, dilation, pads, extra)
         w_ = self._input_extent(k, dilation, pads[2:], extra)
-        kd = dilated_kernel_extent(k, dilation)
+        h += -(h + pads[0] + pads[1] - kd) % stride
+        w_ += -(w_ + pads[2] + pads[3] - kd) % stride
         with using_dtype(np.float64), using_deterministic(deterministic):
             x = tensor(rng.normal(size=(2, h, w_, 2)))
             w = tensor(rng.normal(size=(k, k, 2, 3)))
             y = conv2d(x, ConvKernel(w, None, stride, dilation, pads))
             u = tensor(rng.normal(size=y.shape))
-            out_pad = (
-                h - ((y.shape[1] - 1) * stride + kd - pads[0] - pads[1]),
-                w_ - ((y.shape[2] - 1) * stride + kd - pads[2] - pads[3]),
-            )
             swapped = ConvKernel(tensor(np.swapaxes(w.data, 2, 3)), None, stride, dilation, pads)
-            adjoint = transposed_conv(u, swapped, out_pad)
+            adjoint = transposed_conv(u, swapped)
         assert adjoint.shape == x.shape
         lhs, scale = _dot(y.data, u.data)
         rhs, _ = _dot(x.data, adjoint.data)

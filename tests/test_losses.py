@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dnet.errors import ConfigError, ShapeError
-from dnet.losses import LossConfig, bce_mean, mse_mean, sumsq, total_loss
-from dnet.tensor import backward, recording, tensor, using_dtype
+from dnet.losses import EPS, LossConfig, total_loss
+from dnet.model import DNet, DNetConfig
+from dnet.tensor import Tensor, backward, elementwise_add, record_op, recording, tensor, using_dtype
 
 from conftest import fd_full_grad, max_rel_err
 
@@ -76,20 +77,24 @@ def test_bce_closed_forms():
     with using_dtype(np.float64):
         pred = tensor([0.25], shape=(1, 1, 1, 1))
         target = tensor([1.0], shape=(1, 1, 1, 1))
-        assert bce_mean(pred, target).item() == pytest.approx(-math.log(0.25), abs=1e-12)
+        loss = total_loss(pred, target, [], LossConfig(lam=0.0, beta=0.0))
+        assert loss.item() == pytest.approx(-math.log(0.25), abs=1e-12)
 
 
 def test_mse_closed_form():
     with using_dtype(np.float64):
         pred = tensor([0.0, 1.0], shape=(1, 1, 2, 1))
         target = tensor([1.0, 1.0], shape=(1, 1, 2, 1))
-        assert mse_mean(pred, target).item() == pytest.approx(0.5, abs=1e-12)
+        loss = total_loss(pred, target, [], LossConfig(lam=0.0, beta=1.0, ce_weight=0.0))
+        assert loss.item() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sumsq_is_squared_l2_norm(rng):
     with using_dtype(np.float64):
+        pred = tensor(np.full((1, 2, 2, 1), 0.5))
         w = tensor(rng.normal(size=(3, 3, 2, 2)))
-        assert sumsq(w).item() == pytest.approx(float((w.data**2).sum()), rel=1e-12)
+        loss = total_loss(pred, pred, [w], LossConfig(lam=1.0, beta=0.0, ce_weight=0.0))
+        assert loss.item() == pytest.approx(float((w.data**2).sum()), rel=1e-12)
 
 
 def test_gradients_flow_to_every_term(rng):
@@ -104,3 +109,102 @@ def test_gradients_flow_to_every_term(rng):
         assert np.allclose(grads[w1], 0.2 * w1.data)
         assert np.allclose(grads[w2], 0.2 * w2.data)
         assert pred in grads
+
+
+# The objective as it was composed on the tape from one node per term, with
+# ``backward`` summing their gradients: the bit-level reference for the
+# single ``total_loss`` node.
+
+
+def _bce_mean(pred, target):
+    p = np.clip(pred.data, EPS, 1.0 - EPS)
+    t = target.data
+    m = p.size
+    ce = -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
+    out = ce.mean(dtype=pred.dtype).reshape(1, 1, 1, 1)
+    active = (pred.data > EPS) & (pred.data < 1.0 - EPS)
+
+    def rule(g):
+        return g.reshape(()) * active * (p - t) / (p * (1.0 - p)) / m, None
+
+    return record_op("bce_mean", (pred, target), out, rule)
+
+
+def _mse_mean(pred, target):
+    diff = pred.data - target.data
+    m = diff.size
+    out = (diff * diff).mean(dtype=pred.dtype).reshape(1, 1, 1, 1)
+
+    def rule(g):
+        return g.reshape(()) * 2.0 * diff / m, None
+
+    return record_op("mse_mean", (pred, target), out, rule)
+
+
+def _sumsq(t):
+    data = t.data
+    out = (data * data).sum(dtype=t.dtype).reshape(1, 1, 1, 1)
+
+    def rule(g):
+        return (g.reshape(()) * 2.0 * data,)
+
+    return record_op("sumsq", (t,), out, rule)
+
+
+def _scale(x, alpha):
+    return record_op("scale", (x,), x.data * alpha, lambda g: (g * alpha,))
+
+
+def composed_total_loss(pred, target, params, cfg):
+    loss = _scale(_bce_mean(pred, target), cfg.ce_weight)
+    if cfg.beta != 0.0:
+        loss = elementwise_add(loss, _scale(_mse_mean(pred, target), cfg.beta))
+    if cfg.lam != 0.0 and params:
+        reg = _sumsq(params[0])
+        for p in params[1:]:
+            reg = elementwise_add(reg, _sumsq(p))
+        loss = elementwise_add(loss, _scale(reg, cfg.lam))
+    return loss
+
+
+@pytest.mark.parametrize("with_params", [True, False])
+@pytest.mark.parametrize("ce_weight", [0.0, 1.3])
+@pytest.mark.parametrize("beta", [0.0, 1.5])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_node_is_bit_identical_to_composed_terms(dtype, lam, beta, ce_weight, with_params, rng):
+    cfg = LossConfig(lam=lam, beta=beta, ce_weight=ce_weight)
+    p = rng.uniform(0.0, 1.0, size=(2, 4, 5, 1))
+    p.flat[:4] = [0.0, 1.0, EPS / 2, 1.0 - EPS / 2]  # clamped, so their CE gradient is 0
+    target = Tensor((rng.uniform(size=p.shape) > 0.6).astype(dtype))
+    pred = Tensor(p.astype(dtype), requires_grad=True)
+    shapes = ((3, 3, 2, 4), (1, 1, 4, 1), (2, 2, 1, 3), (3, 3, 4, 4), (1, 1, 1, 5))
+    params = [
+        Tensor((rng.normal(size=shape) * 3.0**i).astype(dtype), requires_grad=True)
+        for i, shape in enumerate(shapes)
+    ] if with_params else []
+    results = []
+    for build in (total_loss, composed_total_loss):
+        with recording() as g:
+            loss = build(pred, target, params, cfg)
+            grads = backward(loss, g)
+        results.append((loss.data, [grads[t] for t in (pred, *params) if t in grads]))
+    (loss, grads), (ref_loss, ref_grads) = results
+    assert loss.dtype == ref_loss.dtype == dtype
+    assert np.array_equal(loss, ref_loss)
+    assert len(grads) == len(ref_grads)
+    for got, want in zip(grads, ref_grads):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_training_step_records_one_loss_node(rng):
+    model = DNet(DNetConfig(channels_scale=0.125), seed=0)
+    x = Tensor(rng.uniform(size=(1, 32, 32, 3)).astype(np.float32))
+    y = Tensor((rng.uniform(size=(1, 32, 32, 1)) > 0.5).astype(np.float32))
+    with recording() as g:
+        probs = model.forward(x)
+        forward_nodes = len(g)
+        total_loss(probs, y, model.kernel_parameters(), LossConfig())
+    assert [node.op for node in g.nodes].count("total_loss") == 1
+    assert g.nodes[-1].op == "total_loss"
+    assert len(g) == forward_nodes + 1 == 160

@@ -5,6 +5,9 @@ from dnet.errors import ConfigError, ShapeError
 from dnet.model import DNet, DNetConfig
 from dnet.tensor import Tensor, tensor, using_dtype
 from dnet.training import (
+    BETA1,
+    BETA2,
+    EPS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -36,14 +39,14 @@ def reference_adam(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 def expression_adam(params, grads, state, lr):
     """The plain-array Adam update that ``adam_step`` computes in place."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 class TestPolyLR:
