@@ -51,14 +51,13 @@ def main() -> int:
                 )
                 split = args.images - args.holdout
                 cfg = DNetConfig(
-                    dilations=dilations, msif_rates=(3, 6, 12),
-                    msif_enabled=msif, channels_scale=args.scale,
+                    dilations=dilations, msif_enabled=msif, channels_scale=args.scale
                 )
                 model = DNet(cfg, seed=seed)
                 t0 = time.time()
                 train(
                     data[:split], model,
-                    TrainConfig(lr=args.lr, max_iter=args.steps, batch=4, seed=seed),
+                    TrainConfig(lr=args.lr, max_iter=args.steps, seed=seed),
                 )
                 rep, _ = evaluate(model, data[split:])
                 dt = time.time() - t0

@@ -28,7 +28,6 @@ from .tensor import (
     multiply,
     recording,
     relu,
-    set_default_dtype,
     sigmoid,
     sum_all,
     using_dtype,
@@ -44,7 +43,6 @@ from .convops import (
     global_avg_pool,
     max_pool,
     same_pads,
-    set_deterministic,
     transposed_conv,
     using_deterministic,
 )
@@ -56,7 +54,7 @@ from .receptive import (
     rf_single,
     rf_stack,
 )
-from .losses import LossConfig, total_loss
+from .losses import total_loss
 from .metrics import ConfusionCounts, CurveReport, MetricsReport, confusion, metrics, roc_pr_curves
 from .model import (
     DNet,

@@ -18,16 +18,14 @@ import numpy as np
 from .errors import ConfigError, DnetError, ManifestError
 from .config import parse_run_config
 from .losses import LOSS_FORMULA
-from .manifest import load_dataset, read_manifest, write_manifest
-from .metrics import ConfusionCounts, confusion, metrics, roc_pr_curves
+from .manifest import load_manifest, write_manifest
+from .metrics import MASK_THRESHOLD, ConfusionCounts, confusion, metrics, roc_pr_curves
 from .model import DNet, load_checkpoint, save_checkpoint, encoder_layer_specs
 from .pnm import read_pnm, write_mask_pgm, write_ppm, write_prob_pgm
 from .receptive import LayerSpec, RFReport, rf_stack
 from .training import predict_probs, save_loss_trace, synth_vessels, train
 
 __all__ = ["main"]
-
-MASK_THRESHOLD = 0.5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +64,7 @@ def _cmd_train(args) -> int:
             train_cfg.seed, args.synth, args.synth_size, args.synth_size
         )
     else:
-        dataset = load_dataset(read_manifest(args.manifest))
+        dataset = load_manifest(args.manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = DNet(model_cfg, seed=train_cfg.seed)
@@ -84,11 +82,6 @@ def _cmd_predict(args) -> int:
     img = read_pnm(args.image)
     if img.ndim == 2:
         img = np.repeat(img[:, :, None], 3, axis=2)
-    if img.shape[2] != model.cfg.in_channels:
-        raise ConfigError(
-            f"predict: model expects {model.cfg.in_channels} channels, "
-            f"image has {img.shape[2]}"
-        )
     probs = predict_probs(model, img)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -162,12 +155,12 @@ def _cmd_eval(args) -> int:
     with open(out / "roc.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "fpr", "tpr"])
-        for t, f, tp in zip(curves.roc_thresholds, curves.fpr, curves.tpr):
+        for t, f, tp in zip(curves.thresholds, curves.fpr, curves.tpr):
             writer.writerow([f"{t:.12g}", f"{f:.12g}", f"{tp:.12g}"])
     with open(out / "pr.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "recall", "precision"])
-        for t, r, p in zip(curves.pr_thresholds, curves.recall, curves.precision):
+        for t, r, p in zip(curves.thresholds, curves.tpr, curves.precision):
             writer.writerow([f"{t:.12g}", f"{r:.12g}", f"{p:.12g}"])
     for name, value in rows:
         print(f"{name},{value:.12g}")

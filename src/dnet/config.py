@@ -15,20 +15,6 @@ from .training import TrainConfig
 
 __all__ = ["parse_run_config", "RUN_CONFIG_KEYS"]
 
-RUN_CONFIG_KEYS = (
-    "d1", "d2", "d3",
-    "msif", "msif_rates",
-    "lr", "power", "max_iter", "batch",
-    "lambda", "beta", "seed", "channels_scale",
-)
-
-_DEFAULTS = {
-    "d1": "1", "d2": "2", "d3": "4",
-    "msif": "on", "msif_rates": "3,6,12",
-    "lr": "1e-4", "power": "0.9", "max_iter": "1000", "batch": "4",
-    "lambda": "1e-4", "beta": "1.0", "seed": "0", "channels_scale": "1.0",
-}
-
 
 def _parse_bool(key: str, raw: str) -> bool:
     low = raw.lower()
@@ -60,13 +46,40 @@ def _parse_rates(key: str, raw: str) -> tuple[int, int, int]:
     return tuple(_parse_int(key, p) for p in parts)  # type: ignore[return-value]
 
 
+_DILATION_KEYS = ("d1", "d2", "d3")
+# Every other key: (parser, config field), in the order values are parsed.
+_MODEL_FIELDS = {
+    "msif_rates": (_parse_rates, "msif_rates"),
+    "msif": (_parse_bool, "msif_enabled"),
+    "channels_scale": (_parse_float, "channels_scale"),
+}
+_TRAIN_FIELDS = {
+    "lr": (_parse_float, "lr"),
+    "power": (_parse_float, "power"),
+    "max_iter": (_parse_int, "max_iter"),
+    "batch": (_parse_int, "batch"),
+    "seed": (_parse_int, "seed"),
+    "lambda": (_parse_float, "lam"),
+    "beta": (_parse_float, "beta"),
+}
+RUN_CONFIG_KEYS = (*_DILATION_KEYS, *_MODEL_FIELDS, *_TRAIN_FIELDS)
+
+
+def _fields(table, values: dict[str, str]) -> dict:
+    return {
+        field: parse(key, values[key]) for key, (parse, field) in table.items() if key in values
+    }
+
+
 def parse_run_config(path) -> tuple[DNetConfig, TrainConfig]:
     """Read a config file and build validated model and training configs.
 
-    Missing keys take defaults; the file may be empty. Lines starting with
-    ``#`` and blank lines are ignored. Every ``ConfigError`` names ``path``.
+    Keys the file leaves out keep the dataclass defaults, and a dilation
+    triple that sets only some of d1, d2, d3 takes the others from
+    ``DNetConfig()``; the file may be empty. Lines starting with ``#`` and
+    blank lines are ignored. Every ``ConfigError`` names ``path``.
     """
-    values = dict(_DEFAULTS)
+    values: dict[str, str] = {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -84,25 +97,14 @@ def parse_run_config(path) -> tuple[DNetConfig, TrainConfig]:
         values[key] = raw
 
     try:
-        model_cfg = DNetConfig(
-            dilations=(
-                _parse_int("d1", values["d1"]),
-                _parse_int("d2", values["d2"]),
-                _parse_int("d3", values["d3"]),
-            ),
-            msif_rates=_parse_rates("msif_rates", values["msif_rates"]),
-            msif_enabled=_parse_bool("msif", values["msif"]),
-            channels_scale=_parse_float("channels_scale", values["channels_scale"]),
-        )
-        train_cfg = TrainConfig(
-            lr=_parse_float("lr", values["lr"]),
-            power=_parse_float("power", values["power"]),
-            max_iter=_parse_int("max_iter", values["max_iter"]),
-            batch=_parse_int("batch", values["batch"]),
-            seed=_parse_int("seed", values["seed"]),
-            lam=_parse_float("lambda", values["lambda"]),
-            beta=_parse_float("beta", values["beta"]),
-        )
+        model_fields = {}
+        if any(key in values for key in _DILATION_KEYS):
+            model_fields["dilations"] = tuple(
+                _parse_int(key, values[key]) if key in values else default
+                for key, default in zip(_DILATION_KEYS, DNetConfig().dilations)
+            )
+        model_cfg = DNetConfig(**model_fields, **_fields(_MODEL_FIELDS, values))
+        train_cfg = TrainConfig(**_fields(_TRAIN_FIELDS, values))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return model_cfg, train_cfg

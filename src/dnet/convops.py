@@ -20,7 +20,7 @@ convolution forward. Only that forward has two execution strategies:
   channel count, so numpy's inner loops are long, and in NHWC otherwise.
   Either way each output element sees the same multiplies and adds in the
   same order, so the result stays bit-identical to the naive loop.
-* im2col + GEMM fast path (``set_deterministic(False)``): same math, BLAS
+* im2col + GEMM fast path (``using_deterministic(False)``): same math, BLAS
   reduction order, so results agree with the tap-ordered path only to
   floating-point tolerance. It is therefore gated out of deterministic mode
   rather than offered as a bit-exact replacement. It lowers one band of
@@ -46,7 +46,6 @@ from .tensor import Tensor, record_op
 
 __all__ = [
     "ConvKernel",
-    "set_deterministic",
     "deterministic_mode",
     "using_deterministic",
     "dilated_kernel_extent",
@@ -68,24 +67,19 @@ _deterministic = True
 _BAND_ELEMENTS = 1 << 20
 
 
-def set_deterministic(flag: bool) -> None:
-    """Select the tap-ordered convolution path (True) or the GEMM path."""
-    global _deterministic
-    _deterministic = bool(flag)
-
-
 def deterministic_mode() -> bool:
     return _deterministic
 
 
 @contextmanager
 def using_deterministic(flag: bool):
-    previous = _deterministic
-    set_deterministic(flag)
+    """Select the tap-ordered convolution path (True) or the GEMM path."""
+    global _deterministic
+    previous, _deterministic = _deterministic, bool(flag)
     try:
         yield
     finally:
-        set_deterministic(previous)
+        _deterministic = previous
 
 
 def dilated_kernel_extent(k: int, d: int) -> int:

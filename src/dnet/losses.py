@@ -2,27 +2,25 @@
 
 The total loss is
 
-    lambda * sum_k ||W_k||_2^2  +  ce_weight * mean_ce(pred, target)
+    lambda * sum_k ||W_k||_2^2  +  mean_ce(pred, target)
                                 +  beta * mean((pred - target)^2)
 
 where mean_ce is the per-pixel binary cross entropy against the {0,1}
 target, averaged over all pixels, with predictions clamped away from 0 and
 1 before the logs. The whole objective is one node on the autodiff tape,
-differentiable in the prediction and in every weight tensor. ``ce_weight``
-exists as a test hook for isolating individual terms.
+differentiable in the prediction and in every weight tensor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .tensor import Tensor, record_op
 
-__all__ = ["LossConfig", "total_loss", "LOSS_FORMULA"]
+__all__ = ["total_loss", "LOSS_FORMULA"]
 
 LOSS_FORMULA = (
     "loss = lambda * sum||W||^2 + mean_ce(pred, target) + beta * mean((pred - target)^2)"
@@ -31,56 +29,41 @@ LOSS_FORMULA = (
 EPS = 1e-7  # predictions are clamped to [EPS, 1 - EPS] before the logs
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    """Weights of the loss terms; all must be non-negative."""
-
-    lam: float = 1e-4
-    beta: float = 1.0
-    ce_weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.lam < 0 or self.beta < 0 or self.ce_weight < 0:
-            raise ConfigError(
-                f"loss weights must be non-negative, got lambda={self.lam} "
-                f"beta={self.beta} ce_weight={self.ce_weight}"
-            )
-
-
 def total_loss(
     pred: Tensor,
     target: Tensor,
     params: Sequence[Tensor],
-    cfg: LossConfig,
+    lam: float,
+    beta: float,
 ) -> Tensor:
     """Scalar training loss over a batch; see module docstring for the formula.
 
-    The weights are inputs only when ``cfg.lam`` is nonzero. Terms are
-    summed, and their gradients formed, in a fixed order: CE, then MSE, then
-    the per-kernel sums of squares left to right.
+    The weights are inputs only when ``lam`` is nonzero. Terms are summed,
+    and their gradients formed, in a fixed order: CE, then MSE, then the
+    per-kernel sums of squares left to right.
     """
     if pred.shape != target.shape:
         raise ShapeError(f"total_loss: shape mismatch {pred.shape} vs {target.shape}")
-    weights = tuple(params) if cfg.lam != 0.0 else ()
+    weights = tuple(params) if lam != 0.0 else ()
     p = np.clip(pred.data, EPS, 1.0 - EPS)
     t = target.data
     m = p.size
     active = (pred.data > EPS) & (pred.data < 1.0 - EPS)
     ce = -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
-    out = ce.mean(dtype=pred.dtype).reshape(1, 1, 1, 1) * cfg.ce_weight
+    out = ce.mean(dtype=pred.dtype).reshape(1, 1, 1, 1)
     diff = pred.data - target.data
-    if cfg.beta != 0.0:
-        out = out + (diff * diff).mean(dtype=pred.dtype).reshape(1, 1, 1, 1) * cfg.beta
+    if beta != 0.0:
+        out = out + (diff * diff).mean(dtype=pred.dtype).reshape(1, 1, 1, 1) * beta
     data = [w.data for w in weights]
     if data:
         reg = sum((d * d).sum(dtype=d.dtype).reshape(1, 1, 1, 1) for d in data)
-        out = out + reg * cfg.lam
+        out = out + reg * lam
 
     def rule(g: np.ndarray):
-        gp = (g * cfg.ce_weight).reshape(()) * active * (p - t) / (p * (1.0 - p)) / m
-        if cfg.beta != 0.0:
-            gp = (g * cfg.beta).reshape(()) * 2.0 * diff / m + gp
-        g_lam = (g * cfg.lam).reshape(())
+        gp = g.reshape(()) * active * (p - t) / (p * (1.0 - p)) / m
+        if beta != 0.0:
+            gp = (g * beta).reshape(()) * 2.0 * diff / m + gp
+        g_lam = (g * lam).reshape(())
         return (gp, None, *(g_lam * 2.0 * d for d in data))
 
     return record_op("total_loss", (pred, target, *weights), out, rule)

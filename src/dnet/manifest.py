@@ -6,13 +6,12 @@ Format, one record per line, paths relative to the manifest's directory::
     img_000.ppm mask_000.pgm
     img_001.ppm mask_001.pgm fov_001.pgm
 
-Reading a manifest validates that every referenced file exists, decodes,
+Loading a manifest validates that every referenced file exists, decodes,
 and that image and mask (and FOV) spatial dimensions agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,25 +19,17 @@ import numpy as np
 from .errors import ManifestError
 from .pnm import read_pnm
 
-__all__ = ["ManifestRecord", "Manifest", "read_manifest", "write_manifest", "load_dataset"]
+__all__ = ["load_manifest", "write_manifest"]
 
 _SPLITS = ("train", "test")
 
 
-@dataclass(frozen=True)
-class ManifestRecord:
-    image: Path
-    mask: Path
-    fov: Path | None = None
+def load_manifest(path) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Validate a manifest and decode each file once into (image, mask) arrays.
 
-
-@dataclass(frozen=True)
-class Manifest:
-    split: str
-    records: tuple[ManifestRecord, ...]
-
-
-def read_manifest(path) -> Manifest:
+    Images are (H, W, 3), graymaps repeated to three channels; masks are
+    (H, W, 1) binary. FOV files are only checked for size.
+    """
     path = Path(path)
     base = path.parent
     lines = [
@@ -51,37 +42,34 @@ def read_manifest(path) -> Manifest:
     split_parts = lines[0].split()
     if len(split_parts) != 2 or split_parts[1] not in _SPLITS:
         raise ManifestError(f"{path}: bad split line {lines[0]!r}")
-    split = split_parts[1]
 
-    records: list[ManifestRecord] = []
+    dataset = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) not in (2, 3):
             raise ManifestError(
                 f"{path}:{lineno}: expected 'image mask [fov]', got {line!r}"
             )
-        rec = ManifestRecord(
-            image=base / parts[0],
-            mask=base / parts[1],
-            fov=base / parts[2] if len(parts) == 3 else None,
-        )
-        for p in (rec.image, rec.mask, rec.fov):
-            if p is not None and not p.is_file():
+        files = [base / p for p in parts]
+        for p in files:
+            if not p.is_file():
                 raise ManifestError(f"{path}:{lineno}: missing file {p}")
-        img = read_pnm(rec.image)
-        mask = read_pnm(rec.mask)
+        img = read_pnm(files[0])
+        mask = read_pnm(files[1])
         if mask.ndim != 2:
-            raise ManifestError(f"{path}:{lineno}: mask {rec.mask} must be a graymap")
+            raise ManifestError(f"{path}:{lineno}: mask {files[1]} must be a graymap")
         if img.shape[:2] != mask.shape:
             raise ManifestError(
                 f"{path}:{lineno}: image {img.shape[:2]} vs mask {mask.shape} size mismatch"
             )
-        if rec.fov is not None and read_pnm(rec.fov).shape != mask.shape:
+        if len(files) == 3 and read_pnm(files[2]).shape != mask.shape:
             raise ManifestError(f"{path}:{lineno}: fov size does not match mask")
-        records.append(rec)
-    if not records:
+        if img.ndim == 2:
+            img = np.repeat(img[:, :, None], 3, axis=2)
+        dataset.append((img, (mask > 0.5).astype(np.float64)[:, :, None]))
+    if not dataset:
         raise ManifestError(f"{path}: manifest lists no records")
-    return Manifest(split, tuple(records))
+    return dataset
 
 
 def write_manifest(path, split: str, entries) -> None:
@@ -92,15 +80,3 @@ def write_manifest(path, split: str, entries) -> None:
     for entry in entries:
         lines.append(" ".join(str(p) for p in entry))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_dataset(manifest: Manifest) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Load (image, mask) arrays; images (H, W, 3), masks (H, W, 1) binary."""
-    dataset = []
-    for rec in manifest.records:
-        img = read_pnm(rec.image)
-        if img.ndim == 2:
-            img = np.repeat(img[:, :, None], 3, axis=2)
-        mask = (read_pnm(rec.mask) > 0.5).astype(np.float64)[:, :, None]
-        dataset.append((img, mask))
-    return dataset

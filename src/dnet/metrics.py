@@ -26,6 +26,8 @@ __all__ = [
     "roc_pr_curves",
 ]
 
+MASK_THRESHOLD = 0.5  # a probability at or above this is predicted vessel
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -52,10 +54,6 @@ class MetricsReport:
     specificity: float
     f1: float
     degenerate: frozenset[str] = frozenset()
-
-    @property
-    def sensitivity(self) -> float:
-        return self.recall
 
     def rows(self) -> list[tuple[str, float]]:
         return [
@@ -119,16 +117,15 @@ def metrics(c: ConfusionCounts) -> MetricsReport:
 class CurveReport:
     """ROC and PR curves from a descending threshold sweep.
 
-    The first row of each curve is the sweep start (threshold +inf): (0, 0)
-    for ROC and recall 0 at precision 1 for PR. ``auc_roc`` and ``auc_pr``
-    are trapezoidal areas over FPR and recall respectively.
+    Both curves share ``thresholds``, and recall is ``tpr``. The first row
+    is the sweep start (threshold +inf): (0, 0) for ROC and recall 0 at
+    precision 1 for PR. ``auc_roc`` and ``auc_pr`` are trapezoidal areas
+    over FPR and recall respectively.
     """
 
-    roc_thresholds: np.ndarray
+    thresholds: np.ndarray
     fpr: np.ndarray
     tpr: np.ndarray
-    pr_thresholds: np.ndarray
-    recall: np.ndarray
     precision: np.ndarray
     auc_roc: float
     auc_pr: float
@@ -156,12 +153,7 @@ def roc_pr_curves(scores, labels) -> CurveReport:
 
     tpr = np.r_[0.0, cum_tp / n_pos]
     fpr = np.r_[0.0, cum_fp / n_neg]
-    roc_thr = np.r_[np.inf, thresholds]
-    auc_roc = float(np.trapezoid(tpr, fpr))
-
-    recall = np.r_[0.0, cum_tp / n_pos]
     precision = np.r_[1.0, cum_tp / (cum_tp + cum_fp)]
-    pr_thr = np.r_[np.inf, thresholds]
-    auc_pr = float(np.trapezoid(precision, recall))
-
-    return CurveReport(roc_thr, fpr, tpr, pr_thr, recall, precision, auc_roc, auc_pr)
+    auc_roc = float(np.trapezoid(tpr, fpr))
+    auc_pr = float(np.trapezoid(precision, tpr))
+    return CurveReport(np.r_[np.inf, thresholds], fpr, tpr, precision, auc_roc, auc_pr)

@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 DOWNSAMPLE_FACTOR = 16
+IN_CHANNELS = 3  # RGB input; graymaps are repeated to three channels
 
 # Backbone channel plan: root convs, then (reduce, spatial, restore) per
 # stage. Stages 1 and 2 intentionally share one width plan and stage 5
@@ -94,7 +95,6 @@ class DNetConfig:
     dilations: tuple[int, int, int] = (1, 2, 4)
     msif_rates: tuple[int, int, int] = (3, 6, 12)
     msif_enabled: bool = True
-    in_channels: int = 3
     channels_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -106,8 +106,6 @@ class DNetConfig:
             raise ConfigError(
                 f"msif_rates must be strictly increasing or (1,1,1), got {self.msif_rates}"
             )
-        if self.in_channels < 1:
-            raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
         if not (0.0 < self.channels_scale <= 64.0):
             raise ConfigError(f"channels_scale out of range: {self.channels_scale}")
         scale_micro = round(self.channels_scale * 1_000_000)
@@ -246,7 +244,7 @@ class Encoder:
     def __init__(self, builder: _Builder, cfg: DNetConfig):
         w = cfg.width
         c1, c2, c3 = (w(c) for c in ROOT_WIDTHS)
-        self.root1 = _ConvUnit(builder.conv("root.conv1", 3, cfg.in_channels, c1, 2), True)
+        self.root1 = _ConvUnit(builder.conv("root.conv1", 3, IN_CHANNELS, c1, 2), True)
         self.root2 = _ConvUnit(builder.conv("root.conv2", 3, c1, c2), True)
         self.root3 = _ConvUnit(builder.conv("root.conv3", 3, c2, c3), True)
 
@@ -445,8 +443,9 @@ def encoder_layer_specs(cfg: DNetConfig) -> list[LayerSpec]:
 
 
 CHECKPOINT_MAGIC = b"DNET1"
-# d1 d2 d3 msif r1 r2 r3 in_ch scale_micro bn n_params; the bn slot is a
-# retired batch-norm flag, always written as 0 and rejected when nonzero.
+# d1 d2 d3 msif r1 r2 r3 in_ch scale_micro bn n_params; in_ch is always
+# IN_CHANNELS, and the bn slot is a retired batch-norm flag, always written
+# as 0. Any other value in either slot is rejected.
 _HEADER = struct.Struct("<11I")
 
 
@@ -465,7 +464,7 @@ def save_checkpoint(model: DNet, path) -> None:
                 *cfg.dilations,
                 1 if cfg.msif_enabled else 0,
                 *cfg.msif_rates,
-                cfg.in_channels,
+                IN_CHANNELS,
                 round(cfg.channels_scale * 1_000_000),
                 0,
                 len(params),
@@ -504,13 +503,14 @@ def _read_model(fh) -> DNet:
     (d1, d2, d3, msif, r1, r2, r3, in_ch, scale_micro, bn, n_params) = _HEADER.unpack(
         _read_exact(fh, _HEADER.size)
     )
+    if in_ch != IN_CHANNELS:
+        raise CheckpointError(f"{in_ch} input channels; the model takes {IN_CHANNELS}")
     if bn:
         raise CheckpointError("batch-norm flag is set; batch norm is not supported")
     cfg = DNetConfig(
         dilations=(d1, d2, d3),
         msif_rates=(r1, r2, r3),
         msif_enabled=bool(msif),
-        in_channels=in_ch,
         channels_scale=scale_micro / 1_000_000,
     )
     model = DNet(cfg, seed=0)

@@ -34,7 +34,6 @@ __all__ = [
     "recording",
     "active_graph",
     "record_op",
-    "set_default_dtype",
     "default_dtype",
     "using_dtype",
     "tensor",
@@ -52,8 +51,13 @@ _ALLOWED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _default_dtype = np.dtype(np.float32)
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the element type used for newly created tensors.
+def default_dtype() -> np.dtype:
+    return _default_dtype
+
+
+@contextmanager
+def using_dtype(dtype):
+    """Temporarily switch the element type used for newly created tensors.
 
     32-bit floats are the production default; verification runs switch to
     64-bit end to end so finite-difference checks are meaningful.
@@ -62,22 +66,11 @@ def set_default_dtype(dtype) -> None:
     dt = np.dtype(dtype)
     if dt not in _ALLOWED_DTYPES:
         raise ShapeError(f"unsupported dtype {dt}; use float32 or float64")
-    _default_dtype = dt
-
-
-def default_dtype() -> np.dtype:
-    return _default_dtype
-
-
-@contextmanager
-def using_dtype(dtype):
-    """Temporarily switch the default element type (e.g. for verification)."""
-    previous = _default_dtype
-    set_default_dtype(dtype)
+    previous, _default_dtype = _default_dtype, dt
     try:
         yield
     finally:
-        set_default_dtype(previous)
+        _default_dtype = previous
 
 
 class Tensor:
@@ -120,9 +113,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -175,9 +165,9 @@ def active_graph() -> Graph | None:
 
 
 @contextmanager
-def recording(graph: Graph | None = None):
-    """Activate a graph; operations executed inside are recorded onto it."""
-    g = graph if graph is not None else Graph()
+def recording():
+    """Activate a new graph; operations executed inside are recorded onto it."""
+    g = Graph()
     _graph_stack.append(g)
     try:
         yield g

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor, backward, default_dtype, recording, tensor
-from .losses import LossConfig, total_loss
-from .metrics import ConfusionCounts, MetricsReport, confusion, metrics
+from .losses import total_loss
+from .metrics import MASK_THRESHOLD, ConfusionCounts, MetricsReport, confusion, metrics
 
 __all__ = [
     "TrainConfig",
@@ -39,7 +39,9 @@ class TrainConfig:
 
     ``lr`` is the initial learning rate of the poly schedule
     lr * (1 - iter/max_iter)^power. A zero ``lr`` is accepted and freezes
-    the model, which is occasionally useful in tests.
+    the model, which is occasionally useful in tests. ``lam`` and ``beta``
+    weight the L2 regularizer and the squared-distance term of
+    :func:`total_loss`.
     """
 
     lr: float = 1e-4
@@ -49,7 +51,6 @@ class TrainConfig:
     seed: int = 0
     lam: float = 1e-4
     beta: float = 1.0
-    ce_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.lr < 0:
@@ -60,10 +61,10 @@ class TrainConfig:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.batch < 1:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
-        self.loss_config()  # rejects negative loss weights at construction
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(lam=self.lam, beta=self.beta, ce_weight=self.ce_weight)
+        if self.lam < 0 or self.beta < 0:
+            raise ConfigError(
+                f"loss weights must be non-negative, got lambda={self.lam} beta={self.beta}"
+            )
 
 
 def poly_lr(iteration: int, cfg: TrainConfig) -> float:
@@ -192,7 +193,6 @@ def train(
     params = list(model.parameters().values())
     reg_params = model.kernel_parameters()
     state = AdamState.for_params(params)
-    loss_cfg = cfg.loss_config()
     rng = np.random.default_rng(cfg.seed)
     sampler = _BatchSampler(len(dataset), rng)
     trace: list[tuple[int, float, float]] = []
@@ -202,7 +202,7 @@ def train(
         xb, yb = _stack_batch(dataset, indices)
         with recording() as graph:
             probs = model.forward(xb)
-            loss = total_loss(probs, yb, reg_params, loss_cfg)
+            loss = total_loss(probs, yb, reg_params, cfg.lam, cfg.beta)
             grad_map = backward(loss, graph)
         grads = [grad_map[p] for p in params]
         lr = poly_lr(step, cfg)
@@ -220,17 +220,15 @@ def predict_probs(model, image: np.ndarray) -> np.ndarray:
     return model.forward(x).data[0, :, :, 0]
 
 
-def evaluate(
-    model, dataset, threshold: float = 0.5
-) -> tuple[MetricsReport, ConfusionCounts]:
-    """Threshold metrics over a dataset, confusion summed across images."""
+def evaluate(model, dataset) -> tuple[MetricsReport, ConfusionCounts]:
+    """Metrics at ``MASK_THRESHOLD`` over a dataset, confusion summed across images."""
     if len(dataset) == 0:
         raise ConfigError("evaluate: dataset is empty")
     counts = ConfusionCounts(0, 0, 0, 0)
     for sample in dataset:
         img, mask = sample[0], sample[1]
         probs = predict_probs(model, img)
-        counts = counts + confusion(probs >= threshold, np.asarray(mask).squeeze())
+        counts = counts + confusion(probs >= MASK_THRESHOLD, np.asarray(mask).squeeze())
     return metrics(counts), counts
 
 
@@ -245,6 +243,8 @@ def save_loss_trace(path, trace: Sequence[tuple[int, float, float]]) -> None:
 # --- synthetic vessel images -------------------------------------------------
 
 _CHANNEL_GAINS = np.array([1.0, 0.82, 0.70])  # reddish tint, fundus-like
+BACKGROUND = 0.15  # intensity of non-vessel pixels before the channel gains
+FOREGROUND = 0.75  # intensity of vessel (and distractor) pixels
 
 
 def _raster_bezier(mask: np.ndarray, p0, p1, p2, width: int) -> None:
@@ -289,8 +289,6 @@ def synth_vessels(
     h: int,
     w: int,
     noise: float = 0.05,
-    background: float = 0.15,
-    foreground: float = 0.75,
     distractors: int = 0,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Generate n (image, mask) pairs of bright curves on a dark background.
@@ -329,7 +327,7 @@ def synth_vessels(
             if mask.mean() > 0.20:
                 break
 
-        level = np.where(mask, foreground, background)
+        level = np.where(mask, FOREGROUND, BACKGROUND)
         image = level[:, :, None] * _CHANNEL_GAINS
         if distractors > 0:
             blob = np.zeros((h, w), dtype=bool)
@@ -339,7 +337,7 @@ def synth_vessels(
                 yy, xx = np.mgrid[0:h, 0:w]
                 blob |= (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
             blob &= ~mask  # vessels keep their own intensity
-            image = np.where(blob[:, :, None], foreground * _CHANNEL_GAINS, image)
+            image = np.where(blob[:, :, None], FOREGROUND * _CHANNEL_GAINS, image)
         if noise > 0:
             image = image + noise * rng.standard_normal((h, w, 3))
         image = np.clip(image, 0.0, 1.0)

@@ -23,7 +23,7 @@ from dnet.convops import (
     transposed_conv,
     using_deterministic,
 )
-from dnet.losses import LossConfig, total_loss
+from dnet.losses import total_loss
 from dnet.metrics import ConfusionCounts, metrics, roc_pr_curves
 from dnet.model import (
     DNet,
@@ -182,21 +182,19 @@ def test_criterion_05_gradient_suite():
         pred = tensor(rng.uniform(0.1, 0.9, size=(1, 4, 4, 1)), requires_grad=True)
         target = tensor((rng.uniform(size=(1, 4, 4, 1)) > 0.5).astype(np.float64))
         w = tensor(rng.normal(size=(3, 3, 1, 2)), requires_grad=True)
-        cfg = LossConfig(lam=0.1, beta=0.7)
-        _fd_check(lambda: total_loss(pred, target, [w], cfg), (pred, w), eps=1e-6)
+        _fd_check(lambda: total_loss(pred, target, [w], 0.1, 0.7), (pred, w), eps=1e-6)
 
         # full tiny network, sampled parameters, tolerance 1e-3
         model = DNet(DNetConfig(channels_scale=0.125), seed=5)
         x = tensor(rng.uniform(0.2, 0.8, size=(1, 16, 16, 3)))
         target = tensor((rng.uniform(size=(1, 16, 16, 1)) > 0.7).astype(np.float64))
-        loss_cfg = LossConfig(lam=1e-3)
         reg = model.kernel_parameters()
 
         def loss_fn():
-            return total_loss(model(x), target, reg, loss_cfg).item()
+            return total_loss(model(x), target, reg, 1e-3, 1.0).item()
 
         with recording() as g:
-            grads = backward(total_loss(model(x), target, reg, loss_cfg), g)
+            grads = backward(total_loss(model(x), target, reg, 1e-3, 1.0), g)
         per_type = {
             "root conv": "root.conv1.w",
             "strided bottleneck": "block3.unit1.spatial.w",

@@ -5,7 +5,8 @@ import pytest
 
 from dnet.config import parse_run_config
 from dnet.errors import ConfigError, ManifestError
-from dnet.manifest import load_dataset, read_manifest, write_manifest
+from dnet.manifest import load_manifest, write_manifest
+from dnet.model import DNetConfig
 from dnet.pnm import write_mask_pgm, write_ppm
 from dnet.training import TrainConfig, synth_vessels
 
@@ -19,6 +20,7 @@ def write_cfg(tmp_path, text):
 class TestRunConfig:
     def test_defaults_from_empty_file(self, tmp_path):
         model_cfg, train_cfg = parse_run_config(write_cfg(tmp_path, ""))
+        assert (model_cfg, train_cfg) == (DNetConfig(), TrainConfig())
         assert model_cfg.dilations == (1, 2, 4)
         assert model_cfg.msif_rates == (3, 6, 12)
         assert model_cfg.msif_enabled
@@ -82,7 +84,7 @@ lambda = 0
         with pytest.raises(ConfigError, match="loss weights"):
             TrainConfig(lam=-1.0)
         with pytest.raises(ConfigError, match="loss weights"):
-            TrainConfig(ce_weight=-0.5)
+            TrainConfig(beta=-0.5)
 
 
 def materialize(tmp_path, n=2, h=32, w=32, fov=False):
@@ -105,39 +107,45 @@ def materialize(tmp_path, n=2, h=32, w=32, fov=False):
 class TestManifest:
     def test_round_trip(self, tmp_path):
         original = materialize(tmp_path)
-        manifest = read_manifest(tmp_path / "manifest.txt")
-        assert manifest.split == "train"
-        assert len(manifest.records) == 2
-        loaded = load_dataset(manifest)
+        loaded = load_manifest(tmp_path / "manifest.txt")
+        assert len(loaded) == 2
         for (img_a, mask_a), (img_b, mask_b) in zip(original, loaded):
             assert img_a.shape == img_b.shape
             assert np.array_equal(mask_a, mask_b)  # masks are exact binary
 
-    def test_fov_column(self, tmp_path):
+    def test_fov_column_loads(self, tmp_path):
+        original = materialize(tmp_path, fov=True)
+        loaded = load_manifest(tmp_path / "manifest.txt")
+        assert len(loaded) == 2
+        for (_, mask_a), (_, mask_b) in zip(original, loaded):
+            assert np.array_equal(mask_a, mask_b)
+
+    def test_fov_size_mismatch_rejected(self, tmp_path):
         materialize(tmp_path, fov=True)
-        manifest = read_manifest(tmp_path / "manifest.txt")
-        assert all(rec.fov is not None for rec in manifest.records)
+        write_mask_pgm(tmp_path / "fov_1.pgm", np.ones((8, 8)))
+        with pytest.raises(ManifestError, match="fov size"):
+            load_manifest(tmp_path / "manifest.txt")
 
     def test_missing_file_rejected(self, tmp_path):
         materialize(tmp_path)
         (tmp_path / "img_1.pgm").unlink()
         with pytest.raises(ManifestError):
-            read_manifest(tmp_path / "manifest.txt")
+            load_manifest(tmp_path / "manifest.txt")
 
     def test_dim_mismatch_rejected(self, tmp_path):
         materialize(tmp_path)
         write_mask_pgm(tmp_path / "img_0.pgm", np.zeros((8, 8)))
         with pytest.raises(ManifestError):
-            read_manifest(tmp_path / "manifest.txt")
+            load_manifest(tmp_path / "manifest.txt")
 
     def test_bad_split_rejected(self, tmp_path):
         materialize(tmp_path)
         text = (tmp_path / "manifest.txt").read_text().replace("split train", "split val")
         (tmp_path / "manifest.txt").write_text(text)
         with pytest.raises(ManifestError):
-            read_manifest(tmp_path / "manifest.txt")
+            load_manifest(tmp_path / "manifest.txt")
 
     def test_empty_manifest_rejected(self, tmp_path):
         (tmp_path / "manifest.txt").write_text("split train\n")
         with pytest.raises(ManifestError):
-            read_manifest(tmp_path / "manifest.txt")
+            load_manifest(tmp_path / "manifest.txt")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dnet.errors import ConfigError, ShapeError
-from dnet.losses import EPS, LossConfig, total_loss
+from dnet.errors import ShapeError
+from dnet.losses import EPS, total_loss
 from dnet.model import DNet, DNetConfig
 from dnet.tensor import Tensor, backward, elementwise_add, record_op, recording, tensor, using_dtype
 
@@ -15,7 +15,7 @@ def test_perfect_prediction_is_near_zero():
     with using_dtype(np.float64):
         target = tensor([1, 0, 1, 1], shape=(1, 2, 2, 1))
         pred = tensor(target.data.copy())
-        loss = total_loss(pred, target, [], LossConfig(lam=0.0))
+        loss = total_loss(pred, target, [], 0.0, 1.0)
         assert loss.item() < 1e-5
 
 
@@ -23,7 +23,7 @@ def test_uniform_half_prediction_is_ln2():
     with using_dtype(np.float64):
         pred = tensor(np.full((1, 2, 2, 1), 0.5))
         target = tensor([1, 0, 0, 1], shape=(1, 2, 2, 1))
-        loss = total_loss(pred, target, [], LossConfig(lam=0.0, beta=0.0))
+        loss = total_loss(pred, target, [], 0.0, 0.0)
         assert loss.item() == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -32,28 +32,22 @@ def test_regularizer_only_hand_value():
         pred = tensor([[0.3]], shape=(1, 1, 1, 1))
         target = tensor([[0.3]], shape=(1, 1, 1, 1))
         w = tensor([2.0], shape=(1, 1, 1, 1), requires_grad=True)
-        loss = total_loss(pred, target, [w], LossConfig(lam=1.0, beta=0.0, ce_weight=0.0))
-        assert loss.item() == pytest.approx(4.0, abs=1e-12)
+        with_reg = total_loss(pred, target, [w], 1.0, 0.0)
+        without = total_loss(pred, target, [], 1.0, 0.0)
+        assert with_reg.item() - without.item() == pytest.approx(4.0, abs=1e-12)
 
 
 def test_shape_mismatch_rejected():
     pred = tensor(np.full((1, 2, 2, 1), 0.5))
     target = tensor(np.zeros((1, 2, 1, 1)))
     with pytest.raises(ShapeError):
-        total_loss(pred, target, [], LossConfig())
-
-
-def test_negative_weights_rejected():
-    with pytest.raises(ConfigError):
-        LossConfig(lam=-1.0)
-    with pytest.raises(ConfigError):
-        LossConfig(beta=-0.5)
+        total_loss(pred, target, [], 1e-4, 1.0)
 
 
 def test_extreme_predictions_stay_finite():
     pred = tensor([0.0, 1.0], shape=(1, 1, 2, 1))
     target = tensor([1.0, 0.0], shape=(1, 1, 2, 1))
-    loss = total_loss(pred, target, [], LossConfig(lam=0.0))
+    loss = total_loss(pred, target, [], 0.0, 1.0)
     assert np.isfinite(loss.data).all()
 
 
@@ -62,13 +56,12 @@ def test_gradient_wrt_prediction_matches_finite_differences(rng):
         pred = tensor(rng.uniform(0.05, 0.95, size=(1, 3, 3, 1)), requires_grad=True)
         target = tensor((rng.uniform(size=(1, 3, 3, 1)) > 0.5).astype(np.float64))
         w = tensor(rng.normal(size=(2, 2, 1, 1)), requires_grad=True)
-        cfg = LossConfig(lam=0.5, beta=1.5)
 
         def loss_fn():
-            return total_loss(pred, target, [w], cfg).item()
+            return total_loss(pred, target, [w], 0.5, 1.5).item()
 
         with recording() as g:
-            grads = backward(total_loss(pred, target, [w], cfg), g)
+            grads = backward(total_loss(pred, target, [w], 0.5, 1.5), g)
         assert max_rel_err(grads[pred], fd_full_grad(loss_fn, pred, eps=1e-6)) < 1e-5
         assert max_rel_err(grads[w], fd_full_grad(loss_fn, w, eps=1e-6)) < 1e-5
 
@@ -77,7 +70,7 @@ def test_bce_closed_forms():
     with using_dtype(np.float64):
         pred = tensor([0.25], shape=(1, 1, 1, 1))
         target = tensor([1.0], shape=(1, 1, 1, 1))
-        loss = total_loss(pred, target, [], LossConfig(lam=0.0, beta=0.0))
+        loss = total_loss(pred, target, [], 0.0, 0.0)
         assert loss.item() == pytest.approx(-math.log(0.25), abs=1e-12)
 
 
@@ -85,16 +78,20 @@ def test_mse_closed_form():
     with using_dtype(np.float64):
         pred = tensor([0.0, 1.0], shape=(1, 1, 2, 1))
         target = tensor([1.0, 1.0], shape=(1, 1, 2, 1))
-        loss = total_loss(pred, target, [], LossConfig(lam=0.0, beta=1.0, ce_weight=0.0))
-        assert loss.item() == pytest.approx(0.5, abs=1e-12)
+        with_mse = total_loss(pred, target, [], 0.0, 1.0)
+        without = total_loss(pred, target, [], 0.0, 0.0)
+        assert with_mse.item() - without.item() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sumsq_is_squared_l2_norm(rng):
     with using_dtype(np.float64):
         pred = tensor(np.full((1, 2, 2, 1), 0.5))
         w = tensor(rng.normal(size=(3, 3, 2, 2)))
-        loss = total_loss(pred, pred, [w], LossConfig(lam=1.0, beta=0.0, ce_weight=0.0))
-        assert loss.item() == pytest.approx(float((w.data**2).sum()), rel=1e-12)
+        with_reg = total_loss(pred, pred, [w], 1.0, 0.0)
+        without = total_loss(pred, pred, [], 1.0, 0.0)
+        assert with_reg.item() - without.item() == pytest.approx(
+            float((w.data**2).sum()), rel=1e-12
+        )
 
 
 def test_gradients_flow_to_every_term(rng):
@@ -103,9 +100,8 @@ def test_gradients_flow_to_every_term(rng):
         target = tensor(np.ones((1, 2, 2, 1)))
         w1 = tensor(rng.normal(size=(1, 1, 1, 1)), requires_grad=True)
         w2 = tensor(rng.normal(size=(1, 1, 2, 1)), requires_grad=True)
-        cfg = LossConfig(lam=0.1)
         with recording() as g:
-            grads = backward(total_loss(pred, target, [w1, w2], cfg), g)
+            grads = backward(total_loss(pred, target, [w1, w2], 0.1, 1.0), g)
         assert np.allclose(grads[w1], 0.2 * w1.data)
         assert np.allclose(grads[w2], 0.2 * w2.data)
         assert pred in grads
@@ -155,25 +151,23 @@ def _scale(x, alpha):
     return record_op("scale", (x,), x.data * alpha, lambda g: (g * alpha,))
 
 
-def composed_total_loss(pred, target, params, cfg):
-    loss = _scale(_bce_mean(pred, target), cfg.ce_weight)
-    if cfg.beta != 0.0:
-        loss = elementwise_add(loss, _scale(_mse_mean(pred, target), cfg.beta))
-    if cfg.lam != 0.0 and params:
+def composed_total_loss(pred, target, params, lam, beta):
+    loss = _bce_mean(pred, target)
+    if beta != 0.0:
+        loss = elementwise_add(loss, _scale(_mse_mean(pred, target), beta))
+    if lam != 0.0 and params:
         reg = _sumsq(params[0])
         for p in params[1:]:
             reg = elementwise_add(reg, _sumsq(p))
-        loss = elementwise_add(loss, _scale(reg, cfg.lam))
+        loss = elementwise_add(loss, _scale(reg, lam))
     return loss
 
 
 @pytest.mark.parametrize("with_params", [True, False])
-@pytest.mark.parametrize("ce_weight", [0.0, 1.3])
 @pytest.mark.parametrize("beta", [0.0, 1.5])
 @pytest.mark.parametrize("lam", [0.0, 0.3])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_one_node_is_bit_identical_to_composed_terms(dtype, lam, beta, ce_weight, with_params, rng):
-    cfg = LossConfig(lam=lam, beta=beta, ce_weight=ce_weight)
+def test_one_node_is_bit_identical_to_composed_terms(dtype, lam, beta, with_params, rng):
     p = rng.uniform(0.0, 1.0, size=(2, 4, 5, 1))
     p.flat[:4] = [0.0, 1.0, EPS / 2, 1.0 - EPS / 2]  # clamped, so their CE gradient is 0
     target = Tensor((rng.uniform(size=p.shape) > 0.6).astype(dtype))
@@ -186,7 +180,7 @@ def test_one_node_is_bit_identical_to_composed_terms(dtype, lam, beta, ce_weight
     results = []
     for build in (total_loss, composed_total_loss):
         with recording() as g:
-            loss = build(pred, target, params, cfg)
+            loss = build(pred, target, params, lam, beta)
             grads = backward(loss, g)
         results.append((loss.data, [grads[t] for t in (pred, *params) if t in grads]))
     (loss, grads), (ref_loss, ref_grads) = results
@@ -204,7 +198,7 @@ def test_training_step_records_one_loss_node(rng):
     with recording() as g:
         probs = model.forward(x)
         forward_nodes = len(g)
-        total_loss(probs, y, model.kernel_parameters(), LossConfig())
+        total_loss(probs, y, model.kernel_parameters(), 1e-4, 1.0)
     assert [node.op for node in g.nodes].count("total_loss") == 1
     assert g.nodes[-1].op == "total_loss"
     assert len(g) == forward_nodes + 1 == 160

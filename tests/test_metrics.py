@@ -66,7 +66,6 @@ class TestMetrics:
         assert m.f1 == pytest.approx(2 / 3, abs=1e-12)
         assert m.accuracy == pytest.approx(0.8, abs=1e-12)
         assert m.specificity == pytest.approx(6 / 7, abs=1e-12)
-        assert m.sensitivity == m.recall
 
     def test_perfect_prediction_all_ones(self):
         m = metrics(ConfusionCounts(tp=5, fp=0, fn=0, tn=5))

@@ -18,7 +18,7 @@ from dnet.model import (
     save_checkpoint,
 )
 from dnet.tensor import Tensor, backward, concat_channels, recording, tensor, using_dtype
-from dnet.losses import LossConfig, total_loss
+from dnet.losses import total_loss
 
 from conftest import conv2d_naive, fd_grad_entries, max_rel_err
 
@@ -310,14 +310,13 @@ class TestEndToEndGradients:
             model = DNet(cfg, seed=3)
             x = tensor(rng.uniform(0.2, 0.8, size=(1, 16, 16, 3)))
             target = tensor((rng.uniform(size=(1, 16, 16, 1)) > 0.7).astype(np.float64))
-            loss_cfg = LossConfig(lam=1e-3)
             reg = model.kernel_parameters()
 
             def loss_fn():
-                return total_loss(model(x), target, reg, loss_cfg).item()
+                return total_loss(model(x), target, reg, 1e-3, 1.0).item()
 
             with recording() as g:
-                grads = backward(total_loss(model(x), target, reg, loss_cfg), g)
+                grads = backward(total_loss(model(x), target, reg, 1e-3, 1.0), g)
 
             picks = [
                 "root.conv1.w", "block2.unit1.spatial.w", "block4.unit2.spatial.w",
@@ -433,16 +432,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_nonzero_batchnorm_slot_rejected(self, tmp_path):
+    # Header words: the eighth is in_ch (always 3), the tenth the retired
+    # batch-norm flag (always 0).
+    @pytest.mark.parametrize(
+        "word, written, message",
+        [(9, 0, "batch-norm flag is set"), (7, 3, "1 input channels")],
+        ids=["bn", "in_ch"],
+    )
+    def test_nonzero_batchnorm_slot_rejected(self, tmp_path, word, written, message):
         model = DNet(DNetConfig(**TINY), seed=0)
         path = tmp_path / "m.dnet"
         save_checkpoint(model, path)
         data = bytearray(path.read_bytes())
-        bn_slot = len(CHECKPOINT_MAGIC) + 9 * 4  # tenth header word
-        assert data[bn_slot : bn_slot + 4] == b"\x00" * 4
-        data[bn_slot] = 1
+        slot = len(CHECKPOINT_MAGIC) + word * 4
+        assert data[slot : slot + 4] == written.to_bytes(4, "little")
+        data[slot] = 1
         path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match="m.dnet"):
+        with pytest.raises(CheckpointError, match=f"m.dnet: {message}"):
             load_checkpoint(path)
 
 

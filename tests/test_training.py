@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from dnet.errors import ConfigError, ShapeError
+from dnet.losses import total_loss
 from dnet.model import DNet, DNetConfig
-from dnet.tensor import Tensor, tensor, using_dtype
+from dnet.tensor import Tensor, backward, recording, tensor, using_dtype
 from dnet.training import (
     BETA1,
     BETA2,
@@ -229,25 +230,23 @@ class TestTrainLoop:
             assert np.isfinite(trace[0][2])
 
     def test_regularization_only_shrinks_weights_monotonically(self):
-        ds = synth_vessels(0, 1, 32, 32)
         model = DNet(DNetConfig(**MICRO), seed=0)
-        norms = []
+        weights = model.kernel_parameters()
+        state = AdamState.for_params(weights)
+        cfg = TrainConfig(lr=1e-3, max_iter=20, lam=1e-2, beta=0.0)
+        # A constant prediction: the weights' gradients are the L2 term's alone.
+        pred = tensor(np.full((1, 32, 32, 1), 0.5))
+        target = tensor(synth_vessels(0, 1, 32, 32)[0][1][None])
 
         def weight_norm():
-            return float(
-                sum((p.data**2).sum() for p in model.kernel_parameters())
-            )
+            return float(sum((p.data**2).sum() for p in weights))
 
-        norms.append(weight_norm())
-
-        def on_step(step, loss):
+        norms = [weight_norm()]
+        for step in range(cfg.max_iter):
+            with recording() as g:
+                grads = backward(total_loss(pred, target, weights, cfg.lam, cfg.beta), g)
+            adam_step(weights, [grads[w] for w in weights], state, poly_lr(step, cfg))
             norms.append(weight_norm())
-            return False
-
-        cfg = TrainConfig(
-            lr=1e-3, max_iter=20, batch=1, seed=0, lam=1e-2, beta=0.0, ce_weight=0.0
-        )
-        train(ds, model, cfg, on_step=on_step)
         assert all(a > b for a, b in zip(norms, norms[1:]))
 
     def test_early_stop_callback(self):
