@@ -163,11 +163,14 @@ def composed_total_loss(pred, target, params, lam, beta):
     return loss
 
 
+@pytest.mark.parametrize("upstream", [1.0, 0.7])
 @pytest.mark.parametrize("with_params", [True, False])
 @pytest.mark.parametrize("beta", [0.0, 1.5])
 @pytest.mark.parametrize("lam", [0.0, 0.3])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_one_node_is_bit_identical_to_composed_terms(dtype, lam, beta, with_params, rng):
+def test_one_node_is_bit_identical_to_composed_terms(
+    dtype, lam, beta, with_params, upstream, rng
+):
     p = rng.uniform(0.0, 1.0, size=(2, 4, 5, 1))
     p.flat[:4] = [0.0, 1.0, EPS / 2, 1.0 - EPS / 2]  # clamped, so their CE gradient is 0
     target = Tensor((rng.uniform(size=p.shape) > 0.6).astype(dtype))
@@ -180,7 +183,8 @@ def test_one_node_is_bit_identical_to_composed_terms(dtype, lam, beta, with_para
     results = []
     for build in (total_loss, composed_total_loss):
         with recording() as g:
-            loss = build(pred, target, params, lam, beta)
+            # A downstream scale makes the incoming gradient differ from 1.
+            loss = _scale(build(pred, target, params, lam, beta), upstream)
             grads = backward(loss, g)
         results.append((loss.data, [grads[t] for t in (pred, *params) if t in grads]))
     (loss, grads), (ref_loss, ref_grads) = results
