@@ -3,10 +3,12 @@
 
 The deterministic (tap-ordered) forward is the correctness reference,
 bit-identical to the naive loop; the GEMM forward trades that guarantee for
-BLAS throughput. ``nhwc`` and ``c-first`` time the two layouts of the
-tap-ordered loop on their own, and ``det fwd`` the one that conv2d picks
-(channel-first when ``cout < wo``), so the layout rule can be checked on
-every shape: ``det fwd`` should track the smaller of the two. The backward
+BLAS throughput. ``stacked`` and ``c-first`` time the two helpers of the
+tap-ordered forward on their own, and ``det fwd`` the one that conv2d picks
+(channel-first when ``cout < wo``), so the shape rule can be checked on
+every shape: ``det fwd`` should track the smaller of the two. The two
+helpers must give the same bytes on every case; the script exits 1 if they
+do not, so it doubles as a smoke check of the exact forward. The backward
 rule is the same GEMM-shaped code in both modes, so its two columns should
 agree; a gap between them, or a jump in either against an earlier run, is a
 shape-level regression. Times are medians in ms; ``gemm MB`` is the peak
@@ -40,7 +42,7 @@ CASES = [
     (4, 4, 4, 1024, 256, 1, 1, 1),  # full-width 1x1 reduce at 1/16
     (1, 128, 128, 64, 64, 3, 1, 1),  # whole column matrix 36 MB in float32
     # desk scale (channels_scale 0.125, 64x64, batch 4), the exact forward's
-    # shapes on both sides of the layout rule
+    # shapes on both sides of the shape rule
     (4, 64, 64, 3, 4, 3, 1, 2),  # root.conv1
     (4, 64, 64, 4, 4, 3, 1, 1),  # decoder, full resolution
     (4, 32, 32, 16, 8, 3, 1, 1),  # decoder, 1/2 resolution
@@ -48,6 +50,10 @@ CASES = [
     (4, 8, 8, 32, 16, 3, 1, 1),  # decoder, 1/8 resolution
     (4, 4, 4, 32, 32, 3, 4, 1),  # block 5 spatial
     (4, 4, 4, 128, 32, 1, 1, 1),  # MSIF mix at 1/16
+    (4, 4, 4, 16, 32, 1, 1, 1),  # bottleneck expand at 1/16
+    (4, 1, 1, 128, 32, 1, 1, 1),  # MSIF image-pool branch
+    (4, 16, 16, 8, 16, 1, 1, 1),  # bottleneck expand at 1/4
+    (4, 64, 64, 4, 1, 1, 1, 1),  # head
 ]
 
 
@@ -63,12 +69,16 @@ def median_ms(fn, budget_s: float = 0.5, min_repeats: int = 3) -> float:
     return float(np.median(times)) * 1e3
 
 
-def layout_ms(x, kern, exact) -> float:
-    """Median ms of one tap-ordered layout helper, from the padded input."""
+def helper_run(x, kern, exact) -> tuple[float, bytes]:
+    """Median ms of one tap-ordered forward helper, from the padded input,
+    and the bytes of its output."""
     w = kern.weight.data
     xp, ho, wo = convops._gather_frame("conv2d", x, kern)
     shape = (x.shape[0], ho, wo, w.shape[3])
-    return median_ms(lambda: exact(xp, w, kern.dilation, kern.stride, np.zeros(shape, x.dtype)))
+    ms = median_ms(lambda: exact(xp, w, kern.dilation, kern.stride, np.zeros(shape, x.dtype)))
+    out = np.zeros(shape, x.dtype)
+    exact(xp, w, kern.dilation, kern.stride, out)
+    return ms, out.tobytes()
 
 
 def time_case(x, kern, upstream, deterministic: bool) -> tuple[float, float, np.ndarray]:
@@ -95,8 +105,9 @@ def gemm_peak_mb(x, kern) -> float:
 
 def main() -> int:
     rng = np.random.default_rng(0)
+    mismatched = []
     print(
-        f"{'case':>34} {'nhwc':>8} {'c-first':>8} {'det fwd':>9} {'gemm fwd':>9} "
+        f"{'case':>34} {'stacked':>8} {'c-first':>8} {'det fwd':>9} {'gemm fwd':>9} "
         f"{'speedup':>8} {'det bwd':>9} {'gemm bwd':>9} {'gemm MB':>8} {'max diff':>10}"
     )
     for n, h, w, cin, cout, k, d, s in CASES:
@@ -106,8 +117,8 @@ def main() -> int:
             tensor(rng.normal(size=(1, 1, 1, cout)), requires_grad=True),
             s, d, same_pads(k, d, s),
         )
-        nhwc = layout_ms(x, kern, convops._exact_nhwc)
-        cfirst = layout_ms(x, kern, convops._exact_channel_first)
+        stacked, stacked_bytes = helper_run(x, kern, convops._exact_stacked)
+        cfirst, cfirst_bytes = helper_run(x, kern, convops._exact_channel_first)
         ho, wo = conv2d(x, kern).shape[1:3]
         upstream = rng.normal(size=(n, ho, wo, cout)).astype(x.dtype)
         det_fwd, det_bwd, ref = time_case(x, kern, upstream, True)
@@ -115,11 +126,15 @@ def main() -> int:
         peak = gemm_peak_mb(x, kern)
         diff = float(np.abs(ref - fast).max())
         label = f"{n}x{h}x{w}x{cin}->{cout} k{k} d{d} s{s}"
+        if stacked_bytes != cfirst_bytes:
+            mismatched.append(label)
         print(
-            f"{label:>34} {nhwc:8.2f} {cfirst:8.2f} {det_fwd:9.2f} {gemm_fwd:9.2f} "
+            f"{label:>34} {stacked:8.2f} {cfirst:8.2f} {det_fwd:9.2f} {gemm_fwd:9.2f} "
             f"{det_fwd / gemm_fwd:8.1f} {det_bwd:9.2f} {gemm_bwd:9.2f} {peak:8.1f} {diff:10.2e}"
         )
-    return 0
+    for label in mismatched:
+        print(f"error: the two exact forward helpers differ on {label}", file=sys.stderr)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":

@@ -15,9 +15,15 @@ convolution forward. Only that forward has two execution strategies:
   which reproduces, element for element, the arithmetic of a naive
   sliding-window loop. Inserting explicit zeros between kernel taps then
   changes nothing, so dilation equals zero-insertion exactly, not just to
-  tolerance. The memory layout is picked by shape: the loop runs over
-  channel-first copies when the output row is longer than the output
-  channel count, so numpy's inner loops are long, and in NHWC otherwise.
+  tolerance. One of two helpers is picked by shape. When the output row is
+  longer than the output channel count, ``_exact_channel_first`` adds one
+  product plane at a time over channel-first copies, so numpy's inner loops
+  run along long rows. Otherwise, which covers the small low-resolution
+  layers where Python dispatch is the cost, ``_exact_stacked`` writes each
+  tap's products for all input channels with one multiply into a bounded
+  stack and folds it with one reduce over its leading axis, which numpy
+  performs row by row: O(taps) numpy calls per band of output rows instead
+  of O(taps x channels).
   Either way each output element sees the same multiplies and adds in the
   same order, so the result stays bit-identical to the naive loop.
 * im2col + GEMM fast path (``using_deterministic(False)``): same math, BLAS
@@ -63,7 +69,10 @@ _deterministic = True
 # Element budget of one band's im2col column matrix in the GEMM forward
 # (4 MB in float32): the whole matrix of a full-resolution 3x3 layer at
 # 576x576 would be hundreds of MB. Bands of 1, 4 and 16 MB ran a 576x576
-# full-width predict at the same speed within noise on a 2-core host.
+# full-width predict at the same speed within noise on a 2-core host. The
+# exact forward's product stack shares the budget: stacks of 2^16 to 2^20
+# elements ran the desk-scale shapes at about the same speed, smaller ones
+# up to 3x slower.
 _BAND_ELEMENTS = 1 << 20
 
 
@@ -206,19 +215,67 @@ def _im2col(
     return cols.reshape(-1, k)
 
 
-def _exact_nhwc(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
-    """Tap-ordered forward in NHWC: numpy's innermost run is ``cout``."""
+def _exact_stacked(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
+    """Tap-ordered forward in O(taps) numpy calls per band of output rows.
+
+    The output is cut into evenly sized bands of whole rows across the
+    batch, each as tall as lets its product stack hold every product at
+    once within ``_BAND_ELEMENTS`` elements, but at least one row. numpy's
+    reduce over a few long stack rows costs more than in-place adds, so a
+    stack over the whole of a large output ran full-width forwards slower
+    than a loop of one multiply and one add per input channel.
+    """
     kh, kw, cin, _ = w.shape
-    _, ho, wo, _ = out.shape
+    n, ho, wo, cout = out.shape
+    band = max(1, _BAND_ELEMENTS // ((1 + kh * kw * cin) * n * wo * cout))
+    band = -(-ho // -(-ho // band))  # the same number of bands, evenly sized
+    for i0 in range(0, ho, band):
+        i1 = min(i0 + band, ho)
+        _stack_band(xp[:, i0 * s : (i1 - 1) * s + (kh - 1) * d + 1], w, d, s, out[:, i0:i1])
+
+
+def _stack_band(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
+    """One multiply writes a tap's ``cin`` product planes into rows of a
+    stack whose row 0 is the running output; one reduce over the leading
+    axis folds the stack.
+
+    numpy reduces a leading axis row by row, so every output element gets
+    ``((out + p0) + p1) + ...`` in (kernel row, kernel col, input channel)
+    order; ``initial=-0.0`` is the exact additive identity, so even a
+    negative zero keeps its sign. A one-element row would be reduced along a
+    contiguous axis, which numpy sums pairwise, so rows hold at least two
+    elements (the second one a zero). The stack holds at most
+    ``_BAND_ELEMENTS`` elements, but at least two rows: when it is full it
+    is folded into row 0 and filling resumes.
+    """
+    kh, kw, cin, _ = w.shape
+    size = out.size
+    width = max(size, 2)
+    rows = max(2, min(1 + kh * kw * cin, _BAND_ELEMENTS // width))
+    buf = np.empty((rows, width), dtype=out.dtype)
+    buf[:, size:] = 0.0
+    stack = buf[:, :size].reshape(rows, *out.shape)
+    stack[0] = out
+    r = 1
     for a, b in np.ndindex(kh, kw):
-        xs = _tap_view(xp, a, b, d, s, ho, wo)
-        for m in range(cin):
-            out += xs[:, :, :, m : m + 1] * w[a, b, m]
+        xs = _tap_view(xp, a, b, d, s, *out.shape[1:3]).transpose(3, 0, 1, 2)[..., None]
+        ws = w[a, b, :, None, None, None, :]  # w[a, b, m] broadcast over (n, ho, wo)
+        m = 0
+        while m < cin:
+            k = min(cin - m, rows - r)
+            np.multiply(xs[m : m + k], ws[m : m + k], out=stack[r : r + k])
+            m, r = m + k, r + k
+            if r == rows:
+                np.add.reduce(buf, axis=0, out=buf[0], initial=-0.0)
+                r = 1
+    np.add.reduce(buf[:r], axis=0, out=buf[0], initial=-0.0)
+    out[...] = stack[0]
 
 
 def _exact_channel_first(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
-    """``_exact_nhwc``'s multiplies and adds, in its order, over channel-first
-    copies whose innermost run is an output row; ``out`` is written once.
+    """The naive loop's multiplies and adds, one (kernel row, kernel col,
+    input channel) tap at a time in that order, over channel-first copies
+    whose innermost run is an output row; ``out`` is written once.
     """
     kh, kw, cin, _ = w.shape
     _, ho, wo, _ = out.shape
@@ -237,8 +294,9 @@ def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> No
     """Dense tap gather: out += sum over taps (a, b) of tap(a, b) @ w[a, b].
 
     The output grid is ``out``'s spatial extent. Deterministic mode adds one
-    (kernel row, kernel col, input channel) tap at a time, channel-first when
-    the output row outruns the output channels, else in NHWC. Otherwise the
+    (kernel row, kernel col, input channel) tap at a time: channel-first when
+    the output row outruns the output channels, else by stacking each tap's
+    products and folding the stack with one sequential reduce. Otherwise the
     taps are lowered to im2col GEMMs, one per band of whole output rows
     across the batch, each band's column matrix at most ``_BAND_ELEMENTS``
     elements (but at least one row) in one buffer reused by every band. A
@@ -247,7 +305,7 @@ def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> No
     kh, kw, cin, cout = w.shape
     n, ho, wo, _ = out.shape
     if _deterministic:
-        (_exact_channel_first if cout < wo else _exact_nhwc)(xp, w, d, s, out)
+        (_exact_channel_first if cout < wo else _exact_stacked)(xp, w, d, s, out)
         return
     wm = w.reshape(-1, cout)
     if kh == kw == 1 and xp.shape[1:3] == (ho, wo):

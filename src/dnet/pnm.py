@@ -4,7 +4,9 @@ Masks travel as 8-bit P5 (values 0 and 255), probability maps as 16-bit P5
 scaled to 0..65535 (quantization error at most 1/131070), and RGB images as
 8-bit P6. Only maxval 255 and 65535 are accepted; anything else is a
 deliberate rejection rather than a silent rescale. Multi-byte samples are
-big-endian, as the format requires.
+big-endian, as the format requires. The writers reject NaN and infinite
+values, and values outside [0, 1] where the format scales them, with an
+error that names the file.
 """
 
 from __future__ import annotations
@@ -89,11 +91,23 @@ def _header(magic: bytes, width: int, height: int, maxval: int) -> bytes:
     return b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
 
 
+def _check_values(path, values: np.ndarray, unit_range: bool) -> None:
+    """Reject what the writers would store as some in-range sample without a
+    word: NaN (``NaN < 0`` is False, and the cast turns it into 0) and
+    infinities, and, when ``unit_range``, values outside [0, 1].
+    """
+    if not np.isfinite(values).all():
+        raise PnmError(f"{path}: values must be finite")
+    if unit_range and (values.min() < 0.0 or values.max() > 1.0):
+        raise PnmError(f"{path}: values must lie in [0, 1]")
+
+
 def write_mask_pgm(path, mask: np.ndarray) -> None:
     """Write a binary mask as 8-bit P5 with values 0 and 255."""
     m = np.asarray(mask)
     if m.ndim != 2:
-        raise PnmError(f"mask must be 2-D, got shape {m.shape}")
+        raise PnmError(f"{path}: mask must be 2-D, got shape {m.shape}")
+    _check_values(path, m, unit_range=False)
     payload = np.where(m > 0.5, 255, 0).astype(np.uint8)
     h, w = m.shape
     Path(path).write_bytes(_header(b"P5", w, h, 255) + payload.tobytes())
@@ -103,9 +117,8 @@ def write_prob_pgm(path, probs: np.ndarray) -> None:
     """Write a probability map as 16-bit P5 scaled to 0..65535."""
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 2:
-        raise PnmError(f"probability map must be 2-D, got shape {p.shape}")
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise PnmError("probability values must lie in [0, 1]")
+        raise PnmError(f"{path}: probability map must be 2-D, got shape {p.shape}")
+    _check_values(path, p, unit_range=True)
     payload = np.round(p * 65535).astype(">u2")
     h, w = p.shape
     Path(path).write_bytes(_header(b"P5", w, h, 65535) + payload.tobytes())
@@ -115,9 +128,8 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     """Write an RGB image in [0, 1] as 8-bit P6."""
     img = np.asarray(rgb, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
-        raise PnmError(f"image must be (H, W, 3), got shape {img.shape}")
-    if img.min() < 0.0 or img.max() > 1.0:
-        raise PnmError("image values must lie in [0, 1]")
+        raise PnmError(f"{path}: image must be (H, W, 3), got shape {img.shape}")
+    _check_values(path, img, unit_range=True)
     payload = np.round(img * 255).astype(np.uint8)
     h, w, _ = img.shape
     Path(path).write_bytes(_header(b"P6", w, h, 255) + payload.tobytes())

@@ -163,13 +163,25 @@ class TestConv2d:
 
 
 class TestExactLayouts:
-    """Both layouts of the tap-ordered forward are the naive loop, bit for bit."""
+    """Both helpers of the tap-ordered forward are the naive loop, bit for bit."""
 
-    LAYOUTS = (convops._exact_nhwc, convops._exact_channel_first)
+    LAYOUTS = (convops._exact_stacked, convops._exact_channel_first)
+
+    @staticmethod
+    def assert_naive_bits(exact, x, wk, bias, s, d, pads):
+        want = conv2d_naive(x, wk, bias, s, d, pads)
+        got = np.empty_like(want)
+        got[...] = bias
+        exact(convops._pad_input(x, pads), wk, d, s, got)
+        assert got.dtype == want.dtype
+        # Bits, not values: a negative zero must keep its sign.
+        assert np.array_equal(got, want, equal_nan=True), exact.__name__
+        assert np.array_equal(np.signbit(got), np.signbit(want)), exact.__name__
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_naive_loop(self, dtype, rng):
         sides = set()  # whether cout < wo, over the trials
+        long_sums = 0  # trials whose output elements sum more than 8 products
         for trial in range(60):
             n = int(rng.integers(1, 4))
             k, d, s = (int(v) for v in rng.integers(1, [4, 5, 3]))
@@ -180,30 +192,66 @@ class TestExactLayouts:
             wo = (w + pads[2] + pads[3] - kd) // s + 1
             if ho < 1 or wo < 1:
                 continue
-            cin = int(rng.integers(1, 4))
+            # numpy sums a contiguous run of more than 8 pairwise, so an
+            # order slip shows only past 8 products per output element.
+            cin = int(rng.integers(1, 17))
             cout = int(rng.integers(max(wo - 3, 1), wo + 3))
             sides.add(cout < wo)
+            long_sums += k * k * cin > 8
             x = rng.normal(size=(n, h, w, cin)).astype(dtype)
             if trial % 4 == 0:
                 x[tuple(rng.integers(0, x.shape))] = [np.nan, np.inf, -np.inf][trial % 3]
             wk = rng.normal(size=(k, k, cin, cout)).astype(dtype)
             bias = rng.normal(size=(1, 1, 1, cout)).astype(dtype)
-            want = conv2d_naive(x, wk, bias, s, d, pads)
+            if trial % 5 == 1:  # every sum of an all-zero window is -0.0
+                x[x < 1.0] = 0.0
+                wk = -np.abs(wk)
+                bias[...] = -0.0
             for exact in self.LAYOUTS:
-                got = np.empty_like(want)
-                got[...] = bias
-                exact(convops._pad_input(x, pads), wk, d, s, got)
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want, equal_nan=True), (exact.__name__, trial)
+                self.assert_naive_bits(exact, x, wk, bias, s, d, pads)
         assert sides == {True, False}
+        assert long_sums >= 20
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape, k, cout",
+        [
+            ((1, 1, 1, 9), 1, 1),  # one output element, 9 products
+            ((1, 1, 1, 40), 1, 1),  # one output element, 40 products
+            ((1, 3, 3, 11), 3, 1),  # 3x3 "valid" onto one element, 99 products
+            ((2, 5, 7, 12), 3, 1),  # cout == 1 over a grid
+        ],
+    )
+    def test_single_channel_and_single_element_outputs(self, shape, k, cout, dtype, rng):
+        x = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape[3])).astype(dtype)
+        wk = rng.normal(size=(k, k, shape[3], cout)).astype(dtype)
+        bias = rng.normal(size=(1, 1, 1, cout)).astype(dtype)
+        for exact in self.LAYOUTS:
+            self.assert_naive_bits(exact, x, wk, bias, 1, 1, (0, 0, 0, 0))
+
+    @pytest.mark.parametrize("budget", [60, 150, 3300])
+    def test_bands_and_folds_keep_the_bits(self, budget, rng, monkeypatch):
+        # The (2, 5, 5, 3) output has 30 elements per row and 54 products
+        # (3x3 taps x 6 channels) per element, so a stack holding every
+        # product needs 55 rows. A 60-element budget makes one-row bands
+        # whose 2-row stacks fold after every product; 150 makes 5-row
+        # stacks that fold in the middle of a tap's channels; 3300 makes
+        # bands of 2, 2 and 1 rows that each fold once. The strided, dilated
+        # geometry checks the input window of each band.
+        x = rng.normal(size=(2, 5, 5, 6)).astype(np.float32)
+        wk = rng.normal(size=(3, 3, 6, 3)).astype(np.float32)
+        bias = rng.normal(size=(1, 1, 1, 3)).astype(np.float32)
+        monkeypatch.setattr(convops, "_BAND_ELEMENTS", budget)
+        self.assert_naive_bits(convops._exact_stacked, x, wk, bias, 1, 1, (1, 1, 1, 1))
+        self.assert_naive_bits(convops._exact_stacked, x, wk, bias, 2, 2, (3, 2, 2, 1))
 
     @pytest.mark.parametrize(
         "shape, cout, dilation, layout",
         [
             ((4, 64, 64, 4), 4, 1, "_exact_channel_first"),  # decoder, full resolution
             ((4, 32, 32, 16), 8, 1, "_exact_channel_first"),  # decoder, 1/2 resolution
-            ((4, 8, 8, 32), 16, 1, "_exact_nhwc"),  # decoder, 1/8 resolution
-            ((4, 4, 4, 32), 32, 4, "_exact_nhwc"),  # block 5 spatial
+            ((4, 8, 8, 32), 16, 1, "_exact_stacked"),  # decoder, 1/8 resolution
+            ((4, 4, 4, 32), 32, 4, "_exact_stacked"),  # block 5 spatial
         ],
     )
     def test_conv2d_picks_layout_by_shape(self, shape, cout, dilation, layout, rng, monkeypatch):

@@ -96,6 +96,40 @@ def test_out_of_range_values_rejected(tmp_path):
         write_ppm(tmp_path / "i.ppm", -np.ones((2, 2, 3)))
 
 
+WRITERS = [
+    (write_mask_pgm, (2, 3)),
+    (write_prob_pgm, (2, 3)),
+    (write_ppm, (2, 3, 3)),
+]
+
+
+@pytest.mark.parametrize("writer, shape", WRITERS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected(writer, shape, bad, tmp_path):
+    # NaN compares False with both range bounds, so it used to pass the
+    # range check and be written as 0 ("not vessel").
+    values = np.full(shape, 0.5)
+    values.flat[1] = bad
+    path = tmp_path / "out.pnm"
+    with pytest.raises(PnmError, match="finite") as err:
+        writer(path, values)
+    assert str(path) in str(err.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("writer, shape", WRITERS)
+def test_writer_errors_name_the_path(writer, shape, tmp_path):
+    path = tmp_path / "out.pnm"
+    with pytest.raises(PnmError) as err:
+        writer(path, np.zeros((2, 3, 3, 1)))  # wrong rank for every writer
+    assert str(path) in str(err.value)
+    if writer is not write_mask_pgm:
+        with pytest.raises(PnmError, match=r"\[0, 1\]") as err:
+            writer(path, np.full(shape, 2.0))
+        assert str(path) in str(err.value)
+    assert not path.exists()
+
+
 @settings(deadline=None, max_examples=25)
 @given(h=st.integers(1, 16), w=st.integers(1, 16), seed=st.integers(0, 1000))
 def test_random_mask_round_trips(h, w, seed, tmp_path_factory):
