@@ -71,8 +71,8 @@ _deterministic = True
 # 576x576 would be hundreds of MB. Bands of 1, 4 and 16 MB ran a 576x576
 # full-width predict at the same speed within noise on a 2-core host. The
 # exact forward's product stack shares the budget: stacks of 2^16 to 2^20
-# elements ran the desk-scale shapes at about the same speed, smaller ones
-# up to 3x slower.
+# elements ran the desk-scale shapes at about the same speed, 2^12 up to 4x
+# slower.
 _BAND_ELEMENTS = 1 << 20
 
 
@@ -228,7 +228,8 @@ def _exact_stacked(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarra
     kh, kw, cin, _ = w.shape
     n, ho, wo, cout = out.shape
     band = max(1, _BAND_ELEMENTS // ((1 + kh * kw * cin) * n * wo * cout))
-    band = -(-ho // -(-ho // band))  # the same number of bands, evenly sized
+    bands = -(-ho // band)
+    band = -(-ho // bands)  # the same number of bands, evenly sized
     for i0 in range(0, ho, band):
         i1 = min(i0 + band, ho)
         _stack_band(xp[:, i0 * s : (i1 - 1) * s + (kh - 1) * d + 1], w, d, s, out[:, i0:i1])
