@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DnetError, ManifestError
+from .errors import ConfigError, DnetError, ManifestError, ShapeError
 from .config import parse_run_config
 from .losses import LOSS_FORMULA
-from .manifest import load_manifest, write_manifest
+from .manifest import as_rgb, load_manifest, write_manifest
 from .metrics import MASK_THRESHOLD, ConfusionCounts, confusion, metrics, roc_pr_curves
 from .model import DNet, load_checkpoint, save_checkpoint, encoder_layer_specs
 from .pnm import read_pnm, write_mask_pgm, write_ppm, write_prob_pgm
@@ -79,10 +79,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    img = read_pnm(args.image)
-    if img.ndim == 2:
-        img = np.repeat(img[:, :, None], 3, axis=2)
-    probs = predict_probs(model, img)
+    try:
+        probs = predict_probs(model, as_rgb(read_pnm(args.image)))
+    except ShapeError as exc:
+        raise ShapeError(f"{args.image}: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.image).stem
@@ -103,6 +103,16 @@ def _gt_name(pred_name: str) -> str:
         if stem.endswith(tag):
             stem = stem[: -len(tag)]
     return stem + ".pgm"
+
+
+def _write_csv(path, columns: dict) -> None:
+    """One CSV column per (header, values) entry; numbers to 12 significant digits."""
+    arrays = [np.asarray(values) for values in columns.values()]
+    specs = ["" if a.dtype.kind == "U" else ".12g" for a in arrays]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(map(format, row, specs) for row in zip(*arrays))
 
 
 def _cmd_eval(args) -> int:
@@ -129,7 +139,7 @@ def _cmd_eval(args) -> int:
         gt = read_pnm(gt_path) > 0.5
         if pred.shape != gt.shape:
             raise ManifestError(
-                f"eval: {pred_path.name} shape {pred.shape} vs ground truth {gt.shape}"
+                f"eval: {pred_path} shape {pred.shape} vs ground truth {gt.shape}"
             )
         fov = None
         if fov_dir is not None:
@@ -147,21 +157,12 @@ def _cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = report.rows() + [("auc_roc", curves.auc_roc), ("auc_pr", curves.auc_pr)]
-    with open(out / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "value"])
-        for name, value in rows:
-            writer.writerow([name, f"{value:.12g}"])
-    with open(out / "roc.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for t, f, tp in zip(curves.thresholds, curves.fpr, curves.tpr):
-            writer.writerow([f"{t:.12g}", f"{f:.12g}", f"{tp:.12g}"])
-    with open(out / "pr.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "recall", "precision"])
-        for t, r, p in zip(curves.thresholds, curves.tpr, curves.precision):
-            writer.writerow([f"{t:.12g}", f"{r:.12g}", f"{p:.12g}"])
+    names, values = zip(*rows)
+    _write_csv(out / "metrics.csv", {"name": names, "value": values})
+    _write_csv(out / "roc.csv",
+               {"threshold": curves.thresholds, "fpr": curves.fpr, "tpr": curves.tpr})
+    _write_csv(out / "pr.csv", {"threshold": curves.thresholds, "recall": curves.tpr,
+                                "precision": curves.precision})
     for name, value in rows:
         print(f"{name},{value:.12g}")
     print(f"wrote metrics.csv, roc.csv, pr.csv to {out}")

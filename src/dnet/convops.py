@@ -6,9 +6,12 @@ All operators use the (batch, height, width, channels) layout and zero
 padding; out-of-range taps contribute nothing. The strided operators share
 one tap engine over ``_tap_view``, the view of the padded input that kernel
 tap (a, b) reads: ``_scatter`` is its adjoint and yields every input
-gradient plus the transposed-convolution forward; ``_im2col`` lays the
-taps side by side as one column matrix; ``_dense`` is the dense
-convolution forward. Only that forward has two execution strategies:
+gradient; ``_spread`` sends one 2-D ``g @ w[a, b].T`` product per tap
+through it, which is conv2d's input gradient and, for a kernel with its
+channel axes swapped, the whole transposed-convolution forward;
+``_im2col`` lays the taps side by side as one column matrix; ``_dense`` is
+the dense convolution forward. Only that forward has two execution
+strategies:
 
 * tap-ordered accumulation (default, ``deterministic`` mode): the output is
   built by adding one (kernel row, kernel col, input channel) tap at a time,
@@ -36,8 +39,9 @@ convolution forward. Only that forward has two execution strategies:
 
 The backward rules are GEMM-shaped and the same in both modes: a dense
 weight gradient is one ``_im2col(...).T @ g`` product, conv2d's input
-gradient scatters one 2-D ``g @ w[a, b].T`` product per tap, and an
-unpadded unit-stride 1x1 convolution needs no column copy or scatter.
+gradient is ``_spread``, and an unpadded unit-stride 1x1 convolution needs
+no column copy or scatter. Bilinear upsampling is a pair of interpolation
+matrices, one per axis; its backward applies their transposes.
 """
 
 from __future__ import annotations
@@ -189,6 +193,21 @@ def _scatter(shape, pads, taps, d: int, s: int, ho: int, wo: int, contrib, dtype
     for a, b in np.ndindex(*taps):
         _tap_view(buf, a, b, d, s, ho, wo)[...] += contrib(a, b)
     return buf[:, pt : pt + h, pl : pl + w, :]
+
+
+def _spread(g: np.ndarray, w: np.ndarray, shape, pads, d: int, s: int) -> np.ndarray:
+    """Input gradient of a dense tap gather with weight ``w`` whose output
+    gradient is ``g``: tap (a, b) sends the 2-D product g @ w[a, b].T back
+    through ``_scatter`` onto the (n, h, w, cin) ``shape``. An unpadded
+    unit-stride 1x1 kernel needs no scatter.
+    """
+    kh, kw, cin, cout = w.shape
+    _, ho, wo, _ = g.shape
+    g2 = g.reshape(-1, cout)
+    if kh == kw == 1 and s == 1 and not any(pads):
+        return (g2 @ w[0, 0].T).reshape(shape)
+    return _scatter(shape, pads, (kh, kw), d, s, ho, wo,
+                    lambda a, b: (g2 @ w[a, b].T).reshape(-1, ho, wo, cin), g.dtype)
 
 
 def _im2col(
@@ -381,19 +400,12 @@ def conv2d(x: Tensor, kernel: ConvKernel) -> Tensor:
     out = _bias_filled(kernel, (x.shape[0], ho, wo, cout), x.dtype)
     _dense(xp, w, d, s, out)
     x_shape = x.shape
-    pointwise = kh == kw == 1 and s == 1 and not any(kernel.padding)
     input_grad = x.requires_grad
 
     def grads(g: np.ndarray):
-        g2 = g.reshape(-1, cout)
-        if not input_grad:
-            gx = None  # a constant input, such as the network's image
-        elif pointwise:
-            gx = (g2 @ w[0, 0].T).reshape(x_shape)
-        else:
-            gx = _scatter(x_shape, kernel.padding, (kh, kw), d, s, ho, wo,
-                          lambda a, b: (g2 @ w[a, b].T).reshape(-1, ho, wo, cin), g.dtype)
-        return gx, (_im2col(xp, kh, kw, d, s, ho, wo).T @ g2).reshape(w.shape)
+        # No input gradient for a constant input, such as the network's image.
+        gx = _spread(g, w, x_shape, kernel.padding, d, s) if input_grad else None
+        return gx, (_im2col(xp, kh, kw, d, s, ho, wo).T @ g.reshape(-1, cout)).reshape(w.shape)
 
     return _record("conv2d", x, kernel, out, grads)
 
@@ -480,8 +492,8 @@ def max_pool(
 def transposed_conv(x: Tensor, kernel: ConvKernel) -> Tensor:
     """Transposed (fractionally strided) convolution; adjoint of conv2d.
 
-    The forward is conv2d's input gradient for a kernel with its channel
-    axes swapped: each input pixel scatters weight * value into a
+    The forward is ``_spread``, conv2d's input gradient, for a kernel with
+    its channel axes swapped: each input pixel scatters weight * value into a
     stride-spaced grid, which ``kernel.padding`` then crops. With kernel
     size 2, stride 2, no padding the spatial dims double exactly for every
     input size, which is how the decoder uses it.
@@ -497,8 +509,7 @@ def transposed_conv(x: Tensor, kernel: ConvKernel) -> Tensor:
         raise ShapeError(f"transposed_conv: non-positive output size {ho}x{wo}")
 
     x_data, w = x.data, kernel.weight.data
-    out = _scatter((n, ho, wo, cout), kernel.padding, (kh, kw), d, s, h, wdt,
-                   lambda a, b: x_data @ w[a, b], x.dtype)
+    out = _spread(x_data, w.swapaxes(2, 3), (n, ho, wo, cout), kernel.padding, d, s)
     if kernel.bias is not None:
         out = out + kernel.bias.data
 
@@ -523,55 +534,42 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return record_op("global_avg_pool", (x,), out, rule)
 
 
-def _axis_coords(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corner-aligned source indices and interpolation fractions per output."""
+def _interp_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
+    """(n_out, n_in) corner-aligned linear interpolation weights along one axis."""
+    m = np.zeros((n_out, n_in), dtype=np.float64)
     if n_in == 1 or n_out == 1:
-        lo = np.zeros(n_out, dtype=np.intp)
-        return lo, lo.copy(), np.zeros(n_out, dtype=np.float64)
+        m[:, 0] = 1.0
+        return m.astype(dtype)
     pos = np.arange(n_out, dtype=np.float64) * (n_in - 1) / (n_out - 1)
     lo = np.minimum(np.floor(pos).astype(np.intp), n_in - 2)
     frac = pos - lo
-    return lo, lo + 1, frac
+    rows = np.arange(n_out)
+    m[rows, lo] = 1.0 - frac
+    m[rows, lo + 1] = frac
+    return m.astype(dtype)
 
 
 def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Corner-aligned bilinear resampling to (out_h, out_w).
 
-    Exact on constant and linear ramps; resampling to the input size is the
-    identity.
+    out = My x Mx^T per channel, with one interpolation matrix per axis; the
+    backward is the transpose, My^T g Mx. Exact on constant and linear
+    ramps; resampling to the input size is the identity. Every output sums
+    over the whole input, O(out_h * out_w * h * w) per channel: trivial for
+    the model's pooled (n, 1, 1, c) map, slow for general resampling (3.4 s
+    forward plus backward for 36x36 -> 144x144 with 32 channels, 2 cores).
     """
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"bilinear_upsample: bad target size {out_h}x{out_w}")
-    n, h, w, c = x.shape
-    ylo, yhi, fy = _axis_coords(h, out_h)
-    xlo, xhi, fx = _axis_coords(w, out_w)
-    dt = x.dtype
-    wy0 = (1.0 - fy).astype(dt)[:, None]
-    wy1 = fy.astype(dt)[:, None]
-    wx0 = (1.0 - fx).astype(dt)[None, :]
-    wx1 = fx.astype(dt)[None, :]
-
-    d = x.data
-    g00 = d[:, ylo][:, :, xlo]
-    g01 = d[:, ylo][:, :, xhi]
-    g10 = d[:, yhi][:, :, xlo]
-    g11 = d[:, yhi][:, :, xhi]
-    w00 = (wy0 * wx0)[None, :, :, None]
-    w01 = (wy0 * wx1)[None, :, :, None]
-    w10 = (wy1 * wx0)[None, :, :, None]
-    w11 = (wy1 * wx1)[None, :, :, None]
-    out = g00 * w00 + g01 * w01 + g10 * w10 + g11 * w11
-
-    x_shape = x.shape
-    corners = ((ylo, xlo, w00), (ylo, xhi, w01), (yhi, xlo, w10), (yhi, xhi, w11))
+    _, h, w, _ = x.shape
+    my = _interp_matrix(h, out_h, x.dtype)
+    mx = _interp_matrix(w, out_w, x.dtype)
+    # One unoptimized three-operand einsum each way sums each element's terms
+    # in a single sequential pass; a per-axis contraction or optimize=True
+    # would associate the gradient's sums differently.
+    out = np.einsum("ih,nhwc,jw->nijc", my, x.data, mx)
 
     def rule(g: np.ndarray):
-        gx = np.zeros(x_shape, dtype=g.dtype)
-        rows = np.broadcast_to(np.arange(out_h)[:, None], (out_h, out_w))
-        cols = np.broadcast_to(np.arange(out_w)[None, :], (out_h, out_w))
-        for yi, xi, wgt in corners:
-            contrib = g * wgt
-            np.add.at(gx, (slice(None), yi[rows], xi[cols], slice(None)), contrib)
-        return (gx,)
+        return (np.einsum("ih,nijc,jw->nhwc", my, g, mx),)
 
     return record_op("bilinear_upsample", (x,), out, rule)

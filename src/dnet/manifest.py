@@ -6,8 +6,10 @@ Format, one record per line, paths relative to the manifest's directory::
     img_000.ppm mask_000.pgm
     img_001.ppm mask_001.pgm fov_001.pgm
 
-Loading a manifest validates that every referenced file exists, decodes,
-and that image and mask (and FOV) spatial dimensions agree.
+Blank lines and lines starting with ``#`` are skipped. Loading a manifest
+validates that every referenced file exists and decodes, that image and
+mask (and FOV) spatial dimensions agree, and that every record has the
+first one's size.
 """
 
 from __future__ import annotations
@@ -19,32 +21,40 @@ import numpy as np
 from .errors import ManifestError
 from .pnm import read_pnm
 
-__all__ = ["load_manifest", "write_manifest"]
+__all__ = ["load_manifest", "write_manifest", "as_rgb"]
 
 _SPLITS = ("train", "test")
+
+
+def as_rgb(img: np.ndarray) -> np.ndarray:
+    """An (H, W, 3) image as is; an (H, W) graymap repeated to three channels."""
+    return np.repeat(img[:, :, None], 3, axis=2) if img.ndim == 2 else img
 
 
 def load_manifest(path) -> list[tuple[np.ndarray, np.ndarray]]:
     """Validate a manifest and decode each file once into (image, mask) arrays.
 
     Images are (H, W, 3), graymaps repeated to three channels; masks are
-    (H, W, 1) binary. FOV files are only checked for size.
+    (H, W, 1) binary. Every image must have the first record's size, as a
+    training batch stacks them. FOV files are only checked for size. Errors
+    name the manifest and the line of the file at fault.
     """
     path = Path(path)
     base = path.parent
-    lines = [
-        line.strip()
-        for line in path.read_text().splitlines()
+    records = [
+        (lineno, line.strip())
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
         if line.strip() and not line.strip().startswith("#")
     ]
-    if not lines or not lines[0].startswith("split"):
+    if not records or not records[0][1].startswith("split"):
         raise ManifestError(f"{path}: first line must be 'split train|test'")
-    split_parts = lines[0].split()
+    split_line = records[0][1]
+    split_parts = split_line.split()
     if len(split_parts) != 2 or split_parts[1] not in _SPLITS:
-        raise ManifestError(f"{path}: bad split line {lines[0]!r}")
+        raise ManifestError(f"{path}: bad split line {split_line!r}")
 
     dataset = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in records[1:]:
         parts = line.split()
         if len(parts) not in (2, 3):
             raise ManifestError(
@@ -64,9 +74,12 @@ def load_manifest(path) -> list[tuple[np.ndarray, np.ndarray]]:
             )
         if len(files) == 3 and read_pnm(files[2]).shape != mask.shape:
             raise ManifestError(f"{path}:{lineno}: fov size does not match mask")
-        if img.ndim == 2:
-            img = np.repeat(img[:, :, None], 3, axis=2)
-        dataset.append((img, (mask > 0.5).astype(np.float64)[:, :, None]))
+        if dataset and mask.shape != dataset[0][1].shape[:2]:
+            raise ManifestError(
+                f"{path}:{lineno}: image {files[0]} is {mask.shape}, the first record's "
+                f"is {dataset[0][1].shape[:2]}; all images must share one size"
+            )
+        dataset.append((as_rgb(img), (mask > 0.5).astype(np.float64)[:, :, None]))
     if not dataset:
         raise ManifestError(f"{path}: manifest lists no records")
     return dataset

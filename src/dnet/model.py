@@ -157,10 +157,9 @@ class _Builder:
         cout: int,
         stride: int = 1,
         dilation: int = 1,
-        bias: bool = True,
     ) -> ConvKernel:
         w = self._weight(f"{name}.w", (k, k, cin, cout), fan_in=k * k * cin)
-        b = self._bias(f"{name}.b", cout) if bias else None
+        b = self._bias(f"{name}.b", cout)
         return ConvKernel(w, b, stride, dilation, same_pads(k, dilation, stride))
 
     def depthwise(self, name: str, k: int, c: int, dilation: int) -> ConvKernel:
@@ -226,6 +225,15 @@ class ResidualBottleneck:
     __call__ = forward
 
 
+def _unit_geometry(cfg: DNetConfig, stage: int, unit: int) -> tuple[int, int]:
+    """(stride, dilation) of a residual unit's spatial convolution: a stage
+    strides in its first unit, and stages 4 and 5 dilate by the rate triple.
+    """
+    stride = BLOCK_ENTRY_STRIDE[stage] if unit == 0 else 1
+    dilation = cfg.dilations[unit] if stage in (4, 5) else 1
+    return stride, dilation
+
+
 @dataclass
 class EncoderFeatures:
     """Deep stage outputs (all at 1/16) plus the decoder skip sources."""
@@ -254,8 +262,7 @@ class Encoder:
             widths = tuple(w(c) for c in BLOCK_WIDTHS[stage])
             units = []
             for unit in range(3):
-                stride = BLOCK_ENTRY_STRIDE[stage] if unit == 0 else 1
-                dilation = cfg.dilations[unit] if stage in (4, 5) else 1
+                stride, dilation = _unit_geometry(cfg, stage, unit)
                 block = ResidualBottleneck(
                     builder, f"block{stage}.unit{unit + 1}", cin, widths,
                     stride=stride, dilation=dilation,
@@ -303,7 +310,6 @@ class MSIF:
 
     def __init__(self, builder: _Builder, cfg: DNetConfig, cin: int):
         width = cfg.width(MSIF_WIDTH)
-        self.rates = cfg.msif_rates
         self.point = _ConvUnit(builder.conv("msif.point", 1, cin, width), True)
         self.sep_branches = []
         for i, rate in enumerate(cfg.msif_rates, start=1):
@@ -338,41 +344,32 @@ class Decoder:
 
     def __init__(self, builder: _Builder, cfg: DNetConfig, cin: int,
                  skip_channels: tuple[int, int, int]):
-        w1, w2, w3, w4 = (cfg.width(c) for c in DECODER_WIDTHS)
-        s8, s4, s2 = skip_channels
-        self.up1 = builder.tconv("decoder.up1", 2, cin, w1, 2)
-        self.fuse1 = _ConvUnit(builder.conv("decoder.fuse1", 3, w1 + s8, w1), True)
-        self.up2 = builder.tconv("decoder.up2", 2, w1, w2, 2)
-        self.fuse2 = _ConvUnit(builder.conv("decoder.fuse2", 3, w2 + s4, w2), True)
-        self.up3 = builder.tconv("decoder.up3", 2, w2, w3, 2)
-        self.fuse3 = _ConvUnit(builder.conv("decoder.fuse3", 3, w3 + s2, w3), True)
-        self.up4 = builder.tconv("decoder.up4", 2, w3, w4, 2)
+        *widths, w4 = (cfg.width(c) for c in DECODER_WIDTHS)
+        # (doubling, fuse) per skip stage, registered up1, fuse1, up2, ...
+        self.stages: list[tuple[ConvKernel, _ConvUnit]] = []
+        for i, (width, skip) in enumerate(zip(widths, skip_channels), start=1):
+            up = builder.tconv(f"decoder.up{i}", 2, cin, width, 2)
+            fuse = _ConvUnit(builder.conv(f"decoder.fuse{i}", 3, width + skip, width), True)
+            self.stages.append((up, fuse))
+            cin = width
+        self.up4 = builder.tconv("decoder.up4", 2, cin, w4, 2)
         self.refine1 = _ConvUnit(builder.conv("decoder.refine1", 3, w4, w4), True)
         self.refine2 = _ConvUnit(builder.conv("decoder.refine2", 3, w4, w4), True)
         self.head = builder.conv("decoder.head", 1, w4, 1)
-
-    @staticmethod
-    def _check_skip(stage: str, h: Tensor, skip: Tensor) -> None:
-        if skip.shape[:3] != h.shape[:3]:
-            raise ShapeError(
-                f"decoder {stage}: skip resolution mismatch, feature {h.shape} "
-                f"vs skip {skip.shape}"
-            )
 
     def forward(self, u: Tensor, skips) -> Tensor:
         skips = tuple(skips)
         if len(skips) != 3:
             raise ShapeError(f"decoder expects 3 skips (1/8, 1/4, 1/2), got {len(skips)}")
-        s8, s4, s2 = skips
-        h = relu(transposed_conv(u, self.up1))
-        self._check_skip("stage1", h, s8)
-        h = self.fuse1(concat_channels((h, s8)))
-        h = relu(transposed_conv(h, self.up2))
-        self._check_skip("stage2", h, s4)
-        h = self.fuse2(concat_channels((h, s4)))
-        h = relu(transposed_conv(h, self.up3))
-        self._check_skip("stage3", h, s2)
-        h = self.fuse3(concat_channels((h, s2)))
+        h = u
+        for i, ((up, fuse), skip) in enumerate(zip(self.stages, skips), start=1):
+            h = relu(transposed_conv(h, up))
+            if skip.shape[:3] != h.shape[:3]:
+                raise ShapeError(
+                    f"decoder stage{i}: skip resolution mismatch, feature {h.shape} "
+                    f"vs skip {skip.shape}"
+                )
+            h = fuse(concat_channels((h, skip)))
         h = relu(transposed_conv(h, self.up4))
         h = self.refine2(self.refine1(h))
         return conv2d(h, self.head)
@@ -433,8 +430,7 @@ def encoder_layer_specs(cfg: DNetConfig) -> list[LayerSpec]:
     ]
     for stage in range(1, 6):
         for unit in range(3):
-            stride = BLOCK_ENTRY_STRIDE[stage] if unit == 0 else 1
-            dilation = cfg.dilations[unit] if stage in (4, 5) else 1
+            stride, dilation = _unit_geometry(cfg, stage, unit)
             base = f"block{stage}.unit{unit + 1}"
             layers.append(LayerSpec("conv", 1, 1, 1, f"{base}.reduce"))
             layers.append(LayerSpec("conv", 3, stride, dilation, f"{base}.spatial"))

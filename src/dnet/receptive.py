@@ -10,7 +10,7 @@ increasing rates keep the sampling dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ShapeError
@@ -53,7 +53,6 @@ class LayerSpec:
 @dataclass(frozen=True)
 class LayerRF:
     name: str
-    kind: str
     k_eff: int
     jump: Fraction
     rf: Fraction
@@ -64,11 +63,10 @@ class CoverageReport:
     """Whether one top unit reaches every bottom position inside its span.
 
     ``holes`` lists missed offsets relative to the leftmost reachable
-    position; ``span`` is the total extent of the reachable interval.
+    position.
     """
 
     dense: bool
-    span: int
     holes: tuple[int, ...]
 
 
@@ -88,9 +86,7 @@ class RFReport:
 
 def rf_single(k: int, r: int) -> int:
     """Receptive field of one dilated convolution: (k - 1)(r - 1) + k."""
-    if k < 1 or r < 1:
-        raise ShapeError(f"rf_single: need k, r >= 1, got k={k} r={r}")
-    return (k - 1) * (r - 1) + k
+    return dilated_kernel_extent(k, r)
 
 
 def rf_stack(layers) -> RFReport:
@@ -115,34 +111,24 @@ def rf_stack(layers) -> RFReport:
         else:
             rf = rf + (layer.k_eff - 1) * jump
             jump = jump * layer.s
-        rows.append(
-            LayerRF(layer.name or f"layer{idx}", layer.kind, layer.k_eff, jump, rf)
-        )
-    return RFReport(tuple(rows), coverage=_trace_coverage(layers))
+        rows.append(LayerRF(layer.name or f"layer{idx}", layer.k_eff, jump, rf))
+    positions = _reachable_positions(layers)
+    if positions is None:
+        return RFReport(tuple(rows))
+    lo, hi = min(positions), max(positions)
+    holes = tuple(q - lo for q in range(lo, hi + 1) if q not in positions)
+    return RFReport(tuple(rows), coverage=CoverageReport(dense=not holes, holes=holes))
 
 
 def _reachable_positions(layers) -> set[int] | None:
     """Bottom-layer positions one top unit depends on; None if not integral."""
     positions = {0}
-    for layer in reversed(list(layers)):
+    for layer in reversed(layers):
         if layer.kind == "tconv":
             return None
         taps = [i * layer.r for i in range(layer.k)]
         positions = {p * layer.s + t for p in positions for t in taps}
     return positions
-
-
-def _coverage_of(positions: set[int]) -> CoverageReport:
-    lo, hi = min(positions), max(positions)
-    holes = tuple(q - lo for q in range(lo, hi + 1) if q not in positions)
-    return CoverageReport(dense=not holes, span=hi - lo + 1, holes=holes)
-
-
-def _trace_coverage(layers) -> CoverageReport | None:
-    positions = _reachable_positions(layers)
-    if positions is None:
-        return None
-    return _coverage_of(positions)
 
 
 def coverage_map(dilations, k: int = 3) -> CoverageReport:
@@ -155,8 +141,5 @@ def coverage_map(dilations, k: int = 3) -> CoverageReport:
     dilations = tuple(dilations)
     if not dilations:
         raise ShapeError("coverage_map: need at least one dilation rate")
-    layers = [LayerSpec("conv", k, 1, d) for d in dilations]
-    positions = _reachable_positions(layers)
-    assert positions is not None
-    return _coverage_of(positions)
+    return rf_stack(LayerSpec("conv", k, 1, d) for d in dilations).coverage
 

@@ -83,13 +83,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if dtype is not None:
-            arr = np.asarray(data, dtype=np.dtype(dtype))
-        else:
-            arr = np.asarray(data)
-            if arr.dtype not in _ALLOWED_DTYPES:
-                arr = arr.astype(_default_dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
+        if arr.dtype not in _ALLOWED_DTYPES:
+            arr = arr.astype(_default_dtype)
         if arr.ndim != 4:
             raise ShapeError(
                 f"tensors are 4-D (batch, height, width, channels); got shape {arr.shape}"

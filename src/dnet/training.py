@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, backward, default_dtype, recording, tensor
+from .tensor import Tensor, backward, default_dtype, recording
 from .losses import total_loss
 from .metrics import MASK_THRESHOLD, ConfusionCounts, MetricsReport, confusion, metrics
 
@@ -171,8 +171,6 @@ class _BatchSampler:
 def _stack_batch(dataset, indices):
     x = np.stack([dataset[i][0] for i in indices]).astype(default_dtype())
     y = np.stack([dataset[i][1] for i in indices]).astype(default_dtype())
-    if y.ndim == 3:
-        y = y[..., None]
     return Tensor(x), Tensor(y)
 
 
@@ -252,8 +250,7 @@ def _raster_bezier(mask: np.ndarray, p0, p1, p2, width: int) -> None:
     h, w = mask.shape
     approx_len = np.hypot(*(p1 - p0)) + np.hypot(*(p2 - p1))
     steps = max(8, int(3 * approx_len))
-    t = np.linspace(0.0, 1.0, steps)[:, None]
-    pts = (1 - t) ** 2 * p0 + 2 * (1 - t) * t * p1 + t**2 * p2
+    pts = _bezier_point(p0, p1, p2, np.linspace(0.0, 1.0, steps)[:, None])
     radius = width / 2.0
     r_int = int(np.ceil(radius))
     for y, x in pts:
@@ -279,7 +276,8 @@ def _random_curve(rng: np.random.Generator, h: int, w: int):
     return p0, p1, p2
 
 
-def _bezier_point(p0, p1, p2, t: float):
+def _bezier_point(p0, p1, p2, t):
+    """Point(s) of the quadratic Bezier curve at t, a scalar or an (m, 1) column."""
     return (1 - t) ** 2 * p0 + 2 * (1 - t) * t * p1 + t**2 * p2
 
 

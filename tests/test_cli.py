@@ -5,7 +5,7 @@ import pytest
 
 from dnet.cli import main
 from dnet.model import DNet, DNetConfig, load_checkpoint, save_checkpoint
-from dnet.pnm import read_pnm
+from dnet.pnm import read_pnm, write_mask_pgm, write_ppm, write_prob_pgm
 
 
 def run_cli(*args) -> int:
@@ -108,6 +108,45 @@ class TestPipeline:
         assert a == b
 
 
+    def test_predict_graymap_matches_gray_pixmap(self, workspace, tmp_path):
+        # A graymap is the pixmap with three equal channels. Multiples of
+        # 1/255 store exactly in both the 16-bit P5 and the 8-bit P6.
+        gray = np.random.default_rng(0).integers(0, 256, size=(32, 32)) / 255.0
+        write_prob_pgm(tmp_path / "g.pgm", gray)
+        write_ppm(tmp_path / "g.ppm", np.repeat(gray[:, :, None], 3, axis=2))
+        ckpt = workspace / "run" / "checkpoint.dnet"
+        for image, out in (("g.pgm", "a"), ("g.ppm", "b")):
+            assert run_cli("predict", "--checkpoint", ckpt, "--image", tmp_path / image,
+                           "--out", tmp_path / out) == 0
+        a = (tmp_path / "a" / "g.prob.pgm").read_bytes()
+        assert a == (tmp_path / "b" / "g.prob.pgm").read_bytes()
+        assert read_pnm(tmp_path / "a" / "g.prob.pgm").shape == (32, 32)
+
+    def test_predict_shape_error_names_the_image(self, workspace, tmp_path, capsys):
+        image = tmp_path / "odd.ppm"
+        write_ppm(image, np.full((40, 40, 3), 0.5))
+        assert run_cli("predict", "--checkpoint", workspace / "run" / "checkpoint.dnet",
+                       "--image", image, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: shape: {image}: ")
+        assert "40x40" in err and "\n" not in err
+
+    def test_train_rejects_mixed_image_sizes(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_cli("synth", "--n", 2, "--height", 32, "--width", 32, "--out", data) == 0
+        manifest = data / "mixed.txt"
+        write_ppm(data / "big.ppm", np.full((48, 48, 3), 0.5))
+        write_mask_pgm(data / "big.pgm", np.zeros((48, 48)))
+        manifest.write_text((data / "manifest.txt").read_text() + "big.ppm big.pgm\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = 1\nchannels_scale = 0.0625\n")
+        assert run_cli("train", "--config", cfg, "--manifest", manifest,
+                       "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest: {manifest}:4: image {data / 'big.ppm'}")
+        assert err.count("\n") == 1
+
+
 class TestTrainSynthMode:
     def test_synth_training_writes_loadable_checkpoint(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -204,3 +243,42 @@ class TestErrorPaths:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: pnm:")
         assert "\n" not in err
+
+
+class TestEvalManifestErrors:
+    """Each of eval's input checks exits 1 with one line naming the file."""
+
+    @staticmethod
+    def _eval(tmp_path, capsys, fov=False):
+        args = ["eval", "--pred", tmp_path / "p", "--gt", tmp_path / "gt",
+                "--out", tmp_path / "o"]
+        if fov:
+            args += ["--fov", tmp_path / "fov"]
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest: eval: ") and err.count("\n") == 1
+        return err
+
+    @pytest.fixture
+    def dirs(self, tmp_path):
+        for name in ("p", "gt", "fov"):
+            (tmp_path / name).mkdir()
+        return tmp_path
+
+    def test_no_prediction_files(self, dirs, capsys):
+        write_mask_pgm(dirs / "p" / "a.mask.pgm", np.zeros((4, 4)))  # not a probability map
+        assert str(dirs / "p") in self._eval(dirs, capsys)
+
+    def test_missing_ground_truth(self, dirs, capsys):
+        write_prob_pgm(dirs / "p" / "a.prob.pgm", np.zeros((4, 4)))
+        assert str(dirs / "gt" / "a.pgm") in self._eval(dirs, capsys)
+
+    def test_size_mismatch(self, dirs, capsys):
+        write_prob_pgm(dirs / "p" / "a.prob.pgm", np.zeros((4, 4)))
+        write_mask_pgm(dirs / "gt" / "a.pgm", np.zeros((4, 6)))
+        assert str(dirs / "p" / "a.prob.pgm") in self._eval(dirs, capsys)
+
+    def test_missing_fov_mask(self, dirs, capsys):
+        write_prob_pgm(dirs / "p" / "a.prob.pgm", np.zeros((4, 4)))
+        write_mask_pgm(dirs / "gt" / "a.pgm", np.zeros((4, 4)))
+        assert str(dirs / "fov" / "a.pgm") in self._eval(dirs, capsys, fov=True)

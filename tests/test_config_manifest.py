@@ -7,7 +7,7 @@ from dnet.config import parse_run_config
 from dnet.errors import ConfigError, ManifestError
 from dnet.manifest import load_manifest, write_manifest
 from dnet.model import DNetConfig
-from dnet.pnm import write_mask_pgm, write_ppm
+from dnet.pnm import read_pnm, write_mask_pgm, write_ppm, write_prob_pgm
 from dnet.training import TrainConfig, synth_vessels
 
 
@@ -149,3 +149,33 @@ class TestManifest:
         (tmp_path / "manifest.txt").write_text("split train\n")
         with pytest.raises(ManifestError):
             load_manifest(tmp_path / "manifest.txt")
+
+    def test_errors_name_the_file_line(self, tmp_path):
+        # Comments and blank lines count: the bad record is on line 5.
+        materialize(tmp_path, n=1)
+        path = tmp_path / "bad.txt"
+        path.write_text("split train\n# a comment\n\nimg_0.ppm img_0.pgm\nimg_0.ppm\n")
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}:5: expected"):
+            load_manifest(path)
+
+    def test_mixed_image_sizes_rejected(self, tmp_path):
+        materialize(tmp_path, n=2)
+        img, mask = synth_vessels(1, 1, 48, 48)[0]
+        write_ppm(tmp_path / "big.ppm", img)
+        write_mask_pgm(tmp_path / "big.pgm", mask[:, :, 0])
+        path = tmp_path / "manifest.txt"
+        path.write_text(path.read_text() + "big.ppm big.pgm\n")
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}:4: image .*big.ppm"):
+            load_manifest(path)
+
+    def test_graymap_image_repeated_to_three_channels(self, tmp_path):
+        original = materialize(tmp_path, n=1)
+        gray = original[0][0].mean(axis=2)
+        write_prob_pgm(tmp_path / "gray.pgm", gray)
+        (tmp_path / "manifest.txt").write_text("split test\ngray.pgm img_0.pgm\n")
+        (img, mask), = load_manifest(tmp_path / "manifest.txt")
+        assert img.shape == (32, 32, 3)
+        stored = read_pnm(tmp_path / "gray.pgm")
+        for c in range(3):
+            assert np.array_equal(img[:, :, c], stored)
+        assert np.array_equal(mask, original[0][1])

@@ -555,6 +555,66 @@ class TestBilinearUpsample:
             assert max_rel_err(grads[x], fd_full_grad(loss_fn, x)) < 1e-4
 
 
+def corner_bilinear(x, out_h, out_w, g):
+    """Bilinear resampling as four corner gathers, and its gradient for the
+    upstream ``g`` as four ``np.add.at`` corner scatters."""
+    def coords(n_in, n_out):
+        if n_in == 1 or n_out == 1:
+            return np.zeros(n_out, dtype=np.intp), np.zeros(n_out, dtype=np.intp), np.zeros(n_out)
+        pos = np.arange(n_out) * (n_in - 1) / (n_out - 1)
+        lo = np.minimum(np.floor(pos).astype(np.intp), n_in - 2)
+        return lo, lo + 1, pos - lo
+
+    (ylo, yhi, fy), (xlo, xhi, fx) = coords(x.shape[1], out_h), coords(x.shape[2], out_w)
+    wy = ((1.0 - fy).astype(x.dtype)[:, None], fy.astype(x.dtype)[:, None])
+    wx = ((1.0 - fx).astype(x.dtype)[None, :], fx.astype(x.dtype)[None, :])
+    corners = [(yi, xi, (wy[a] * wx[b])[None, :, :, None])
+               for a, yi in enumerate((ylo, yhi)) for b, xi in enumerate((xlo, xhi))]
+    terms = [x[:, yi][:, :, xi] * w for yi, xi, w in corners]
+    out = terms[0] + terms[1] + terms[2] + terms[3]
+    gx = np.zeros_like(x)
+    rows, cols = np.meshgrid(np.arange(out_h), np.arange(out_w), indexing="ij")
+    for yi, xi, w in corners:
+        np.add.at(gx, (slice(None), yi[rows], xi[cols], slice(None)), g * w)
+    return out, gx
+
+
+class TestBilinearMatchesCornerReference:
+    """The interpolation-matrix rule against the four-corner rule."""
+
+    @staticmethod
+    def _run(data, out_h, out_w, rng):
+        x = Tensor(data, requires_grad=True)
+        with recording() as graph:
+            y = bilinear_upsample(x, out_h, out_w)
+            u = rng.normal(size=y.shape).astype(data.dtype)
+            grads = backward(sum_all(multiply(y, Tensor(u))), graph)
+        return (y.data, grads[x]), corner_bilinear(data, out_h, out_w, u)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pooled_map_bit_identical(self, dtype, rng):
+        # The model upsamples an (n, 1, 1, c) pooled map: every output is one
+        # term and every gradient one sequential sum, so the bits agree.
+        for _ in range(40):
+            n, c = rng.integers(1, 4), rng.integers(1, 9)
+            out_h, out_w = rng.integers(1, 40, size=2)
+            data = (rng.normal(size=(n, 1, 1, c)) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+            got, want = self._run(data, int(out_h), int(out_w), rng)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_general_resampling_to_tolerance(self, dtype, rng):
+        tol = 100 * np.finfo(dtype).eps
+        for shape, out_h, out_w in [((1, 3, 3, 2), 7, 5), ((2, 5, 4, 3), 3, 9),
+                                    ((1, 6, 1, 1), 11, 4), ((1, 4, 4, 2), 4, 4)]:
+            data = rng.normal(size=shape).astype(dtype)
+            got, want = self._run(data, out_h, out_w, rng)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max())
+
+
 class TestSamePads:
     def test_stride1_preserves_resolution(self, rng):
         for k in (1, 3, 5):

@@ -1,0 +1,50 @@
+"""Unused module-level imports in the package, found with the standard
+library's ``ast`` alone (no linter is a dependency)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dnet"
+# dnet/__init__.py imports names only to re-export them.
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each module-level import that nothing in the module
+    reads. ``__future__`` imports and names listed in ``__all__`` are used.
+    """
+    tree = ast.parse(source)
+    exported: set[str] = set()
+    imported: list[tuple[int, str]] = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+        elif isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [(line, name) for line, name in imported if name not in read | exported]
+
+
+def test_checker_flags_only_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "from json import dumps, loads\n"
+        "__all__ = ['loads']\n"
+        "def f(x: osp.PathLike) -> None:\n"
+        "    return None\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (4, "dumps")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = unused_imports(path.read_text())
+    assert not unused, ", ".join(f"{path.name}:{line}: {name}" for line, name in unused)

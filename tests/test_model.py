@@ -164,13 +164,9 @@ def _collect_kernels(model) -> list[ConvKernel]:
         kernels.append(model.msif.gap_conv.kernel)
         kernels.append(model.msif.fuse.kernel)
     dec = model.decoder
-    kernels.extend(
-        [
-            dec.up1, dec.fuse1.kernel, dec.up2, dec.fuse2.kernel,
-            dec.up3, dec.fuse3.kernel, dec.up4,
-            dec.refine1.kernel, dec.refine2.kernel, dec.head,
-        ]
-    )
+    for up, fuse in dec.stages:
+        kernels.extend([up, fuse.kernel])
+    kernels.extend([dec.up4, dec.refine1.kernel, dec.refine2.kernel, dec.head])
     return kernels
 
 
@@ -464,3 +460,26 @@ class TestEncoderLayerSpecs:
             l.r for l in layers if l.name.endswith(".spatial") and "block4" in l.name
         ]
         assert spatial_rates == [1, 2, 4]
+
+    @pytest.mark.parametrize("dilations", [(1, 2, 4), (1, 1, 1)])
+    def test_specs_match_the_built_encoder(self, dilations):
+        # The RF table that `dnet rf-analyze --config` prints must describe
+        # the network that DNet builds: the same convs, in order, with the
+        # same kernel size, stride and dilation.
+        cfg = DNetConfig(dilations=dilations)
+        model = DNet(cfg, seed=0)
+        names = {id(t): name for name, t in model.parameters().items()}
+        enc = model.encoder
+        convs = [unit.kernel for unit in (enc.root1, enc.root2, enc.root3)]
+        for stage in enc.blocks:
+            for block in stage:
+                convs += [block.reduce.kernel, block.spatial.kernel, block.restore.kernel]
+        built = [
+            (names[id(k.weight)], k.weight.shape[0], k.weight.shape[1], k.stride, k.dilation)
+            for k in convs
+        ]
+        layers = encoder_layer_specs(cfg)
+        assert [(l.kind, l.name) for l in layers if l.kind != "conv"] == [("pool", "root.pool")]
+        assert layers[3].kind == "pool"
+        specs = [(f"{l.name}.w", l.k, l.k, l.s, l.r) for l in layers if l.kind == "conv"]
+        assert specs == built
