@@ -3,7 +3,7 @@
 A self-contained implementation of an encoder/decoder vessel-segmentation
 network and all of its numeric building blocks: a small reverse-mode
 autodiff engine over 4-D tensors, the convolution operator family
-(dilated, depthwise, transposed, pooling, bilinear resampling),
+(dilated, depthwise, transposed, pooling, pooled-map upsampling),
 receptive-field and sampling-coverage analysis, the training objective and
 optimizer, evaluation metrics with ROC/PR curves, and a CLI for desk-scale
 experiments on synthetic data.

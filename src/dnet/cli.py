@@ -34,6 +34,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_synth(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be positive, got {args.n}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset = synth_vessels(args.seed, args.n, args.height, args.width)
@@ -151,6 +153,15 @@ def _cmd_eval(args) -> int:
         keep = fov if fov is not None else np.ones_like(gt, dtype=bool)
         scores.append(pred[keep].ravel())
         labels.append(gt[keep].ravel())
+    # metrics() and roc_pr_curves() reject these as shape errors; here they
+    # are defects of the input files.
+    if counts.total == 0:
+        raise ManifestError(f"eval: the FOV masks in {fov_dir} select no pixels")
+    vessel = counts.tp + counts.fn
+    if vessel in (0, counts.total):
+        where = " inside the FOV" if fov_dir is not None else ""
+        raise ManifestError(f"eval: the ground truth in {gt_dir} has no "
+                            f"{'background' if vessel else 'vessel'} pixels{where}")
 
     report = metrics(counts)
     curves = roc_pr_curves(np.concatenate(scores), np.concatenate(labels))

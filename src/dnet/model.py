@@ -8,11 +8,11 @@ striding; the outputs of stages 3, 4 and 5 (all at 1/16 resolution) are
 channel-concatenated into a single feature map. A multi-scale fusion module
 pools that map through five parallel branches (a 1x1 convolution, three
 dilated depthwise 3x3 convolutions each mixed by a 1x1 convolution, and a
-global-average branch that is upsampled back), concatenates them, and fuses
-to a fixed width. The decoder doubles resolution four times with transposed
-convolutions, concatenating an encoder skip feature after each of the first
-three doublings, and ends in two 3x3 refinement convolutions and a 1x1 head
-whose sigmoid gives the per-pixel vessel probability.
+global-average branch broadcast back over the map), concatenates them, and
+fuses to a fixed width. The decoder doubles resolution four times with
+transposed convolutions, concatenating an encoder skip feature after each of
+the first three doublings, and ends in two 3x3 refinement convolutions and a
+1x1 head whose sigmoid gives the per-pixel vessel probability.
 """
 
 from __future__ import annotations
@@ -303,7 +303,8 @@ class MSIF:
     Branches: a 1x1 convolution keeping the current scale, three dilated
     3x3 depthwise convolutions at the configured rates, each mixed across
     channels by a 1x1 convolution, and a global-average branch (spatial
-    mean, 1x1 convolution, bilinear upsample back to the input size). Every
+    mean, 1x1 convolution, then a broadcast of the pooled map back to the
+    input size, which is its corner-aligned bilinear upsample). Every
     branch emits the same width; the stacked result is fused by a 1x1
     convolution to that width again.
     """

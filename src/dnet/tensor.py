@@ -32,7 +32,6 @@ __all__ = [
     "Graph",
     "Node",
     "recording",
-    "active_graph",
     "record_op",
     "default_dtype",
     "using_dtype",
@@ -157,10 +156,6 @@ class Graph:
 _graph_stack: list[Graph] = []
 
 
-def active_graph() -> Graph | None:
-    return _graph_stack[-1] if _graph_stack else None
-
-
 @contextmanager
 def recording():
     """Activate a new graph; operations executed inside are recorded onto it."""
@@ -184,10 +179,9 @@ def record_op(
     use; when no graph is active the result is returned untracked.
     """
     out = Tensor(out_data)
-    g = active_graph()
-    if g is not None and any(t.requires_grad for t in inputs):
+    if _graph_stack and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        g.record(Node(op, tuple(inputs), out, backward_rule))
+        _graph_stack[-1].record(Node(op, tuple(inputs), out, backward_rule))
     return out
 
 

@@ -163,6 +163,13 @@ class TestTrainSynthMode:
         assert run_cli("train", "--config", cfg, "--out", tmp_path / "o") == 1
         assert capsys.readouterr().err.startswith("error: config:")
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_synth_rejects_non_positive_count(self, tmp_path, capsys, n):
+        out = tmp_path / "data"
+        assert run_cli("synth", "--n", n, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: config: --n must be positive, got {n}\n"
+        assert not out.exists()
+
     def test_bad_loss_weight_fails_before_any_output(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("max_iter = 1\nlambda = -1\n")
@@ -282,3 +289,16 @@ class TestEvalManifestErrors:
         write_prob_pgm(dirs / "p" / "a.prob.pgm", np.zeros((4, 4)))
         write_mask_pgm(dirs / "gt" / "a.pgm", np.zeros((4, 4)))
         assert str(dirs / "fov" / "a.pgm") in self._eval(dirs, capsys, fov=True)
+
+    def test_fov_masks_select_no_pixels(self, dirs, capsys):
+        write_prob_pgm(dirs / "p" / "a.prob.pgm", np.full((4, 4), 0.7))
+        write_mask_pgm(dirs / "gt" / "a.pgm", np.eye(4))
+        write_mask_pgm(dirs / "fov" / "a.pgm", np.zeros((4, 4)))
+        err = self._eval(dirs, capsys, fov=True)
+        assert str(dirs / "fov") in err and "select no pixels" in err
+
+    def test_ground_truth_without_vessels(self, dirs, capsys):
+        write_prob_pgm(dirs / "p" / "a.prob.pgm", np.full((4, 4), 0.7))
+        write_mask_pgm(dirs / "gt" / "a.pgm", np.zeros((4, 4)))
+        err = self._eval(dirs, capsys)
+        assert str(dirs / "gt") in err and "no vessel pixels" in err

@@ -1,7 +1,9 @@
-"""Unused module-level imports in the package, found with the standard
-library's ``ast`` alone (no linter is a dependency)."""
+"""Unused module-level imports and broken ``__all__`` lists in the package,
+found with the standard library alone (no linter is a dependency)."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,25 @@ def test_checker_flags_only_unused_names():
 def test_no_unused_imports(path):
     unused = unused_imports(path.read_text())
     assert not unused, ", ".join(f"{path.name}:{line}: {name}" for line, name in unused)
+
+
+def export_defects(module) -> tuple[list[str], list[str]]:
+    """Names in ``module.__all__`` that the module lacks, and names listed
+    more than once."""
+    names = list(getattr(module, "__all__", ()))
+    missing = [name for name in names if not hasattr(module, name)]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    return missing, repeated
+
+
+def test_export_checker_flags_stale_and_repeated_names():
+    module = types.ModuleType("m")
+    module.f = module.g = lambda: None
+    module.__all__ = ["f", "gone", "g", "f"]
+    assert export_defects(module) == (["gone"], ["f"])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exports_resolve_once(path):
+    missing, repeated = export_defects(importlib.import_module(f"dnet.{path.stem}"))
+    assert not missing and not repeated, f"{path.name}: missing {missing}, repeated {repeated}"
