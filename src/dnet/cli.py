@@ -149,6 +149,10 @@ def _cmd_eval(args) -> int:
             if not fov_path.is_file():
                 raise ManifestError(f"eval: missing fov mask {fov_path}")
             fov = read_pnm(fov_path) > 0.5
+            if fov.shape != gt.shape:
+                raise ManifestError(
+                    f"eval: fov mask {fov_path} shape {fov.shape} vs ground truth {gt.shape}"
+                )
         counts = counts + confusion(pred >= MASK_THRESHOLD, gt, fov)
         keep = fov if fov is not None else np.ones_like(gt, dtype=bool)
         scores.append(pred[keep].ravel())
@@ -194,6 +198,8 @@ def _read_layers_file(path) -> list[LayerSpec]:
             layers.append(LayerSpec(kind, int(k), int(s), int(r), f"line{lineno}"))
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: k, s, r must be integers") from None
+        except ShapeError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     if not layers:
         raise ConfigError(f"{path}: no layers found")
     return layers

@@ -12,7 +12,8 @@ global-average branch broadcast back over the map), concatenates them, and
 fuses to a fixed width. The decoder doubles resolution four times with
 transposed convolutions, concatenating an encoder skip feature after each of
 the first three doublings, and ends in two 3x3 refinement convolutions and a
-1x1 head whose sigmoid gives the per-pixel vessel probability.
+1x1 head. The network returns that head's per-pixel logits; callers take
+their sigmoid for the vessel probability.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .tensor import (
     default_dtype,
     elementwise_add,
     relu,
-    sigmoid,
 )
 from .convops import (
     ConvKernel,
@@ -166,11 +166,6 @@ class _Builder:
         w = self._weight(f"{name}.w", (k, k, c, 1), fan_in=k * k)
         b = self._bias(f"{name}.b", c)
         return ConvKernel(w, b, 1, dilation, same_pads(k, dilation, 1))
-
-    def tconv(self, name: str, k: int, cin: int, cout: int, stride: int) -> ConvKernel:
-        w = self._weight(f"{name}.w", (k, k, cin, cout), fan_in=k * k * cin)
-        b = self._bias(f"{name}.b", cout)
-        return ConvKernel(w, b, stride, 1, (0, 0, 0, 0))
 
 
 class _ConvUnit:
@@ -338,9 +333,11 @@ class MSIF:
 class Decoder:
     """Four transposed-conv doublings back to input resolution.
 
-    The first three doublings each concatenate the matching encoder skip and
-    fuse with a 3x3 convolution; the last is followed by two 3x3 refinement
-    convolutions and a 1x1 head producing single-channel logits.
+    The first three doublings each concatenate the encoder skip of the
+    matching resolution (``skip8``, ``skip4``, ``skip2``) and fuse with a 3x3
+    convolution; the last is followed by two 3x3 refinement convolutions and
+    a 1x1 head producing single-channel logits. Each doubling's kernel is a
+    2x2 stride-2 convolution kernel, whose same-padding is zero.
     """
 
     def __init__(self, builder: _Builder, cfg: DNetConfig, cin: int,
@@ -349,28 +346,19 @@ class Decoder:
         # (doubling, fuse) per skip stage, registered up1, fuse1, up2, ...
         self.stages: list[tuple[ConvKernel, _ConvUnit]] = []
         for i, (width, skip) in enumerate(zip(widths, skip_channels), start=1):
-            up = builder.tconv(f"decoder.up{i}", 2, cin, width, 2)
+            up = builder.conv(f"decoder.up{i}", 2, cin, width, 2)
             fuse = _ConvUnit(builder.conv(f"decoder.fuse{i}", 3, width + skip, width), True)
             self.stages.append((up, fuse))
             cin = width
-        self.up4 = builder.tconv("decoder.up4", 2, cin, w4, 2)
+        self.up4 = builder.conv("decoder.up4", 2, cin, w4, 2)
         self.refine1 = _ConvUnit(builder.conv("decoder.refine1", 3, w4, w4), True)
         self.refine2 = _ConvUnit(builder.conv("decoder.refine2", 3, w4, w4), True)
         self.head = builder.conv("decoder.head", 1, w4, 1)
 
-    def forward(self, u: Tensor, skips) -> Tensor:
-        skips = tuple(skips)
-        if len(skips) != 3:
-            raise ShapeError(f"decoder expects 3 skips (1/8, 1/4, 1/2), got {len(skips)}")
+    def forward(self, u: Tensor, feats: EncoderFeatures) -> Tensor:
         h = u
-        for i, ((up, fuse), skip) in enumerate(zip(self.stages, skips), start=1):
-            h = relu(transposed_conv(h, up))
-            if skip.shape[:3] != h.shape[:3]:
-                raise ShapeError(
-                    f"decoder stage{i}: skip resolution mismatch, feature {h.shape} "
-                    f"vs skip {skip.shape}"
-                )
-            h = fuse(concat_channels((h, skip)))
+        for (up, fuse), skip in zip(self.stages, (feats.skip8, feats.skip4, feats.skip2)):
+            h = fuse(concat_channels((relu(transposed_conv(h, up)), skip)))
         h = relu(transposed_conv(h, self.up4))
         h = self.refine2(self.refine1(h))
         return conv2d(h, self.head)
@@ -379,7 +367,7 @@ class Decoder:
 
 
 class DNet:
-    """End-to-end segmentation model: encoder, optional fusion, decoder."""
+    """End-to-end segmentation model (encoder, optional fusion, decoder) returning logits."""
 
     def __init__(self, cfg: DNetConfig, seed: int = 0):
         self.cfg = cfg
@@ -392,24 +380,19 @@ class DNet:
         else:
             self.msif = None
             decoder_in = concat_width
-        skip_channels = (
-            self.encoder.out_channels[2],          # 1/8
-            self.encoder.blocks[0][0].reduce.kernel.in_channels,  # 1/4 (pooled root)
-            self.encoder.root3.kernel.out_channels,  # 1/2 (pre-pool root)
+        root = self.encoder.root3.kernel.out_channels  # skip2, and pooled, skip4
+        self.decoder = Decoder(
+            builder, cfg, decoder_in, (self.encoder.out_channels[2], root, root)
         )
-        self.decoder = Decoder(builder, cfg, decoder_in, skip_channels)
         self._params = builder.params
         self._kernel_weights = builder.kernel_weights
 
-    def logits(self, image: Tensor) -> Tensor:
+    def forward(self, image: Tensor) -> Tensor:
+        """Per-pixel vessel logits, same spatial size as the input."""
         feats = self.encoder(image)
         g = concat_channels((feats.b3, feats.b4, feats.b5))
         u = self.msif(g) if self.msif is not None else g
-        return self.decoder(u, (feats.skip8, feats.skip4, feats.skip2))
-
-    def forward(self, image: Tensor) -> Tensor:
-        """Per-pixel vessel probability map, same spatial size as the input."""
-        return sigmoid(self.logits(image))
+        return self.decoder(u, feats)
 
     __call__ = forward
 

@@ -10,13 +10,14 @@ construction. Everything is a pure function of its seed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, backward, default_dtype, recording
+from .tensor import Tensor, backward, default_dtype, recording, sigmoid
 from .losses import total_loss
 from .metrics import MASK_THRESHOLD, ConfusionCounts, MetricsReport, confusion, metrics
 
@@ -41,7 +42,7 @@ class TrainConfig:
     lr * (1 - iter/max_iter)^power. A zero ``lr`` is accepted and freezes
     the model, which is occasionally useful in tests. ``lam`` and ``beta``
     weight the L2 regularizer and the squared-distance term of
-    :func:`total_loss`.
+    :func:`total_loss`. All four must be finite.
     """
 
     lr: float = 1e-4
@@ -53,6 +54,10 @@ class TrainConfig:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, value in (("lr", self.lr), ("power", self.power),
+                            ("lambda", self.lam), ("beta", self.beta)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.lr < 0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
         if self.power <= 0:
@@ -199,7 +204,7 @@ def train(
         indices = sampler.take(cfg.batch)
         xb, yb = _stack_batch(dataset, indices)
         with recording() as graph:
-            probs = model.forward(xb)
+            probs = sigmoid(model.forward(xb))
             loss = total_loss(probs, yb, reg_params, cfg.lam, cfg.beta)
             grad_map = backward(loss, graph)
         grads = [grad_map[p] for p in params]
@@ -215,7 +220,7 @@ def train(
 def predict_probs(model, image: np.ndarray) -> np.ndarray:
     """Probability map (H, W) for one (H, W, C) image, without recording."""
     x = Tensor(np.asarray(image, dtype=default_dtype())[None])
-    return model.forward(x).data[0, :, :, 0]
+    return sigmoid(model.forward(x)).data[0, :, :, 0]
 
 
 def evaluate(model, dataset) -> tuple[MetricsReport, ConfusionCounts]:

@@ -191,10 +191,10 @@ def test_criterion_05_gradient_suite():
         reg = model.kernel_parameters()
 
         def loss_fn():
-            return total_loss(model(x), target, reg, 1e-3, 1.0).item()
+            return total_loss(sigmoid(model(x)), target, reg, 1e-3, 1.0).item()
 
         with recording() as g:
-            grads = backward(total_loss(model(x), target, reg, 1e-3, 1.0), g)
+            grads = backward(total_loss(sigmoid(model(x)), target, reg, 1e-3, 1.0), g)
         per_type = {
             "root conv": "root.conv1.w",
             "strided bottleneck": "block3.unit1.spatial.w",
@@ -234,7 +234,7 @@ def test_criterion_06_shape_contract():
         feats = model.encoder(x)
         g = concat_channels((feats.b3, feats.b4, feats.b5))
         u = model.msif(g)
-        probs = model(x)
+        probs = sigmoid(model(x))
     assert feats.b3.shape == (1, 4, 4, 256)
     assert feats.b4.shape == (1, 4, 4, 512)
     assert feats.b5.shape == (1, 4, 4, 256)

@@ -178,6 +178,14 @@ class TestTrainSynthMode:
         assert capsys.readouterr().err.startswith(f"error: config: {cfg}: loss weights")
         assert not out.exists()
 
+    def test_non_finite_setting_fails_before_any_output(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = 1\nlr = nan\n")
+        out = tmp_path / "out"
+        assert run_cli("train", "--config", cfg, "--synth", 2, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: config: {cfg}: lr must be finite, got nan\n"
+        assert not (out / "checkpoint.dnet").exists()
+
 
 class TestRFAnalyze:
     def test_two_layer_stack_file(self, tmp_path, capsys):
@@ -207,11 +215,17 @@ class TestRFAnalyze:
         assert lines[-1] == "coverage=dense"
         assert len(lines) == 1 + 49 + 1  # header + layers + verdict
 
-    def test_bad_layers_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, reason", [
+        ("conv three 1 1", "k, s, r must be integers"),
+        ("conv 0 1 1", "layer parameters must be >= 1"),
+        ("foo 3 1 1", "unknown layer kind 'foo'"),
+    ])
+    def test_bad_layers_file(self, tmp_path, capsys, line, reason):
         layers = tmp_path / "layers.txt"
-        layers.write_text("conv three 1 1\n")
+        layers.write_text(f"conv 3 1 1\n{line}\n")
         assert run_cli("rf-analyze", "--layers", layers) == 1
-        assert capsys.readouterr().err.startswith("error: config:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {layers}:2: {reason}") and err.count("\n") == 1
 
 
 class TestErrorPaths:
@@ -289,6 +303,13 @@ class TestEvalManifestErrors:
         write_prob_pgm(dirs / "p" / "a.prob.pgm", np.zeros((4, 4)))
         write_mask_pgm(dirs / "gt" / "a.pgm", np.zeros((4, 4)))
         assert str(dirs / "fov" / "a.pgm") in self._eval(dirs, capsys, fov=True)
+
+    def test_fov_size_mismatch(self, dirs, capsys):
+        write_prob_pgm(dirs / "p" / "a.prob.pgm", np.zeros((4, 4)))
+        write_mask_pgm(dirs / "gt" / "a.pgm", np.zeros((4, 4)))
+        write_mask_pgm(dirs / "fov" / "a.pgm", np.ones((2, 2)))
+        err = self._eval(dirs, capsys, fov=True)
+        assert str(dirs / "fov" / "a.pgm") in err and "(2, 2)" in err and "(4, 4)" in err
 
     def test_fov_masks_select_no_pixels(self, dirs, capsys):
         write_prob_pgm(dirs / "p" / "a.prob.pgm", np.full((4, 4), 0.7))

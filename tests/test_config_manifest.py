@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -72,9 +73,10 @@ lambda = 0
         with pytest.raises(ConfigError):
             parse_run_config(write_cfg(tmp_path, "d1 1\n"))
 
-    @pytest.mark.parametrize(
-        "text", ["lr = abc", "lr = -1", "d1 = 3", "lambda = -1", "beta = -2", "learning_rate = 1"]
-    )
+    @pytest.mark.parametrize("text", [
+        "lr = abc", "lr = -1", "lr = nan", "d1 = 3", "lambda = -1", "beta = -2",
+        "learning_rate = 1",
+    ])
     def test_errors_name_the_file(self, tmp_path, text):
         path = write_cfg(tmp_path, text + "\n")
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:"):
@@ -85,6 +87,14 @@ lambda = 0
             TrainConfig(lam=-1.0)
         with pytest.raises(ConfigError, match="loss weights"):
             TrainConfig(beta=-0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field, name", [("lr", "lr"), ("power", "power"), ("lam", "lambda"), ("beta", "beta")]
+    )
+    def test_non_finite_setting_rejected_by_train_config(self, field, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got {value}$"):
+            TrainConfig(**{field: value})
 
 
 def materialize(tmp_path, n=2, h=32, w=32, fov=False):

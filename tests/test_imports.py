@@ -1,5 +1,6 @@
 """Unused module-level imports and broken ``__all__`` lists in the package,
-found with the standard library alone (no linter is a dependency)."""
+and names the scripts read from it that do not exist, found with the
+standard library alone (no linter is a dependency)."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dnet"
 # dnet/__init__.py imports names only to re-export them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((PACKAGE.parents[1] / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -72,3 +74,42 @@ def test_export_checker_flags_stale_and_repeated_names():
 def test_exports_resolve_once(path):
     missing, repeated = export_defects(importlib.import_module(f"dnet.{path.stem}"))
     assert not missing and not repeated, f"{path.name}: missing {missing}, repeated {repeated}"
+
+
+def unresolved_names(source: str) -> list[str]:
+    """Each name the source imports from dnet, or reads as an attribute of a
+    dnet module it imported by name, that does not exist, as ``module.name``.
+    """
+    tree = ast.parse(source)
+    modules: dict[str, types.ModuleType] = {}
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dnet":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name, None)
+                if value is None:
+                    missing.append(f"{node.module}.{alias.name}")
+                elif isinstance(value, types.ModuleType):
+                    modules[alias.asname or alias.name] = value
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = modules.get(node.value.id)
+            if module is not None and not hasattr(module, node.attr):
+                missing.append(f"{module.__name__}.{node.attr}")
+    return missing
+
+
+def test_script_checker_flags_missing_names():
+    source = (
+        "from dnet import convops\n"
+        "from dnet.tensor import tensor, gone\n"
+        "convops.conv2d(convops._gone, tensor)\n"
+    )
+    assert unresolved_names(source) == ["dnet.tensor.gone", "dnet.convops._gone"]
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_names_resolve(path):
+    missing = unresolved_names(path.read_text())
+    assert not missing, f"{path.name}: {', '.join(missing)}"

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from dnet.errors import CheckpointError, ConfigError, ShapeError
-from dnet.convops import ConvKernel, conv2d, same_pads
+from dnet.convops import ConvKernel, conv2d, same_pads, using_deterministic
 from dnet.model import (
     BLOCK_WIDTHS,
     CHECKPOINT_MAGIC,
@@ -17,8 +18,11 @@ from dnet.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from dnet.tensor import Tensor, backward, concat_channels, recording, tensor, using_dtype
+from dnet.tensor import (
+    Tensor, backward, concat_channels, recording, sigmoid, tensor, using_dtype,
+)
 from dnet.losses import total_loss
+from dnet.training import predict_probs
 
 from conftest import conv2d_naive, fd_grad_entries, max_rel_err
 
@@ -242,7 +246,7 @@ class TestDecoder:
     def test_full_pipeline_shapes(self, rng):
         model = DNet(DNetConfig(**TINY), seed=0)
         x = tensor(rng.uniform(size=(1, 64, 64, 3)))
-        logits = model.logits(x)
+        logits = model(x)
         assert logits.shape == (1, 64, 64, 1)
 
     def test_zero_weights_constant_logits(self, rng):
@@ -250,7 +254,7 @@ class TestDecoder:
         for p in model.parameters().values():
             p.data = np.zeros_like(p.data)
         x = tensor(rng.uniform(size=(1, 32, 32, 3)))
-        logits = model.logits(x)
+        logits = model(x)
         assert np.all(logits.data == 0.0)  # everything collapses to the head bias
 
     def test_permuted_skips_rejected(self, rng):
@@ -260,22 +264,13 @@ class TestDecoder:
         g = concat_channels((feats.b3, feats.b4, feats.b5))
         u = model.msif(g)
         with pytest.raises(ShapeError):
-            model.decoder(u, (feats.skip4, feats.skip8, feats.skip2))
-
-    def test_wrong_skip_count_rejected(self, rng):
-        model = DNet(DNetConfig(**TINY), seed=0)
-        x = tensor(rng.uniform(size=(1, 64, 64, 3)))
-        feats = model.encoder(x)
-        g = concat_channels((feats.b3, feats.b4, feats.b5))
-        u = model.msif(g)
-        with pytest.raises(ShapeError):
-            model.decoder(u, (feats.skip8, feats.skip4))
+            model.decoder(u, dataclasses.replace(feats, skip8=feats.skip4, skip4=feats.skip8))
 
 
 class TestDNetForward:
     def test_probability_range_and_shape(self, rng):
         model = DNet(DNetConfig(**TINY), seed=0)
-        p = model(tensor(rng.uniform(size=(1, 64, 64, 3))))
+        p = sigmoid(model(tensor(rng.uniform(size=(1, 64, 64, 3)))))
         assert p.shape == (1, 64, 64, 1)
         assert p.data.min() > 0.0 and p.data.max() < 1.0
 
@@ -298,6 +293,19 @@ class TestDNetForward:
         p = model(tensor(rng.uniform(size=(1, 32, 32, 3))))
         assert p.shape == (1, 32, 32, 1)
 
+    def test_stages_compose_to_forward_and_predict_probs(self, rng):
+        # The encoder, fusion and decoder are the forward's stages; running
+        # them by hand reproduces the forward and predict_probs bit for bit.
+        model = DNet(DNetConfig(**TINY), seed=0)
+        image = rng.uniform(size=(32, 48, 3))
+        x = tensor(image[None])
+        with using_deterministic(True):
+            f = model.encoder(x)
+            staged = model.decoder(model.msif(concat_channels((f.b3, f.b4, f.b5))), f)
+            assert np.array_equal(staged.data, model(x).data)
+            probs = predict_probs(model, image)
+        assert np.array_equal(probs, sigmoid(staged).data[0, :, :, 0])
+
 
 class TestEndToEndGradients:
     def test_sampled_parameters_match_finite_differences(self, rng):
@@ -309,10 +317,10 @@ class TestEndToEndGradients:
             reg = model.kernel_parameters()
 
             def loss_fn():
-                return total_loss(model(x), target, reg, 1e-3, 1.0).item()
+                return total_loss(sigmoid(model(x)), target, reg, 1e-3, 1.0).item()
 
             with recording() as g:
-                grads = backward(total_loss(model(x), target, reg, 1e-3, 1.0), g)
+                grads = backward(total_loss(sigmoid(model(x)), target, reg, 1e-3, 1.0), g)
 
             picks = [
                 "root.conv1.w", "block2.unit1.spatial.w", "block4.unit2.spatial.w",

@@ -263,7 +263,7 @@ def test_backward_parameter_gradients_match_keep_everything_sweep(deterministic,
     x = tensor(rng.uniform(size=(2, 32, 32, 3)))
     target = tensor((rng.uniform(size=(2, 32, 32, 1)) > 0.8).astype(np.float32))
     with using_deterministic(deterministic), recording() as g:
-        loss = total_loss(model(x), target, model.kernel_parameters(), 1e-4, 1.0)
+        loss = total_loss(sigmoid(model(x)), target, model.kernel_parameters(), 1e-4, 1.0)
         grads = backward(loss, g)
         reference = keep_everything_backward(loss, g)
     params = model.parameters()
