@@ -3,19 +3,28 @@
 
 The deterministic (tap-ordered) forward is the correctness reference,
 bit-identical to the naive loop; the GEMM forward trades that guarantee for
-BLAS throughput. ``stacked`` and ``c-first`` time the two helpers of the
-tap-ordered forward on their own, and ``det fwd`` the one that conv2d picks
-(channel-first when ``cout < wo``), so the shape rule can be checked on
-every shape: ``det fwd`` should track the smaller of the two. The two
-helpers must give the same bytes on every case; the script exits 1 if they
-do not, so it doubles as a smoke check of the exact forward. The backward
-rule is the same GEMM-shaped code in both modes, so its two columns should
-agree; a gap between them, or a jump in either against an earlier run, is a
-shape-level regression. Times are medians in ms; ``gemm MB`` is the peak
-that ``tracemalloc`` sees during one GEMM forward, which lowers bounded
-bands of output rows, so a jump there is a shape-level memory regression;
-``max diff`` is the largest forward difference between the modes. Run from
-the repository root:
+BLAS throughput. Each forward has two helpers, timed on their own from the
+padded input so that conv2d's shape rule can be checked on every case:
+
+* ``stacked`` and ``c-first`` are the tap-ordered helpers; ``det fwd`` is
+  the one conv2d picks (channel-first when ``cout < wo``) and should track
+  the smaller of the two. They must give the same bytes on every case; the
+  script exits 1 if they do not, so it doubles as a smoke check of the
+  exact forward.
+* ``shifted`` (one GEMM per tap on shifted row slices, stride 1 only; ``-``
+  otherwise) and ``banded`` (one im2col GEMM per band of output rows) are
+  the GEMM helpers; ``gemm fwd`` is the one conv2d picks (shifted when the
+  stride is 1 and the padded grid is at most 1.25x the output grid, and
+  one GEMM without either helper for an unpadded unit-stride 1x1 kernel)
+  and should track the smaller of the two.
+
+The backward rule is the same GEMM-shaped code in both modes, so its two
+columns should agree; a gap between them, or a jump in either against an
+earlier run, is a shape-level regression. Times are medians in ms;
+``gemm MB`` is the peak that ``tracemalloc`` sees during one GEMM forward,
+whose helpers work in bounded bands of output rows, so a jump there is a
+shape-level memory regression; ``max diff`` is the largest forward
+difference between the modes. Run from the repository root:
 
     PYTHONPATH=src python scripts/bench_conv.py
 """
@@ -41,6 +50,10 @@ CASES = [
     (4, 64, 64, 32, 32, 3, 1, 1),  # full-width decoder, full resolution
     (4, 4, 4, 1024, 256, 1, 1, 1),  # full-width 1x1 reduce at 1/16
     (1, 128, 128, 64, 64, 3, 1, 1),  # whole column matrix 36 MB in float32
+    # around the GEMM forward's shape rule: padded grid / output grid
+    (1, 36, 36, 128, 128, 3, 2, 1),  # full-width block 4, unit 2, at 576x576: 1.23
+    (1, 36, 36, 256, 256, 3, 4, 1),  # full-width block 5, unit 3, at 576x576: 1.49
+    (4, 16, 16, 64, 64, 3, 1, 1),  # full-width block 2 at 64x64: 1.27
     # desk scale (channels_scale 0.125, 64x64, batch 4), the exact forward's
     # shapes on both sides of the shape rule
     (4, 64, 64, 3, 4, 3, 1, 2),  # root.conv1
@@ -69,16 +82,20 @@ def median_ms(fn, budget_s: float = 0.5, min_repeats: int = 3) -> float:
     return float(np.median(times)) * 1e3
 
 
-def helper_run(x, kern, exact) -> tuple[float, bytes]:
-    """Median ms of one tap-ordered forward helper, from the padded input,
-    and the bytes of its output."""
+def helper_run(x, kern, helper) -> tuple[float, bytes]:
+    """Median ms of one forward helper, called as helper(xp, w, d, s, out)
+    on the padded input, and the bytes of its output."""
     w = kern.weight.data
     xp, ho, wo = convops._gather_frame("conv2d", x, kern)
     shape = (x.shape[0], ho, wo, w.shape[3])
-    ms = median_ms(lambda: exact(xp, w, kern.dilation, kern.stride, np.zeros(shape, x.dtype)))
+    ms = median_ms(lambda: helper(xp, w, kern.dilation, kern.stride, np.zeros(shape, x.dtype)))
     out = np.zeros(shape, x.dtype)
-    exact(xp, w, kern.dilation, kern.stride, out)
+    helper(xp, w, kern.dilation, kern.stride, out)
     return ms, out.tobytes()
+
+
+def shifted_gemm(xp, w, d, s, out) -> None:
+    convops._shifted_gemm(xp, w, d, out)
 
 
 def time_case(x, kern, upstream, deterministic: bool) -> tuple[float, float, np.ndarray]:
@@ -107,7 +124,8 @@ def main() -> int:
     rng = np.random.default_rng(0)
     mismatched = []
     print(
-        f"{'case':>34} {'stacked':>8} {'c-first':>8} {'det fwd':>9} {'gemm fwd':>9} "
+        f"{'case':>34} {'stacked':>8} {'c-first':>8} {'det fwd':>9} {'shifted':>8} "
+        f"{'banded':>8} {'gemm fwd':>9} "
         f"{'speedup':>8} {'det bwd':>9} {'gemm bwd':>9} {'gemm MB':>8} {'max diff':>10}"
     )
     for n, h, w, cin, cout, k, d, s in CASES:
@@ -119,6 +137,8 @@ def main() -> int:
         )
         stacked, stacked_bytes = helper_run(x, kern, convops._exact_stacked)
         cfirst, cfirst_bytes = helper_run(x, kern, convops._exact_channel_first)
+        shifted = f"{helper_run(x, kern, shifted_gemm)[0]:8.2f}" if s == 1 else f"{'-':>8}"
+        banded = helper_run(x, kern, convops._banded_gemm)[0]
         ho, wo = conv2d(x, kern).shape[1:3]
         upstream = rng.normal(size=(n, ho, wo, cout)).astype(x.dtype)
         det_fwd, det_bwd, ref = time_case(x, kern, upstream, True)
@@ -129,7 +149,8 @@ def main() -> int:
         if stacked_bytes != cfirst_bytes:
             mismatched.append(label)
         print(
-            f"{label:>34} {stacked:8.2f} {cfirst:8.2f} {det_fwd:9.2f} {gemm_fwd:9.2f} "
+            f"{label:>34} {stacked:8.2f} {cfirst:8.2f} {det_fwd:9.2f} {shifted} "
+            f"{banded:8.2f} {gemm_fwd:9.2f} "
             f"{det_fwd / gemm_fwd:8.1f} {det_bwd:9.2f} {gemm_bwd:9.2f} {peak:8.1f} {diff:10.2e}"
         )
     for label in mismatched:

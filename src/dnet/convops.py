@@ -29,13 +29,20 @@ strategies:
   of O(taps x channels).
   Either way each output element sees the same multiplies and adds in the
   same order, so the result stays bit-identical to the naive loop.
-* im2col + GEMM fast path (``using_deterministic(False)``): same math, BLAS
+* GEMM fast path (``using_deterministic(False)``): same math, BLAS
   reduction order, so results agree with the tap-ordered path only to
   floating-point tolerance. It is therefore gated out of deterministic mode
-  rather than offered as a bit-exact replacement. It lowers one band of
-  whole output rows at a time into a column buffer of bounded size and
-  runs one GEMM per band, so a large image never needs the whole column
-  matrix (hundreds of MB for a 3x3 layer at 576x576).
+  rather than offered as a bit-exact replacement. It works one band of
+  whole output rows at a time in buffers of bounded size, so a large image
+  never needs the whole im2col column matrix (hundreds of MB for a 3x3
+  layer at 576x576). One of two helpers is picked by shape. A stride-1
+  kernel whose padded input grid is at most 1.25x its output grid runs
+  ``_shifted_gemm``: in each image's padded input, flattened to a
+  (pixels, channels) matrix, every tap of a band reads one contiguous row
+  slice, so the band is one GEMM per tap with no column copy. Any other
+  runs ``_banded_gemm``, which lowers each band into an im2col buffer and
+  runs one GEMM. A 1x1 unit-stride kernel on an unpadded input needs
+  neither and stays one GEMM.
 
 The backward rules are GEMM-shaped and the same in both modes: a dense
 weight gradient is one ``_im2col(...).T @ g`` product, conv2d's input
@@ -74,6 +81,9 @@ _deterministic = True
 # (4 MB in float32): the whole matrix of a full-resolution 3x3 layer at
 # 576x576 would be hundreds of MB. Bands of 1, 4 and 16 MB ran a 576x576
 # full-width predict at the same speed within noise on a 2-core host. The
+# stride-1 GEMM forward's band accumulator and temporary get a quarter of
+# it each: at 576x576 32->32, budgets of 1, 4 and 16 MB in all ran within
+# 7% of each other (135, 129 and 127 ms). The
 # exact forward's product stack shares the budget: stacks of 2^16 to 2^20
 # elements ran the desk-scale shapes at about the same speed, 2^12 up to 4x
 # slower.
@@ -310,35 +320,93 @@ def _exact_channel_first(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.
     out[...] = oc.transpose(1, 2, 3, 0)
 
 
+def _row_bands(ho: int, rows: int):
+    """(first, end) of each band of ``rows`` output rows; the last may be short."""
+    for i0 in range(0, ho, rows):
+        yield i0, min(i0 + rows, ho)
+
+
+def _banded_gemm(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
+    """GEMM forward through im2col, one band of whole output rows at a time.
+
+    Each band spans the batch; its column matrix holds at most
+    ``_BAND_ELEMENTS`` elements (but at least one row) in one buffer that
+    every band reuses, and one GEMM adds the band into ``out``.
+    """
+    kh, kw, _, cout = w.shape
+    n, ho, wo, _ = out.shape
+    wm = w.reshape(-1, cout)
+    row = n * wo * wm.shape[0]
+    rows = max(1, _BAND_ELEMENTS // row)
+    buf = np.empty(min(rows, ho) * row, dtype=xp.dtype)
+    for i0, i1 in _row_bands(ho, rows):
+        xs = xp[:, i0 * s : (i1 - 1) * s + (kh - 1) * d + 1]
+        cols = _im2col(xs, kh, kw, d, s, i1 - i0, wo, buf)
+        out[:, i0:i1] += (cols @ wm).reshape(n, i1 - i0, wo, cout)
+
+
+def _shifted_gemm(xp: np.ndarray, w: np.ndarray, d: int, out: np.ndarray) -> None:
+    """Stride-1 GEMM forward with no column copy: one GEMM per tap and band.
+
+    Each image's padded input is a flat (hp * wp, cin) matrix. For a band of
+    output rows [i0, i1), tap (a, b) reads its contiguous rows from
+    (i0 + a*d)*wp + b*d on, (i1 - i0 - 1)*wp + wo of them, so never past
+    the image: the products land in a band accumulator laid out over the
+    padded width, whose first ``wo`` columns are added into ``out`` and
+    whose other columns, which mix taps across a row end, are discarded.
+    The accumulator and the temporary that takes each later tap's product
+    hold a quarter of ``_BAND_ELEMENTS`` each (but at least one row).
+    """
+    kh, kw, cin, cout = w.shape
+    _, ho, wo, _ = out.shape
+    wp = xp.shape[2]
+    rows = min(ho, max(1, _BAND_ELEMENTS // (4 * wp * cout)))
+    acc = np.empty((rows * wp, cout), dtype=out.dtype)
+    tmp = np.empty_like(acc)
+    for img, dst in zip(xp, out):
+        flat = img.reshape(-1, cin)
+        for i0, i1 in _row_bands(ho, rows):
+            m = (i1 - i0 - 1) * wp + wo
+            for t, (a, b) in enumerate(np.ndindex(kh, kw)):
+                start = (i0 + a * d) * wp + b * d
+                np.matmul(flat[start : start + m], w[a, b], out=tmp[:m] if t else acc[:m])
+                if t:
+                    acc[:m] += tmp[:m]
+            dst[i0:i1] += acc[: (i1 - i0) * wp].reshape(i1 - i0, wp, cout)[:, :wo]
+
+
 def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
     """Dense tap gather: out += sum over taps (a, b) of tap(a, b) @ w[a, b].
 
     The output grid is ``out``'s spatial extent. Deterministic mode adds one
     (kernel row, kernel col, input channel) tap at a time: channel-first when
     the output row outruns the output channels, else by stacking each tap's
-    products and folding the stack with one sequential reduce. Otherwise the
-    taps are lowered to im2col GEMMs, one per band of whole output rows
-    across the batch, each band's column matrix at most ``_BAND_ELEMENTS``
-    elements (but at least one row) in one buffer reused by every band. A
-    1x1 kernel whose column matrix is a reshape of ``xp`` is one GEMM.
+    products and folding the stack with one sequential reduce. Otherwise a
+    1x1 kernel whose column matrix is a reshape of ``xp`` is one GEMM; a
+    stride-1 kernel whose padded grid is at most 1.25x its output grid runs
+    ``_shifted_gemm``, one GEMM per tap on shifted row slices of ``xp``;
+    any other runs ``_banded_gemm``, one im2col GEMM per band of output
+    rows.
     """
     kh, kw, cin, cout = w.shape
-    n, ho, wo, _ = out.shape
+    _, ho, wo, _ = out.shape
     if _deterministic:
         (_exact_channel_first if cout < wo else _exact_stacked)(xp, w, d, s, out)
-        return
-    wm = w.reshape(-1, cout)
-    if kh == kw == 1 and xp.shape[1:3] == (ho, wo):
-        out += (xp.reshape(-1, cin) @ wm).reshape(out.shape)
-        return
-    row = n * wo * wm.shape[0]
-    rows = max(1, _BAND_ELEMENTS // row)
-    buf = np.empty(min(rows, ho) * row, dtype=xp.dtype)
-    for i0 in range(0, ho, rows):
-        i1 = min(i0 + rows, ho)
-        xs = xp[:, i0 * s : (i1 - 1) * s + (kh - 1) * d + 1]
-        cols = _im2col(xs, kh, kw, d, s, i1 - i0, wo, buf)
-        out[:, i0:i1] += (cols @ wm).reshape(n, i1 - i0, wo, cout)
+    elif kh == kw == 1 and xp.shape[1:3] == (ho, wo):
+        out += (xp.reshape(-1, cin) @ w.reshape(cin, cout)).reshape(out.shape)
+    # The shifted GEMMs also compute the padded columns (and rows) that the
+    # output discards, and add each later tap's product into the band, in
+    # place of the column copy. ms banded -> shifted (padded/output area),
+    # 2-core host, OpenBLAS: 576^2 32->32 157.8 -> 101.8 (1.01), 288^2
+    # 128->64 172.1 -> 113.1 (1.01), 4x64^2 32->32 7.78 -> 4.86 (1.06),
+    # 36^2 128->128 d2 3.36 -> 3.22 (1.23); but 4x16^2 64->64 1.01 -> 1.18
+    # (1.27), 36^2 256->256 d4 10.56 -> 12.52 (1.49), 4x8^2 64->64
+    # 0.31 -> 0.48 (1.56). Inside the bound, 36^2 256->256 d2 (10.48 ->
+    # 11.39) and 4x32^2 32->64 (2.30 -> 2.56) still lose a little.
+    elif s == 1 and 4 * xp.shape[1] * xp.shape[2] <= 5 * ho * wo:
+        _shifted_gemm(xp, w, d, out)
+    else:
+        _banded_gemm(xp, w, d, s, out)
 
 
 def _check_channels(op: str, x: Tensor, kernel: ConvKernel, cin: int, bias_channels: int) -> None:
@@ -511,7 +579,7 @@ def transposed_conv(x: Tensor, kernel: ConvKernel) -> Tensor:
     x_data, w = x.data, kernel.weight.data
     out = _spread(x_data, w.swapaxes(2, 3), (n, ho, wo, cout), kernel.padding, d, s)
     if kernel.bias is not None:
-        out = out + kernel.bias.data
+        out += kernel.bias.data
 
     def grads(g: np.ndarray):
         cols = _im2col(_pad_input(g, kernel.padding), kh, kw, d, s, h, wdt)

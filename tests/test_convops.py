@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from dnet import convops
 from dnet.errors import ShapeError
+from dnet.model import DNet, DNetConfig
 from dnet.convops import (
     ConvKernel,
     bilinear_upsample,
@@ -737,6 +739,19 @@ def reference_im2col_conv2d(x, w, bias, stride, dilation, pads):
     ) + bias
 
 
+def counting_row_bands(lowered: list):
+    """``convops._row_bands`` that also appends each band's row count to
+    ``lowered``."""
+    row_bands = convops._row_bands
+
+    def bands(ho, rows):
+        for i0, i1 in row_bands(ho, rows):
+            lowered.append(i1 - i0)
+            yield i0, i1
+
+    return bands
+
+
 class TestBandedGemmForward:
     """The GEMM forward lowers bounded bands of output rows, one GEMM each."""
 
@@ -766,14 +781,8 @@ class TestBandedGemmForward:
         _, ho, wo, _ = want.shape
         # band_rows 0 sets a budget below one row, which still lowers one row.
         monkeypatch.setattr(convops, "_BAND_ELEMENTS", band_rows * n * wo * k * k * cin)
-        lowered = []  # output rows of each band
-
-        def counting_im2col(*args):
-            lowered.append(args[5])
-            return im2col(*args)
-
-        im2col = convops._im2col
-        monkeypatch.setattr(convops, "_im2col", counting_im2col)
+        lowered = []  # output rows of each band, whichever GEMM helper runs
+        monkeypatch.setattr(convops, "_row_bands", counting_row_bands(lowered))
         with using_deterministic(False):
             fast = conv2d(x, kern).data
         exact = conv2d(x, kern).data
@@ -796,6 +805,120 @@ class TestBandedGemmForward:
             finally:
                 tracemalloc.stop()
         assert peak < whole / 2
+
+    def test_strided_peak_below_half_the_whole_column_matrix(self, rng, monkeypatch):
+        # Stride 2 takes the im2col bands. Unpadded, so the input is not copied.
+        x = tensor(rng.normal(size=(1, 257, 257, 64)))
+        kern = ConvKernel(tensor(rng.normal(size=(3, 3, 64, 64))), None, 2, 1, (0, 0, 0, 0))
+        whole = 128 * 128 * 9 * 64 * x.data.itemsize
+        banded = []
+        monkeypatch.setattr(convops, "_banded_gemm",
+                            lambda *args, f=convops._banded_gemm: banded.append(f(*args)))
+        with using_deterministic(False):
+            tracemalloc.start()
+            try:
+                conv2d(x, kern)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert len(banded) == 1
+        assert peak < whole / 2
+
+
+class TestShiftedGemmForward:
+    """The stride-1 GEMM forward reads shifted row slices of the flat padded
+    input, one GEMM per tap and band, and matches the whole-matrix GEMM."""
+
+    def test_matches_whole_matrix_reference(self, rng, monkeypatch):
+        one_row = partial = 0  # trials with one-row bands, with a short last band
+        lowered = []  # output rows of each band of the trial
+        counting_bands = counting_row_bands(lowered)
+        for trial in range(60):
+            n = int(rng.integers(1, 4))
+            k, d = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            pads = tuple(int(v) for v in rng.integers(0, 4, size=4))
+            kd = dilated_kernel_extent(k, d)
+            h, w = (int(v) for v in rng.integers(max(kd - 4, 1), kd + 6, size=2))
+            ho, wo = h + pads[0] + pads[1] - kd + 1, w + pads[2] + pads[3] - kd + 1
+            if ho < 1 or wo < 1:
+                continue
+            cin, cout = (int(v) for v in rng.choice([1, 2, 3, 5, 8], size=2))
+            with using_dtype(np.float64):
+                x = tensor(rng.normal(size=(n, h, w, cin)))
+                wk = tensor(rng.normal(size=(k, k, cin, cout)))
+                bias = tensor(rng.normal(size=(1, 1, 1, cout)))
+            want = reference_im2col_conv2d(x.data, wk.data, bias.data, 1, d, pads)
+            # Band rows (0 stands for a budget below one row, which still
+            # makes one-row bands), from the padded width the bands span.
+            rows = int(rng.integers(0, 4)) if trial % 3 else ho
+            wp = w + pads[2] + pads[3]
+            monkeypatch.setattr(convops, "_BAND_ELEMENTS", 4 * rows * wp * cout)
+            band = max(rows, 1)
+            one_row += band == 1 and ho > 1
+            partial += band > 1 and ho % band != 0
+            got = np.empty_like(want)
+            got[...] = bias.data
+            lowered.clear()
+            with monkeypatch.context() as m:
+                m.setattr(convops, "_row_bands", counting_bands)
+                convops._shifted_gemm(convops._pad_input(x.data, pads), wk.data, d, got)
+            assert len(lowered) == n * math.ceil(ho / band) and sum(lowered) == n * ho
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+            exact = conv2d(x, ConvKernel(wk, bias, 1, d, pads)).data
+            assert np.abs(exact - got).max() < 1e-12
+        assert one_row >= 5 and partial >= 5
+
+
+class TestGemmForwardRoute:
+    """Which GEMM forward each conv2d of the two benchmarked GEMM-mode
+    forwards takes: a full-width 576x576 predict and a full-width 64x64
+    training step (batch 4). Unpadded unit-stride 1x1 kernels are one GEMM
+    on a reshape; shifted row slices serve stride-1 kernels whose padded
+    grid is at most 1.25x the output grid; im2col bands serve the rest:
+    the strided kernels and, at 576x576, the two dilation-4 kernels on
+    44x44 padded grids (1.49x), at 64x64 every layer from 1/4 resolution
+    down."""
+
+    # (ho, k, stride, dilation, cin, cout) -> conv2d calls
+    SHIFTED_576 = {
+        (576, 3, 1, 1, 32, 32): 2,  # decoder.refine1, refine2
+        (288, 3, 1, 1, 32, 32): 1, (288, 3, 1, 1, 32, 64): 1, (288, 3, 1, 1, 128, 64): 1,
+        (144, 3, 1, 1, 64, 64): 3, (144, 3, 1, 1, 128, 64): 1,
+        (72, 3, 1, 1, 64, 64): 2, (72, 3, 1, 1, 256, 128): 1,
+        (36, 3, 1, 1, 128, 128): 3, (36, 3, 1, 1, 256, 256): 1,
+        (36, 3, 1, 2, 128, 128): 1, (36, 3, 1, 2, 256, 256): 1,
+    }
+    SHIFTED_64 = {
+        (64, 3, 1, 1, 32, 32): 2,
+        (32, 3, 1, 1, 32, 32): 1, (32, 3, 1, 1, 32, 64): 1, (32, 3, 1, 1, 128, 64): 1,
+    }
+
+    @pytest.mark.parametrize(
+        "size, batch, shifted, banded", [(576, 1, SHIFTED_576, 7), (64, 4, SHIFTED_64, 20)]
+    )
+    def test_full_width_forwards(self, size, batch, shifted, banded, monkeypatch):
+        taken = []  # [route, shape] per conv2d call
+        dense = convops._dense
+
+        def spy(xp, w, d, s, out):
+            taken.append(["reshape", (out.shape[1], w.shape[0], s, d, *w.shape[2:])])
+            dense(xp, w, d, s, out)
+
+        def stub(route):  # records the route and skips the work
+            return lambda *args: taken[-1].__setitem__(0, route)
+
+        monkeypatch.setattr(convops, "_dense", spy)
+        monkeypatch.setattr(convops, "_shifted_gemm", stub("shifted"))
+        monkeypatch.setattr(convops, "_banded_gemm", stub("banded"))
+        net = DNet(DNetConfig(channels_scale=1.0))
+        with using_deterministic(False):
+            net(tensor(np.zeros((batch, size, size, 3), dtype=np.float32)))
+        routes = {route: Counter(shape for r, shape in taken if r == route)
+                  for route in ("shifted", "banded", "reshape")}
+        assert routes["shifted"] == shifted
+        assert routes["banded"].total() == banded
+        assert routes["reshape"].total() == 40
+        assert all(k == 1 and s == 1 for _, k, s, _, _, _ in routes["reshape"])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
