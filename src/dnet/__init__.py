@@ -28,7 +28,6 @@ from .tensor import (
     multiply,
     recording,
     relu,
-    sigmoid,
     sum_all,
     using_dtype,
     zeros,

@@ -186,7 +186,7 @@ def _cmd_eval(args) -> int:
 
 def _read_layers_file(path) -> list[LayerSpec]:
     layers: list[LayerSpec] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(errors="replace").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -283,8 +283,9 @@ def main(argv=None) -> int:
     except DnetError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: not-found: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing path, a directory given for a file, ...
+        code = "not-found" if isinstance(exc, FileNotFoundError) else "io"
+        print(f"error: {code}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -80,7 +80,7 @@ def parse_run_config(path) -> tuple[DNetConfig, TrainConfig]:
     blank lines are ignored. Every ``ConfigError`` names ``path``.
     """
     values: dict[str, str] = {}
-    text = Path(path).read_text()
+    text = Path(path).read_text(errors="replace")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

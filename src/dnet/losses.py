@@ -1,14 +1,14 @@
 """Training objective: L2 weight regularization plus per-pixel data terms.
 
-The total loss is
+Over the decoder head's per-pixel logits z, the total loss is
 
-    lambda * sum_k ||W_k||_2^2  +  mean_ce(pred, target)
-                                +  beta * mean((pred - target)^2)
+    lambda * sum_k ||W_k||_2^2  +  mean_ce(z, target)
+                                +  beta * mean((sigmoid(z) - target)^2)
 
-where mean_ce is the per-pixel binary cross entropy against the {0,1}
-target, averaged over all pixels, with predictions clamped away from 0 and
-1 before the logs. The whole objective is one node on the autodiff tape,
-differentiable in the prediction and in every weight tensor.
+where mean_ce is the binary cross entropy of sigmoid(z) against the {0,1}
+target, computed as max(z, 0) - t*z + log1p(exp(-|z|)) and averaged over
+all pixels; its gradient sigmoid(z) - t does not vanish when z saturates.
+The objective is one tape node, differentiable in z and in every weight.
 """
 
 from __future__ import annotations
@@ -20,17 +20,24 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import Tensor, record_op
 
-__all__ = ["total_loss", "LOSS_FORMULA"]
+__all__ = ["sigmoid", "total_loss", "LOSS_FORMULA"]
 
-LOSS_FORMULA = (
-    "loss = lambda * sum||W||^2 + mean_ce(pred, target) + beta * mean((pred - target)^2)"
-)
+LOSS_FORMULA = ("loss = lambda * sum||W||^2 + mean_ce(logits, target)"
+                " + beta * mean((sigmoid(logits) - target)^2)")
 
-EPS = 1e-7  # predictions are clamped to [EPS, 1 - EPS] before the logs
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-z)), computed overflow-free."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ex = np.exp(z[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def total_loss(
-    pred: Tensor,
+    logits: Tensor,
     target: Tensor,
     params: Sequence[Tensor],
     lam: float,
@@ -42,28 +49,28 @@ def total_loss(
     and their gradients formed, in a fixed order: CE, then MSE, then the
     per-kernel sums of squares left to right.
     """
-    if pred.shape != target.shape:
-        raise ShapeError(f"total_loss: shape mismatch {pred.shape} vs {target.shape}")
+    if logits.shape != target.shape:
+        raise ShapeError(f"total_loss: shape mismatch {logits.shape} vs {target.shape}")
     weights = tuple(params) if lam != 0.0 else ()
-    p = np.clip(pred.data, EPS, 1.0 - EPS)
+    z = logits.data
     t = target.data
-    m = p.size
-    active = (pred.data > EPS) & (pred.data < 1.0 - EPS)
-    ce = -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
-    out = ce.mean(dtype=pred.dtype).reshape(1, 1, 1, 1)
-    diff = pred.data - target.data
+    m = z.size
+    p = sigmoid(z)
+    ce = np.maximum(z, 0) - t * z + np.log1p(np.exp(-np.abs(z)))
+    out = ce.mean(dtype=logits.dtype).reshape(1, 1, 1, 1)
+    diff = p - t
     if beta != 0.0:
-        out = out + (diff * diff).mean(dtype=pred.dtype).reshape(1, 1, 1, 1) * beta
+        out = out + (diff * diff).mean(dtype=logits.dtype).reshape(1, 1, 1, 1) * beta
     data = [w.data for w in weights]
     if data:
         reg = sum((d * d).sum(dtype=d.dtype).reshape(1, 1, 1, 1) for d in data)
         out = out + reg * lam
 
     def rule(g: np.ndarray):
-        gp = g.reshape(()) * active * (p - t) / (p * (1.0 - p)) / m
+        gz = g.reshape(()) * diff / m
         if beta != 0.0:
-            gp = (g * beta).reshape(()) * 2.0 * diff / m + gp
+            gz = (g * beta).reshape(()) * 2.0 * diff * (p * (1.0 - p)) / m + gz
         g_lam = (g * lam).reshape(())
-        return (gp, None, *(g_lam * 2.0 * d for d in data))
+        return (gz, None, *(g_lam * 2.0 * d for d in data))
 
-    return record_op("total_loss", (pred, target, *weights), out, rule)
+    return record_op("total_loss", (logits, target, *weights), out, rule)

@@ -43,7 +43,7 @@ def load_manifest(path) -> list[tuple[np.ndarray, np.ndarray]]:
     base = path.parent
     records = [
         (lineno, line.strip())
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        for lineno, line in enumerate(path.read_text(errors="replace").splitlines(), start=1)
         if line.strip() and not line.strip().startswith("#")
     ]
     if not records or not records[0][1].startswith("split"):

@@ -12,14 +12,17 @@ global-average branch broadcast back over the map), concatenates them, and
 fuses to a fixed width. The decoder doubles resolution four times with
 transposed convolutions, concatenating an encoder skip feature after each of
 the first three doublings, and ends in two 3x3 refinement convolutions and a
-1x1 head. The network returns that head's per-pixel logits; callers take
-their sigmoid for the vessel probability.
+1x1 head. The network returns that head's per-pixel logits: the training
+loss takes them as they are, and ``losses.sigmoid`` of them is the vessel
+probability.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, ShapeError
@@ -367,7 +370,7 @@ class Decoder:
 
 
 class DNet:
-    """End-to-end segmentation model (encoder, optional fusion, decoder) returning logits."""
+    """Encoder, optional fusion and decoder; returns the logits ``total_loss`` takes."""
 
     def __init__(self, cfg: DNetConfig, seed: int = 0):
         self.cfg = cfg
@@ -434,28 +437,35 @@ def save_checkpoint(model: DNet, path) -> None:
 
     Each tensor is stored as (name length, name bytes, 4 dims, little-endian
     32-bit floats); save -> load -> save reproduces the file byte for byte.
+    It is written to a sibling ``.tmp`` file first, so a failed save keeps the old one.
     """
     cfg = model.cfg
     params = model.parameters()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(
-            _HEADER.pack(
-                *cfg.dilations,
-                1 if cfg.msif_enabled else 0,
-                *cfg.msif_rates,
-                IN_CHANNELS,
-                round(cfg.channels_scale * 1_000_000),
-                0,
-                len(params),
+    tmp = Path(f"{os.fspath(path)}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(
+                _HEADER.pack(
+                    *cfg.dilations,
+                    1 if cfg.msif_enabled else 0,
+                    *cfg.msif_rates,
+                    IN_CHANNELS,
+                    round(cfg.channels_scale * 1_000_000),
+                    0,
+                    len(params),
+                )
             )
-        )
-        for name, t in params.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<4I", *t.shape))
-            fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+            for name, t in params.items():
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<4I", *t.shape))
+                fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
 def _read_exact(fh, count: int) -> bytes:
@@ -500,8 +510,6 @@ def _read_model(fh) -> DNet:
         (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
         name = _read_exact(fh, name_len).decode("utf-8", errors="replace")
         dims = struct.unpack("<4I", _read_exact(fh, 16))
-        count = int(np.prod(dims))
-        raw = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4").reshape(dims)
         target = params.get(name)
         if target is None:
             raise CheckpointError(f"unknown parameter {name!r} in checkpoint")
@@ -509,7 +517,8 @@ def _read_model(fh) -> DNet:
             raise CheckpointError(
                 f"parameter {name!r} has shape {dims} but model expects {target.shape}"
             )
-        target.data = raw.astype(default_dtype())
+        raw = np.frombuffer(_read_exact(fh, 4 * target.data.size), dtype="<f4")
+        target.data = raw.reshape(dims).astype(default_dtype())
         seen.add(name)
     if len(seen) != len(params):
         missing = sorted(set(params) - seen)

@@ -40,7 +40,6 @@ __all__ = [
     "elementwise_add",
     "multiply",
     "relu",
-    "sigmoid",
     "concat_channels",
     "sum_all",
     "backward",
@@ -221,21 +220,6 @@ def relu(x: Tensor) -> Tensor:
         return (g * (out > 0),)  # out > 0 exactly where x > 0, NaN included
 
     return record_op("relu", (x,), out, rule)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function 1 / (1 + exp(-x)), computed overflow-free."""
-    d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
-
-    def rule(g: np.ndarray):
-        return (g * out * (1.0 - out),)
-
-    return record_op("sigmoid", (x,), out, rule)
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, backward, default_dtype, recording, sigmoid
-from .losses import total_loss
+from .tensor import Tensor, backward, default_dtype, recording
+from .losses import sigmoid, total_loss
 from .metrics import MASK_THRESHOLD, ConfusionCounts, MetricsReport, confusion, metrics
 
 __all__ = [
@@ -204,8 +204,7 @@ def train(
         indices = sampler.take(cfg.batch)
         xb, yb = _stack_batch(dataset, indices)
         with recording() as graph:
-            probs = sigmoid(model.forward(xb))
-            loss = total_loss(probs, yb, reg_params, cfg.lam, cfg.beta)
+            loss = total_loss(model.forward(xb), yb, reg_params, cfg.lam, cfg.beta)
             grad_map = backward(loss, graph)
         grads = [grad_map[p] for p in params]
         lr = poly_lr(step, cfg)
@@ -220,7 +219,7 @@ def train(
 def predict_probs(model, image: np.ndarray) -> np.ndarray:
     """Probability map (H, W) for one (H, W, C) image, without recording."""
     x = Tensor(np.asarray(image, dtype=default_dtype())[None])
-    return sigmoid(model.forward(x)).data[0, :, :, 0]
+    return sigmoid(model.forward(x).data)[0, :, :, 0]
 
 
 def evaluate(model, dataset) -> tuple[MetricsReport, ConfusionCounts]:

@@ -23,7 +23,7 @@ from dnet.convops import (
     transposed_conv,
     using_deterministic,
 )
-from dnet.losses import total_loss
+from dnet.losses import sigmoid, total_loss
 from dnet.metrics import ConfusionCounts, metrics, roc_pr_curves
 from dnet.model import (
     DNet,
@@ -39,7 +39,6 @@ from dnet.tensor import (
     multiply,
     recording,
     relu,
-    sigmoid,
     sum_all,
     tensor,
     using_dtype,
@@ -171,15 +170,14 @@ def test_criterion_05_gradient_suite():
         weigh = tensor(rng.normal(size=(1, 6, 5, 2)))
         _fd_check(lambda: sum_all(multiply(bilinear_upsample(x, 6, 5), weigh)), (x,))
 
-        # relu (inputs away from the kink) and sigmoid
+        # relu (inputs away from the kink)
         base = rng.uniform(0.2, 1.5, size=(1, 4, 4, 2)) * rng.choice([-1, 1], (1, 4, 4, 2))
         x = tensor(base, requires_grad=True)
         weigh = tensor(rng.normal(size=(1, 4, 4, 2)))
         _fd_check(lambda: sum_all(multiply(relu(x), weigh)), (x,))
-        _fd_check(lambda: sum_all(multiply(sigmoid(x), weigh)), (x,))
 
-        # total loss wrt prediction and a weight tensor
-        pred = tensor(rng.uniform(0.1, 0.9, size=(1, 4, 4, 1)), requires_grad=True)
+        # total loss wrt logits of both signs (through sigmoid) and a weight tensor
+        pred = tensor(rng.uniform(-2.0, 2.0, size=(1, 4, 4, 1)), requires_grad=True)
         target = tensor((rng.uniform(size=(1, 4, 4, 1)) > 0.5).astype(np.float64))
         w = tensor(rng.normal(size=(3, 3, 1, 2)), requires_grad=True)
         _fd_check(lambda: total_loss(pred, target, [w], 0.1, 0.7), (pred, w), eps=1e-6)
@@ -191,10 +189,10 @@ def test_criterion_05_gradient_suite():
         reg = model.kernel_parameters()
 
         def loss_fn():
-            return total_loss(sigmoid(model(x)), target, reg, 1e-3, 1.0).item()
+            return total_loss(model(x), target, reg, 1e-3, 1.0).item()
 
         with recording() as g:
-            grads = backward(total_loss(sigmoid(model(x)), target, reg, 1e-3, 1.0), g)
+            grads = backward(total_loss(model(x), target, reg, 1e-3, 1.0), g)
         per_type = {
             "root conv": "root.conv1.w",
             "strided bottleneck": "block3.unit1.spatial.w",
@@ -234,14 +232,14 @@ def test_criterion_06_shape_contract():
         feats = model.encoder(x)
         g = concat_channels((feats.b3, feats.b4, feats.b5))
         u = model.msif(g)
-        probs = sigmoid(model(x))
+        probs = sigmoid(model(x).data)
     assert feats.b3.shape == (1, 4, 4, 256)
     assert feats.b4.shape == (1, 4, 4, 512)
     assert feats.b5.shape == (1, 4, 4, 256)
     assert g.shape == (1, 4, 4, 1024)
     assert u.shape == (1, 4, 4, 256)
     assert probs.shape == (1, 64, 64, 1)
-    assert probs.data.min() > 0.0 and probs.data.max() < 1.0
+    assert probs.min() > 0.0 and probs.max() < 1.0
     report(6, "64x64 -> blocks at 4x4, G 1024ch, fusion 256ch, output 64x64x1 in (0,1)")
 
 

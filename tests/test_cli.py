@@ -1,10 +1,11 @@
 import csv
+import struct
 
 import numpy as np
 import pytest
 
 from dnet.cli import main
-from dnet.model import DNet, DNetConfig, load_checkpoint, save_checkpoint
+from dnet.model import CHECKPOINT_MAGIC, DNet, DNetConfig, load_checkpoint, save_checkpoint
 from dnet.pnm import read_pnm, write_mask_pgm, write_ppm, write_prob_pgm
 
 
@@ -228,6 +229,69 @@ class TestRFAnalyze:
         assert err.startswith(f"error: config: {layers}:2: {reason}") and err.count("\n") == 1
 
 
+def _checkpoint(path, first_dims=None):
+    """A small model's checkpoint; ``first_dims`` overwrites its first tensor's dims."""
+    save_checkpoint(DNet(DNetConfig(channels_scale=0.0625), seed=0), path)
+    if first_dims is not None:
+        data = bytearray(path.read_bytes())
+        off = len(CHECKPOINT_MAGIC) + 11 * 4
+        (name_len,) = struct.unpack_from("<I", data, off)
+        struct.pack_into("<4I", data, off + 4 + name_len, *first_dims)
+        path.write_bytes(bytes(data))
+    return path
+
+
+def _file(path, content: bytes):
+    path.write_bytes(content)
+    return path
+
+
+def _dir(path):
+    path.mkdir()
+    return path
+
+
+def _train(tmp, manifest=None, config=None):
+    config = config or _file(tmp / "run.cfg", b"max_iter = 1\n")
+    source = ["--manifest", manifest] if manifest else ["--synth", 1]
+    return ["train", "--config", config, *source, "--out", tmp / "o"]
+
+
+def _predict(tmp, checkpoint=None, image=None):
+    checkpoint = checkpoint or _checkpoint(tmp / "m.dnet")
+    return ["predict", "--checkpoint", checkpoint, "--image", image or tmp / "x.ppm",
+            "--out", tmp / "o"]
+
+
+# input defect -> (argv, the file at fault, error code), built under tmp
+UNREADABLE_INPUTS = {
+    "manifest is a directory": lambda tmp: (
+        _train(tmp, manifest=_dir(tmp / "data")), tmp / "data", "io"),
+    "image is a directory": lambda tmp: (
+        _predict(tmp, image=_dir(tmp / "img")), tmp / "img", "io"),
+    "checkpoint is a directory": lambda tmp: (
+        _predict(tmp, checkpoint=_dir(tmp / "ckpt")), tmp / "ckpt", "io"),
+    "eval --pred is a file": lambda tmp: (
+        ["eval", "--pred", _file(tmp / "p.pgm", b""), "--gt", tmp, "--out", tmp / "o"],
+        tmp / "p.pgm", "io"),
+    "manifest is not UTF-8": lambda tmp: (
+        _train(tmp, manifest=_file(tmp / "m.txt", b"split train\na\xff.ppm a.pgm\n")),
+        tmp / "m.txt", "manifest"),
+    "run config is not UTF-8": lambda tmp: (
+        _train(tmp, config=_file(tmp / "bad.cfg", b"l\xffr = 1\n")), tmp / "bad.cfg", "config"),
+    "layers file is not UTF-8": lambda tmp: (
+        ["rf-analyze", "--layers", _file(tmp / "l.txt", b"conv 3 1 \xff\n")],
+        tmp / "l.txt", "config"),
+    # np.prod of these dims wraps to 0, or overflows
+    "checkpoint dims 65536^4": lambda tmp: (
+        _predict(tmp, checkpoint=_checkpoint(tmp / "c.dnet", (65536,) * 4)),
+        tmp / "c.dnet", "checkpoint"),
+    "checkpoint dims 2^31": lambda tmp: (
+        _predict(tmp, checkpoint=_checkpoint(tmp / "c.dnet", (2**31, 2**31, 3, 3))),
+        tmp / "c.dnet", "checkpoint"),
+}
+
+
 class TestErrorPaths:
     def test_missing_checkpoint(self, tmp_path, capsys):
         code = run_cli("predict", "--checkpoint", tmp_path / "nope.dnet",
@@ -246,6 +310,14 @@ class TestErrorPaths:
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error: checkpoint: {ckpt}: ")
         assert "truncated" in err and "\n" not in err
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+    def test_unreadable_input_named_in_one_line(self, case, tmp_path, capsys):
+        args, bad, code = UNREADABLE_INPUTS[case](tmp_path)
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {code}: ") and err.count("\n") == 1
+        assert str(bad) in err
 
     def test_bad_arguments_exit_one(self, capsys):
         assert run_cli("train") == 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dnet.convops import using_deterministic
 from dnet.errors import GraphError, ShapeError
-from dnet.losses import total_loss
+from dnet.losses import sigmoid, total_loss
 from dnet.model import DNet, DNetConfig
 from dnet.tensor import (
     Graph,
@@ -21,7 +21,6 @@ from dnet.tensor import (
     record_op,
     recording,
     relu,
-    sigmoid,
     sum_all,
     tensor,
     using_dtype,
@@ -143,28 +142,6 @@ def test_relu_gradient_masks():
     assert max_rel_err(np.array([0.0, 5.0]), fd.ravel()) < 1e-6
 
 
-def test_sigmoid_values():
-    x = tensor([0.0], shape=(1, 1, 1, 1))
-    assert sigmoid(x).item() == pytest.approx(0.5, abs=1e-12)
-    big = tensor([100.0], shape=(1, 1, 1, 1))
-    assert abs(sigmoid(big).item() - 1.0) < 1e-12
-    verybig = tensor([1000.0], shape=(1, 1, 1, 1))
-    assert np.isfinite(sigmoid(verybig).data).all()
-    veryneg = tensor([-1000.0], shape=(1, 1, 1, 1))
-    assert np.isfinite(sigmoid(veryneg).data).all()
-
-
-def test_sigmoid_derivative_at_zero():
-    with using_dtype(np.float64):
-        x = tensor([0.0], shape=(1, 1, 1, 1), requires_grad=True)
-        with recording() as g:
-            grads = backward(sum_all(sigmoid(x)), g)
-        assert grads[x].ravel()[0] == pytest.approx(0.25, abs=1e-12)
-
-        fd = fd_full_grad(lambda: sigmoid(x).item(), x)
-        assert fd.ravel()[0] == pytest.approx(0.25, abs=1e-8)
-
-
 def test_backward_hand_chain_rule():
     w = tensor([2.0], shape=(1, 1, 1, 1), requires_grad=True)
     x = tensor([3.0], shape=(1, 1, 1, 1), requires_grad=True)
@@ -263,7 +240,7 @@ def test_backward_parameter_gradients_match_keep_everything_sweep(deterministic,
     x = tensor(rng.uniform(size=(2, 32, 32, 3)))
     target = tensor((rng.uniform(size=(2, 32, 32, 1)) > 0.8).astype(np.float32))
     with using_deterministic(deterministic), recording() as g:
-        loss = total_loss(sigmoid(model(x)), target, model.kernel_parameters(), 1e-4, 1.0)
+        loss = total_loss(model(x), target, model.kernel_parameters(), 1e-4, 1.0)
         grads = backward(loss, g)
         reference = keep_everything_backward(loss, g)
     params = model.parameters()
@@ -309,9 +286,9 @@ def test_operations_do_not_record_without_graph():
 
 def test_determinism_bit_identical(rng):
     x = tensor(rng.normal(size=(2, 4, 4, 3)))
-    first = sigmoid(relu(x))
-    second = sigmoid(relu(x))
-    assert np.array_equal(first.data, second.data)
+    first = sigmoid(relu(x).data)
+    second = sigmoid(relu(x).data)
+    assert np.array_equal(first, second)
 
 
 def test_dtype_mode_switch():
@@ -324,8 +301,8 @@ def test_dtype_mode_switch():
 
 def test_forward_outputs_remain_finite(rng):
     x = tensor(rng.normal(size=(1, 4, 4, 2)) * 50)
-    for op in (relu, sigmoid):
-        assert np.isfinite(op(x).data).all()
+    assert np.isfinite(relu(x).data).all()
+    assert np.isfinite(sigmoid(x.data)).all()
 
 
 def test_dnet_tensor_is_the_module():

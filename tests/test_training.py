@@ -235,7 +235,7 @@ class TestTrainLoop:
         state = AdamState.for_params(weights)
         cfg = TrainConfig(lr=1e-3, max_iter=20, lam=1e-2, beta=0.0)
         # A constant prediction: the weights' gradients are the L2 term's alone.
-        pred = tensor(np.full((1, 32, 32, 1), 0.5))
+        pred = tensor(np.zeros((1, 32, 32, 1)))  # logit 0: probability 0.5
         target = tensor(synth_vessels(0, 1, 32, 32)[0][1][None])
 
         def weight_norm():
