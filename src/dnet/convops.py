@@ -5,13 +5,13 @@ and bilinear upsampling of a pooled map, each with a reverse-mode rule.
 All operators use the (batch, height, width, channels) layout and zero
 padding; out-of-range taps contribute nothing. The strided operators share
 one tap engine over ``_tap_view``, the view of the padded input that kernel
-tap (a, b) reads: ``_scatter`` is its adjoint and yields every input
-gradient; ``_spread`` sends one 2-D ``g @ w[a, b].T`` product per tap
-through it, which is conv2d's input gradient and, for a kernel with its
-channel axes swapped, the whole transposed-convolution forward;
-``_im2col`` lays the taps side by side as one column matrix; ``_dense`` is
-the dense convolution forward. Only that forward has two execution
-strategies:
+tap (a, b) reads: ``_scatter`` is its adjoint and yields every strided
+input gradient; ``_spread`` sends one 2-D ``g @ w[a, b].T`` product per
+tap through it, which is the input gradient of a conv2d that does not run
+on shifted row slices (below) and, for a kernel with its channel axes
+swapped, the whole transposed-convolution forward; ``_im2col`` lays the
+taps side by side as one column matrix; ``_dense`` is the dense
+convolution forward. Only that forward has two execution strategies:
 
 * tap-ordered accumulation (default, ``deterministic`` mode): the output is
   built by adding one (kernel row, kernel col, input channel) tap at a time,
@@ -35,19 +35,24 @@ strategies:
   rather than offered as a bit-exact replacement. It works one band of
   whole output rows at a time in buffers of bounded size, so a large image
   never needs the whole im2col column matrix (hundreds of MB for a 3x3
-  layer at 576x576). One of two helpers is picked by shape. A stride-1
-  kernel whose padded input grid is at most 1.25x its output grid runs
-  ``_shifted_gemm``: in each image's padded input, flattened to a
+  layer at 576x576). One of two helpers is picked by shape (``_shifts``).
+  A stride-1 kernel whose padded input grid is at most 1.25x its output
+  grid runs ``_shifted_gemm``: in each image's padded input, flattened to a
   (pixels, channels) matrix, every tap of a band reads one contiguous row
   slice, so the band is one GEMM per tap with no column copy. Any other
   runs ``_banded_gemm``, which lowers each band into an im2col buffer and
   runs one GEMM. A 1x1 unit-stride kernel on an unpadded input needs
   neither and stays one GEMM.
 
-The backward rules are GEMM-shaped and the same in both modes: a dense
-weight gradient is one ``_im2col(...).T @ g`` product, conv2d's input
-gradient is ``_spread``, and an unpadded unit-stride 1x1 convolution needs
-no column copy or scatter. Bilinear upsampling serves only the pooled
+The backward rules are GEMM-shaped and the same in both modes. conv2d's
+picks by the forward's shape rule. Where the forward's shifted row slices
+serve, ``_shifted_grads`` reads the same slices, with the padded inputs
+of the whole batch as one flat matrix, and runs one weight-gradient and
+one input-gradient GEMM per tap: no column copy, no strided scatter. That
+covers every unit-stride 1x1 kernel, whose padded grid is its output
+grid, with one GEMM each. Any other conv2d runs ``_im2col_grads``: the
+weight gradient is one ``_im2col(...).T @ g`` product and the input
+gradient is ``_spread``. Bilinear upsampling serves only the pooled
 (n, 1, 1, c) map, so it is a broadcast and its backward a sum.
 """
 
@@ -208,14 +213,11 @@ def _scatter(shape, pads, taps, d: int, s: int, ho: int, wo: int, contrib, dtype
 def _spread(g: np.ndarray, w: np.ndarray, shape, pads, d: int, s: int) -> np.ndarray:
     """Input gradient of a dense tap gather with weight ``w`` whose output
     gradient is ``g``: tap (a, b) sends the 2-D product g @ w[a, b].T back
-    through ``_scatter`` onto the (n, h, w, cin) ``shape``. An unpadded
-    unit-stride 1x1 kernel needs no scatter.
+    through ``_scatter`` onto the (n, h, w, cin) ``shape``.
     """
     kh, kw, cin, cout = w.shape
     _, ho, wo, _ = g.shape
     g2 = g.reshape(-1, cout)
-    if kh == kw == 1 and s == 1 and not any(pads):
-        return (g2 @ w[0, 0].T).reshape(shape)
     return _scatter(shape, pads, (kh, kw), d, s, ho, wo,
                     lambda a, b: (g2 @ w[a, b].T).reshape(-1, ho, wo, cin), g.dtype)
 
@@ -226,13 +228,10 @@ def _im2col(
 ) -> np.ndarray:
     """Column matrix of the tap gather: row (n, i, j), column (a, b, channel).
 
-    A 1x1 kernel whose one tap reads all of ``xp`` reshapes it without a copy.
-    Otherwise the matrix is written into the leading elements of the flat
-    array ``buf`` when one is given, or into a new array.
+    The matrix is written into the leading elements of the flat array
+    ``buf`` when one is given, or into a new array.
     """
     n, _, _, c = xp.shape
-    if kh == kw == 1 and xp.shape[1:3] == (ho, wo):
-        return xp.reshape(-1, c)
     k = kh * kw * c
     if buf is None:
         cols = np.empty((n, ho, wo, k), dtype=xp.dtype)
@@ -345,6 +344,16 @@ def _banded_gemm(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray)
         out[:, i0:i1] += (cols @ wm).reshape(n, i1 - i0, wo, cout)
 
 
+def _shifts(s: int, padded, ho: int, wo: int) -> bool:
+    """Whether a stride-``s`` tap gather from the (hp, wp) ``padded`` grid
+    onto an ho x wo output runs on shifted row slices of the flat padded
+    input: stride 1, and the padded grid at most 1.25x the output grid, as
+    the slices also cover the padding columns and rows the output skips.
+    """
+    hp, wp = padded
+    return s == 1 and 4 * hp * wp <= 5 * ho * wo
+
+
 def _shifted_gemm(xp: np.ndarray, w: np.ndarray, d: int, out: np.ndarray) -> None:
     """Stride-1 GEMM forward with no column copy: one GEMM per tap and band.
 
@@ -375,6 +384,66 @@ def _shifted_gemm(xp: np.ndarray, w: np.ndarray, d: int, out: np.ndarray) -> Non
             dst[i0:i1] += acc[: (i1 - i0) * wp].reshape(i1 - i0, wp, cout)[:, :wo]
 
 
+def _shifted_grads(xp: np.ndarray, w: np.ndarray, d: int, g: np.ndarray, shape, pads):
+    """Input and weight gradients of a stride-1 dense tap gather on shifted
+    row slices: one pair of GEMMs per tap over the whole batch.
+
+    The padded input of the batch is one flat (n * hp * wp, cin) matrix, and
+    ``g`` is laid into a zero (n, hp, wp, cout) grid, so row r of both is
+    the same pixel. Tap (a, b) reads rows start + r, start = a*d*wp + b*d,
+    for the first ``m`` rows r of the grid, up to its last output pixel: a
+    row r past an output row's end, or in the rows below an image's output,
+    reaches across a row end or into the next image, but its upstream row
+    is zero and adds nothing. ``gw[a, b]`` is the product of the input rows
+    and ``g``; the input gradient adds ``g @ w[a, b].T`` onto the same rows
+    of the padded input's gradient, which is then cropped to the (n, h, w,
+    cin) ``shape``. Tap (0, 0) starts at row 0, so it writes the gradient's
+    first ``m`` rows in place of adding to zeros. A grid with no padding
+    rows or columns, such as every 1x1 kernel's, needs no zero copy of
+    ``g``. The input gradient is None when ``shape`` is.
+    """
+    kh, kw, cin, cout = w.shape
+    n, hp, wp, _ = xp.shape
+    _, ho, wo, _ = g.shape
+    if (hp, wp) == (ho, wo):
+        gflat = g.reshape(-1, cout)
+    else:
+        gp = np.zeros((n, hp, wp, cout), dtype=g.dtype)
+        gp[:, :ho, :wo] = g
+        gflat = gp.reshape(-1, cout)
+    m = (n - 1) * hp * wp + (ho - 1) * wp + wo
+    gflat = gflat[:m]
+    xflat = xp.reshape(-1, cin)
+    taps = [(a, b, a * d * wp + b * d) for a in range(kh) for b in range(kw)]
+    gw = np.empty(w.shape, dtype=g.dtype)
+    for a, b, start in taps:
+        np.matmul(xflat[start : start + m].T, gflat, out=gw[a, b])
+    if shape is None:
+        return None, gw
+    gxp = np.empty((n, hp, wp, cin), dtype=g.dtype)
+    gxflat = gxp.reshape(-1, cin)
+    gxflat[m:] = 0.0
+    np.matmul(gflat, w[0, 0].T, out=gxflat[:m])
+    if len(taps) > 1:
+        tmp = np.empty((m, cin), dtype=g.dtype)
+        for a, b, start in taps[1:]:
+            np.matmul(gflat, w[a, b].T, out=tmp)
+            gxflat[start : start + m] += tmp
+    pt, _, pl, _ = pads
+    return gxp[:, pt : pt + shape[1], pl : pl + shape[2]], gw
+
+
+def _im2col_grads(xp: np.ndarray, w: np.ndarray, d: int, s: int, g: np.ndarray, shape, pads):
+    """Input and weight gradients of any dense tap gather: ``_spread``, and
+    one GEMM over the whole im2col column matrix. The input gradient is None
+    when ``shape`` is.
+    """
+    kh, kw, _, cout = w.shape
+    _, ho, wo, _ = g.shape
+    gx = None if shape is None else _spread(g, w, shape, pads, d, s)
+    return gx, (_im2col(xp, kh, kw, d, s, ho, wo).T @ g.reshape(-1, cout)).reshape(w.shape)
+
+
 def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
     """Dense tap gather: out += sum over taps (a, b) of tap(a, b) @ w[a, b].
 
@@ -382,11 +451,11 @@ def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> No
     (kernel row, kernel col, input channel) tap at a time: channel-first when
     the output row outruns the output channels, else by stacking each tap's
     products and folding the stack with one sequential reduce. Otherwise a
-    1x1 kernel whose column matrix is a reshape of ``xp`` is one GEMM; a
-    stride-1 kernel whose padded grid is at most 1.25x its output grid runs
-    ``_shifted_gemm``, one GEMM per tap on shifted row slices of ``xp``;
-    any other runs ``_banded_gemm``, one im2col GEMM per band of output
-    rows.
+    1x1 kernel whose one tap reads all of ``xp`` is one GEMM on a reshape; a
+    stride-1 kernel whose padded grid is at most 1.25x its output grid
+    (``_shifts``) runs ``_shifted_gemm``, one GEMM per tap on shifted row
+    slices of ``xp``; any other runs ``_banded_gemm``, one im2col GEMM per
+    band of output rows.
     """
     kh, kw, cin, cout = w.shape
     _, ho, wo, _ = out.shape
@@ -403,7 +472,7 @@ def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> No
     # (1.27), 36^2 256->256 d4 10.56 -> 12.52 (1.49), 4x8^2 64->64
     # 0.31 -> 0.48 (1.56). Inside the bound, 36^2 256->256 d2 (10.48 ->
     # 11.39) and 4x32^2 32->64 (2.30 -> 2.56) still lose a little.
-    elif s == 1 and 4 * xp.shape[1] * xp.shape[2] <= 5 * ho * wo:
+    elif _shifts(s, xp.shape[1:3], ho, wo):
         _shifted_gemm(xp, w, d, out)
     else:
         _banded_gemm(xp, w, d, s, out)
@@ -460,20 +529,21 @@ def conv2d(x: Tensor, kernel: ConvKernel) -> Tensor:
                                * w[a,b,m,c]
     with zero contribution from out-of-range positions.
     """
-    kh, kw, cin, cout = kernel.weight.shape
+    _, _, cin, cout = kernel.weight.shape
     _check_channels("conv2d", x, kernel, cin, cout)
     s, d = kernel.stride, kernel.dilation
     xp, ho, wo = _gather_frame("conv2d", x, kernel)
     w = kernel.weight.data
     out = _bias_filled(kernel, (x.shape[0], ho, wo, cout), x.dtype)
     _dense(xp, w, d, s, out)
-    x_shape = x.shape
-    input_grad = x.requires_grad
+    # No input gradient for a constant input, such as the network's image.
+    x_shape = x.shape if x.requires_grad else None
+    shifted = _shifts(s, xp.shape[1:3], ho, wo)
 
     def grads(g: np.ndarray):
-        # No input gradient for a constant input, such as the network's image.
-        gx = _spread(g, w, x_shape, kernel.padding, d, s) if input_grad else None
-        return gx, (_im2col(xp, kh, kw, d, s, ho, wo).T @ g.reshape(-1, cout)).reshape(w.shape)
+        if shifted:
+            return _shifted_grads(xp, w, d, g, x_shape, kernel.padding)
+        return _im2col_grads(xp, w, d, s, g, x_shape, kernel.padding)
 
     return _record("conv2d", x, kernel, out, grads)
 

@@ -674,6 +674,18 @@ class TestGradientsMatchPerTapLoop:
         "3x3 dilation 4 on 4x4 (block 5)": (3, 1, 4, same_pads(3, 4), (2, 4, 4, 8)),
         "3x3 stride 2 asymmetric pads": (3, 2, 1, (0, 1, 0, 1), (2, 7, 8, 3)),
         "3x3 dilation 2": (3, 1, 2, same_pads(3, 2), (1, 6, 6, 3)),
+        # Padded grids at most 1.25x the output grid, so the shifted rule
+        # serves these 3x3 kernels; with batch 2, some slice rows cross
+        # from one image into the next.
+        "3x3 batch 2 (shifted)": (3, 1, 1, same_pads(3), (2, 18, 19, 3)),
+        "3x3 asymmetric pads (shifted)": (3, 1, 1, (2, 0, 0, 1), (2, 20, 20, 2)),
+        "3x3 dilation 2 batch 2 (shifted)": (3, 1, 2, same_pads(3, 2), (2, 38, 40, 2)),
+    }
+    # The cases whose backward runs on shifted row slices: stride 1 and a
+    # padded grid at most 1.25x the output grid. The others take im2col.
+    SHIFTED = {
+        "1x1 unit stride unpadded", "1x1 padded", "3x3 batch 2 (shifted)",
+        "3x3 asymmetric pads (shifted)", "3x3 dilation 2 batch 2 (shifted)",
     }
     # name -> (kernel, stride, dilation, pads, input shape)
     TRANSPOSED = {
@@ -700,8 +712,12 @@ class TestGradientsMatchPerTapLoop:
     @pytest.mark.parametrize("deterministic", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", sorted(CONV2D))
-    def test_conv2d(self, case, dtype, deterministic, rng):
+    def test_conv2d(self, case, dtype, deterministic, rng, monkeypatch):
         k, stride, dilation, pads, shape = self.CONV2D[case]
+        taken = []
+        for route in ("_shifted_grads", "_im2col_grads"):
+            monkeypatch.setattr(convops, route, lambda *args, f=getattr(convops, route), r=route:
+                                taken.append(r) or f(*args))
         with using_dtype(dtype), using_deterministic(deterministic):
             x = tensor(rng.normal(size=shape), requires_grad=True)
             w = tensor(rng.normal(size=(k, k, shape[3], 5)), requires_grad=True)
@@ -710,6 +726,7 @@ class TestGradientsMatchPerTapLoop:
                 lambda x, w, g: reference_conv2d_grads(x, w, g, stride, dilation, pads),
                 x, w, rng,
             )
+        assert taken == ["_shifted_grads" if case in self.SHIFTED else "_im2col_grads"]
 
     @pytest.mark.parametrize("deterministic", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -919,6 +936,73 @@ class TestGemmForwardRoute:
         assert routes["banded"].total() == banded
         assert routes["reshape"].total() == 40
         assert all(k == 1 and s == 1 for _, k, s, _, _, _ in routes["reshape"])
+
+
+class TestConvBackwardRoute:
+    """Which backward rule each conv2d of a 64x64 training step (batch 4)
+    takes, at desk scale (channels_scale 0.125, exact mode) and at full
+    width (GEMM mode). The rule is the GEMM forward's shape rule, so it is
+    the same in both modes. Shifted row slices serve every stride-1 kernel
+    whose padded grid is at most 1.25x the output grid: the 40 unit-stride
+    1x1 kernels, whose padded grid is their output grid, and the 3x3
+    kernels at 1/2 and full resolution. The im2col rule serves the rest:
+    the strided kernels and every 3x3 kernel from 1/4 resolution down."""
+
+    # (ho, k, stride, dilation, cin, cout) -> conv2d calls, at full width
+    SHIFTED_3X3 = {
+        (64, 3, 1, 1, 32, 32): 2,  # decoder.refine1, refine2
+        (32, 3, 1, 1, 32, 32): 1, (32, 3, 1, 1, 32, 64): 1, (32, 3, 1, 1, 128, 64): 1,
+    }
+
+    @pytest.mark.parametrize("scale, deterministic", [(0.125, True), (1.0, False)])
+    def test_training_step(self, scale, deterministic, monkeypatch):
+        taken = []  # (route, (ho, k, stride, dilation, cin, cout)) per backward rule
+
+        def zeros(w, g, shape):  # skips the work
+            return None if shape is None else np.zeros(shape, g.dtype), np.zeros_like(w)
+
+        def spy_shifted(xp, w, d, g, shape, pads):
+            taken.append(("shifted", (g.shape[1], w.shape[0], 1, d, *w.shape[2:])))
+            return zeros(w, g, shape)
+
+        def spy_im2col(xp, w, d, s, g, shape, pads):
+            taken.append(("im2col", (g.shape[1], w.shape[0], s, d, *w.shape[2:])))
+            return zeros(w, g, shape)
+
+        monkeypatch.setattr(convops, "_shifted_grads", spy_shifted)
+        monkeypatch.setattr(convops, "_im2col_grads", spy_im2col)
+        net = DNet(DNetConfig(channels_scale=scale))
+        with using_deterministic(deterministic), recording() as graph:
+            backward(sum_all(net(tensor(np.zeros((4, 64, 64, 3), dtype=np.float32)))), graph)
+        routes = {route: Counter(shape for r, shape in taken if r == route)
+                  for route in ("shifted", "im2col")}
+        shifted_3x3 = Counter({key: n for key, n in routes["shifted"].items() if key[1] == 3})
+        scaled = {(*key[:4], int(key[4] * scale), int(key[5] * scale)): n
+                  for key, n in self.SHIFTED_3X3.items()}
+        assert shifted_3x3 == scaled
+        assert routes["shifted"].total() - shifted_3x3.total() == 40
+        assert all(s == 1 for _, _, s, _, _, _ in routes["shifted"])
+        assert routes["im2col"].total() == 20
+        assert all(s == 2 or (k == 3 and ho <= 16)
+                   for ho, k, s, _, _, _ in routes["im2col"])
+
+    def test_peak_below_half_the_whole_column_matrix(self, rng):
+        x = tensor(rng.normal(size=(1, 128, 128, 32)), requires_grad=True)
+        kern = ConvKernel(tensor(rng.normal(size=(3, 3, 32, 32)), requires_grad=True),
+                          None, 1, 1, same_pads(3))
+        whole = 128 * 128 * 9 * 32 * x.data.itemsize
+        with recording() as graph:
+            y = conv2d(x, kern)
+        rule = graph.nodes[-1].backward
+        g = rng.normal(size=y.shape).astype(y.dtype)
+        tracemalloc.start()
+        try:
+            gx, gw = rule(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gx.shape == x.shape and gw.shape == kern.weight.shape
+        assert peak < whole / 2
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
