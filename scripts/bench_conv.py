@@ -50,7 +50,7 @@ import numpy as np
 
 from dnet import convops
 from dnet.convops import ConvKernel, conv2d, same_pads, using_deterministic
-from dnet.tensor import recording, tensor
+from dnet.tensor import Tensor, recording
 
 CASES = [
     # (batch, height, width, cin, cout, k, dilation, stride)
@@ -164,10 +164,10 @@ def main() -> int:
         f"{'sh bwd':>8} {'i2c bwd':>8} {'bwd':>8} {'gemm MB':>8} {'max diff':>10}"
     )
     for n, h, w, cin, cout, k, d, s in CASES:
-        x = tensor(rng.normal(size=(n, h, w, cin)), requires_grad=True)
+        x = Tensor(rng.normal(size=(n, h, w, cin)).astype(np.float32), requires_grad=True)
         kern = ConvKernel(
-            tensor(rng.normal(size=(k, k, cin, cout)), requires_grad=True),
-            tensor(rng.normal(size=(1, 1, 1, cout)), requires_grad=True),
+            Tensor(rng.normal(size=(k, k, cin, cout)).astype(np.float32), requires_grad=True),
+            Tensor(rng.normal(size=(1, 1, 1, cout)).astype(np.float32), requires_grad=True),
             s, d, same_pads(k, d, s),
         )
         stacked, stacked_bytes = helper_run(x, kern, convops._exact_stacked)

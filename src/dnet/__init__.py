@@ -25,12 +25,9 @@ from .tensor import (
     concat_channels,
     default_dtype,
     elementwise_add,
-    multiply,
     recording,
     relu,
-    sum_all,
     using_dtype,
-    zeros,
 )
 from .convops import (
     ConvKernel,

@@ -54,6 +54,10 @@ grid, with one GEMM each. Any other conv2d runs ``_im2col_grads``: the
 weight gradient is one ``_im2col(...).T @ g`` product and the input
 gradient is ``_spread``. Bilinear upsampling serves only the pooled
 (n, 1, 1, c) map, so it is a broadcast and its backward a sum.
+
+A kernel with ``relu`` set fuses its ReLU into the operator's one tape
+node: the output is rectified in place, so the pre-activation is never
+held, and the rule masks the upstream gradient by ``out > 0`` first.
 """
 
 from __future__ import annotations
@@ -137,7 +141,8 @@ class ConvKernel:
 
     ``weight`` is (kh, kw, in_channels, out_channels); ``bias`` is an
     optional (1, 1, 1, out_channels) tensor. ``padding`` is explicit
-    per-side (top, bottom, left, right).
+    per-side (top, bottom, left, right). With ``relu`` set, the operator
+    that applies the kernel returns max(0, op(x)) from one tape node.
     """
 
     weight: Tensor
@@ -145,6 +150,7 @@ class ConvKernel:
     stride: int = 1
     dilation: int = 1
     padding: tuple[int, int, int, int] = (0, 0, 0, 0)
+    relu: bool = False
 
     def __post_init__(self) -> None:
         kh, kw, cin, cout = self.weight.shape
@@ -509,16 +515,22 @@ def _bias_filled(kernel: ConvKernel, shape, dtype) -> np.ndarray:
 def _record(op: str, x: Tensor, kernel: ConvKernel, out: np.ndarray, grads) -> Tensor:
     """Record ``op`` over (x, weight[, bias]); ``grads(g)`` yields (gx, gw).
 
-    The optional bias receives the upstream gradient summed per channel.
+    A ``relu`` kernel's ``out`` is rectified in place and ``g`` masked by
+    ``out > 0`` first. The optional bias receives ``g`` summed per channel.
     """
-    if kernel.bias is None:
-        return record_op(op, (x, kernel.weight), out, grads)
-    bias_shape = kernel.bias.shape
+    relu, bias = kernel.relu, kernel.bias
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def rule(g: np.ndarray):
-        return (*grads(g), g.sum(axis=(0, 1, 2)).reshape(bias_shape))
+        if relu:
+            g = g * (out > 0)
+        if bias is None:
+            return grads(g)
+        return (*grads(g), g.sum(axis=(0, 1, 2)).reshape(bias.shape))
 
-    return record_op(op, (x, kernel.weight, kernel.bias), out, rule)
+    inputs = (x, kernel.weight) if bias is None else (x, kernel.weight, bias)
+    return record_op(op, inputs, out, rule)
 
 
 def conv2d(x: Tensor, kernel: ConvKernel) -> Tensor:

@@ -160,10 +160,11 @@ class _Builder:
         cout: int,
         stride: int = 1,
         dilation: int = 1,
+        relu: bool = False,
     ) -> ConvKernel:
         w = self._weight(f"{name}.w", (k, k, cin, cout), fan_in=k * k * cin)
         b = self._bias(f"{name}.b", cout)
-        return ConvKernel(w, b, stride, dilation, same_pads(k, dilation, stride))
+        return ConvKernel(w, b, stride, dilation, same_pads(k, dilation, stride), relu)
 
     def depthwise(self, name: str, k: int, c: int, dilation: int) -> ConvKernel:
         w = self._weight(f"{name}.w", (k, k, c, 1), fan_in=k * k)
@@ -171,25 +172,14 @@ class _Builder:
         return ConvKernel(w, b, 1, dilation, same_pads(k, dilation, 1))
 
 
-class _ConvUnit:
-    """Convolution, followed by a ReLU when ``activate`` is set."""
-
-    def __init__(self, kernel: ConvKernel, activate: bool):
-        self.kernel = kernel
-        self.activate = activate
-
-    def __call__(self, x: Tensor) -> Tensor:
-        h = conv2d(x, self.kernel)
-        return relu(h) if self.activate else h
-
-
 class ResidualBottleneck:
     """1x1 reduce -> 3x3 spatial -> 1x1 restore with an additive shortcut.
 
     The spatial convolution carries the unit's stride and dilation. The
     shortcut is the identity unless channels or resolution change, in which
-    case a 1x1 projection (with the unit's stride) aligns it. ReLU follows
-    the first two convolutions and the post-addition sum.
+    case a 1x1 projection (with the unit's stride) aligns it. The kernels of
+    the first two convolutions carry their ReLU (``relu=True``); a separate
+    ReLU follows the post-addition sum.
     """
 
     def __init__(
@@ -202,22 +192,19 @@ class ResidualBottleneck:
         dilation: int = 1,
     ):
         c_reduce, c_spatial, c_out = widths
-        self.reduce = _ConvUnit(builder.conv(f"{name}.reduce", 1, cin, c_reduce), True)
-        self.spatial = _ConvUnit(
-            builder.conv(f"{name}.spatial", 3, c_reduce, c_spatial, stride, dilation), True
+        self.reduce = builder.conv(f"{name}.reduce", 1, cin, c_reduce, relu=True)
+        self.spatial = builder.conv(
+            f"{name}.spatial", 3, c_reduce, c_spatial, stride, dilation, relu=True
         )
-        self.restore = _ConvUnit(builder.conv(f"{name}.restore", 1, c_spatial, c_out), False)
+        self.restore = builder.conv(f"{name}.restore", 1, c_spatial, c_out)
+        self.project = None
         if cin != c_out or stride != 1:
-            self.project = _ConvUnit(
-                builder.conv(f"{name}.project", 1, cin, c_out, stride), False
-            )
-        else:
-            self.project = None
+            self.project = builder.conv(f"{name}.project", 1, cin, c_out, stride)
         self.out_channels = c_out
 
     def forward(self, v: Tensor) -> Tensor:
-        h = self.restore(self.spatial(self.reduce(v)))
-        shortcut = self.project(v) if self.project is not None else v
+        h = conv2d(conv2d(conv2d(v, self.reduce), self.spatial), self.restore)
+        shortcut = conv2d(v, self.project) if self.project is not None else v
         return relu(elementwise_add(shortcut, h))
 
     __call__ = forward
@@ -250,9 +237,9 @@ class Encoder:
     def __init__(self, builder: _Builder, cfg: DNetConfig):
         w = cfg.width
         c1, c2, c3 = (w(c) for c in ROOT_WIDTHS)
-        self.root1 = _ConvUnit(builder.conv("root.conv1", 3, IN_CHANNELS, c1, 2), True)
-        self.root2 = _ConvUnit(builder.conv("root.conv2", 3, c1, c2), True)
-        self.root3 = _ConvUnit(builder.conv("root.conv3", 3, c2, c3), True)
+        self.root1 = builder.conv("root.conv1", 3, IN_CHANNELS, c1, 2, relu=True)
+        self.root2 = builder.conv("root.conv2", 3, c1, c2, relu=True)
+        self.root3 = builder.conv("root.conv3", 3, c2, c3, relu=True)
 
         self.blocks: list[list[ResidualBottleneck]] = []
         cin = c3
@@ -279,7 +266,7 @@ class Encoder:
                 f"encoder input spatial dims must be divisible by {DOWNSAMPLE_FACTOR}, "
                 f"got {h}x{w}"
             )
-        h1 = self.root3(self.root2(self.root1(x)))  # 1/2
+        h1 = conv2d(conv2d(conv2d(x, self.root1), self.root2), self.root3)  # 1/2
         pooled = max_pool(h1, 3, 2, same_pads(3, 1, 2))  # 1/4
         stage_out = pooled
         outputs = {}
@@ -304,31 +291,32 @@ class MSIF:
     mean, 1x1 convolution, then a broadcast of the pooled map back to the
     input size, which is its corner-aligned bilinear upsample). Every
     branch emits the same width; the stacked result is fused by a 1x1
-    convolution to that width again.
+    convolution to that width again. Each 1x1 convolution's kernel carries
+    its ReLU (``relu=True``); the depthwise kernels have none.
     """
 
     def __init__(self, builder: _Builder, cfg: DNetConfig, cin: int):
         width = cfg.width(MSIF_WIDTH)
-        self.point = _ConvUnit(builder.conv("msif.point", 1, cin, width), True)
+        self.point = builder.conv("msif.point", 1, cin, width, relu=True)
         self.sep_branches = []
         for i, rate in enumerate(cfg.msif_rates, start=1):
             dw = builder.depthwise(f"msif.branch{i}.dw", 3, cin, rate)
-            pw = builder.conv(f"msif.branch{i}.pw", 1, cin, width)
+            pw = builder.conv(f"msif.branch{i}.pw", 1, cin, width, relu=True)
             self.sep_branches.append((dw, pw))
-        self.gap_conv = _ConvUnit(builder.conv("msif.gap", 1, cin, width), True)
-        self.fuse = _ConvUnit(builder.conv("msif.fuse", 1, 5 * width, width), True)
+        self.gap_conv = builder.conv("msif.gap", 1, cin, width, relu=True)
+        self.fuse = builder.conv("msif.fuse", 1, 5 * width, width, relu=True)
         self.out_channels = width
 
     def branch_outputs(self, g: Tensor) -> list[Tensor]:
-        outs = [self.point(g)]
+        outs = [conv2d(g, self.point)]
         for dw, pw in self.sep_branches:
-            outs.append(relu(conv2d(depthwise_conv2d(g, dw), pw)))
-        pooled = self.gap_conv(global_avg_pool(g))
+            outs.append(conv2d(depthwise_conv2d(g, dw), pw))
+        pooled = conv2d(global_avg_pool(g), self.gap_conv)
         outs.append(bilinear_upsample(pooled, g.shape[1], g.shape[2]))
         return outs
 
     def forward(self, g: Tensor) -> Tensor:
-        return self.fuse(concat_channels(self.branch_outputs(g)))
+        return conv2d(concat_channels(self.branch_outputs(g)), self.fuse)
 
     __call__ = forward
 
@@ -340,30 +328,31 @@ class Decoder:
     matching resolution (``skip8``, ``skip4``, ``skip2``) and fuse with a 3x3
     convolution; the last is followed by two 3x3 refinement convolutions and
     a 1x1 head producing single-channel logits. Each doubling's kernel is a
-    2x2 stride-2 convolution kernel, whose same-padding is zero.
+    2x2 stride-2 convolution kernel, whose same-padding is zero. Every
+    kernel but the head's carries its ReLU. Without a tape, the last
+    doubling's map is freed before ``refine2`` runs.
     """
 
     def __init__(self, builder: _Builder, cfg: DNetConfig, cin: int,
                  skip_channels: tuple[int, int, int]):
         *widths, w4 = (cfg.width(c) for c in DECODER_WIDTHS)
         # (doubling, fuse) per skip stage, registered up1, fuse1, up2, ...
-        self.stages: list[tuple[ConvKernel, _ConvUnit]] = []
+        self.stages: list[tuple[ConvKernel, ConvKernel]] = []
         for i, (width, skip) in enumerate(zip(widths, skip_channels), start=1):
-            up = builder.conv(f"decoder.up{i}", 2, cin, width, 2)
-            fuse = _ConvUnit(builder.conv(f"decoder.fuse{i}", 3, width + skip, width), True)
+            up = builder.conv(f"decoder.up{i}", 2, cin, width, 2, relu=True)
+            fuse = builder.conv(f"decoder.fuse{i}", 3, width + skip, width, relu=True)
             self.stages.append((up, fuse))
             cin = width
-        self.up4 = builder.conv("decoder.up4", 2, cin, w4, 2)
-        self.refine1 = _ConvUnit(builder.conv("decoder.refine1", 3, w4, w4), True)
-        self.refine2 = _ConvUnit(builder.conv("decoder.refine2", 3, w4, w4), True)
+        self.up4 = builder.conv("decoder.up4", 2, cin, w4, 2, relu=True)
+        self.refine1 = builder.conv("decoder.refine1", 3, w4, w4, relu=True)
+        self.refine2 = builder.conv("decoder.refine2", 3, w4, w4, relu=True)
         self.head = builder.conv("decoder.head", 1, w4, 1)
 
     def forward(self, u: Tensor, feats: EncoderFeatures) -> Tensor:
         h = u
         for (up, fuse), skip in zip(self.stages, (feats.skip8, feats.skip4, feats.skip2)):
-            h = fuse(concat_channels((relu(transposed_conv(h, up)), skip)))
-        h = relu(transposed_conv(h, self.up4))
-        h = self.refine2(self.refine1(h))
+            h = conv2d(concat_channels((transposed_conv(h, up), skip)), fuse)
+        h = conv2d(conv2d(transposed_conv(h, self.up4), self.refine1), self.refine2)
         return conv2d(h, self.head)
 
     __call__ = forward
@@ -383,7 +372,7 @@ class DNet:
         else:
             self.msif = None
             decoder_in = concat_width
-        root = self.encoder.root3.kernel.out_channels  # skip2, and pooled, skip4
+        root = self.encoder.root3.out_channels  # skip2, and pooled, skip4
         self.decoder = Decoder(
             builder, cfg, decoder_in, (self.encoder.out_channels[2], root, root)
         )

@@ -35,13 +35,9 @@ __all__ = [
     "record_op",
     "default_dtype",
     "using_dtype",
-    "tensor",
-    "zeros",
     "elementwise_add",
-    "multiply",
     "relu",
     "concat_channels",
-    "sum_all",
     "backward",
 ]
 
@@ -114,18 +110,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
 
 
-def tensor(data, shape: Sequence[int] | None = None, requires_grad: bool = False) -> Tensor:
-    """Build a tensor, optionally reshaping flat data into an explicit 4-D shape."""
-    arr = np.asarray(data, dtype=_default_dtype)
-    if shape is not None:
-        arr = arr.reshape(tuple(shape))
-    return Tensor(arr, requires_grad=requires_grad)
-
-
-def zeros(shape: Sequence[int], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(tuple(shape), dtype=_default_dtype), requires_grad=requires_grad)
-
-
 # A backward rule receives d(loss)/d(output) and returns one gradient per
 # input (None where an input is a non-differentiable constant).
 BackwardRule = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
@@ -184,32 +168,16 @@ def record_op(
     return out
 
 
-def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
 def elementwise_add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; both inputs receive the upstream gradient unchanged."""
-    _check_same_shape("elementwise_add", a, b)
+    if a.shape != b.shape:
+        raise ShapeError(f"elementwise_add: shape mismatch {a.shape} vs {b.shape}")
     out = a.data + b.data
 
     def rule(g: np.ndarray):
         return g, g
 
     return record_op("add", (a, b), out, rule)
-
-
-def multiply(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product (Hadamard)."""
-    _check_same_shape("multiply", a, b)
-    out = a.data * b.data
-    a_data, b_data = a.data, b.data
-
-    def rule(g: np.ndarray):
-        return g * b_data, g * a_data
-
-    return record_op("mul", (a, b), out, rule)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -249,17 +217,6 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
         return grads
 
     return record_op("concat", tuple(parts), out, rule)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of every element, as a (1, 1, 1, 1) scalar tensor."""
-    out = x.data.sum(dtype=x.dtype).reshape(1, 1, 1, 1)
-    shape = x.shape
-
-    def rule(g: np.ndarray):
-        return (np.broadcast_to(g.reshape(()), shape).copy(),)
-
-    return record_op("sum_all", (x,), out, rule)
 
 
 def _validate_graph(graph: Graph) -> dict[int, int]:

@@ -1,18 +1,59 @@
-"""Shared test utilities: finite-difference gradients and reference oracles.
+"""Shared test utilities: tensor builders, autodiff probes,
+finite-difference gradients and reference oracles.
 
-The finite-difference helper perturbs raw parameter entries and re-runs the
-forward function, so it is independent of every backward rule it checks.
-The naive convolution oracle is a plain scalar loop accumulating in the
-same dtype as the production code, which lets tests assert bit-identical
-agreement in deterministic mode.
+``multiply`` and ``sum_all`` are recorded operators that the package does
+not need; tests use them to turn any tensor into a scalar loss with a known
+upstream gradient. The finite-difference helper perturbs raw parameter
+entries and re-runs the forward function, so it is independent of every
+backward rule it checks. The naive convolution oracle is a plain scalar
+loop accumulating in the same dtype as the production code, which lets
+tests assert bit-identical agreement in deterministic mode.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 import pytest
 
-from dnet.tensor import Tensor
+from dnet.errors import ShapeError
+from dnet.tensor import Tensor, default_dtype, record_op
+
+
+def tensor(data, shape: Sequence[int] | None = None, requires_grad: bool = False) -> Tensor:
+    """Build a tensor, optionally reshaping flat data into an explicit 4-D shape."""
+    arr = np.asarray(data, dtype=default_dtype())
+    if shape is not None:
+        arr = arr.reshape(tuple(shape))
+    return Tensor(arr, requires_grad=requires_grad)
+
+
+def zeros(shape: Sequence[int], requires_grad: bool = False) -> Tensor:
+    return Tensor(np.zeros(tuple(shape), dtype=default_dtype()), requires_grad=requires_grad)
+
+
+def multiply(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product (Hadamard), recorded."""
+    if a.shape != b.shape:
+        raise ShapeError(f"multiply: shape mismatch {a.shape} vs {b.shape}")
+    a_data, b_data = a.data, b.data
+
+    def rule(g: np.ndarray):
+        return g * b_data, g * a_data
+
+    return record_op("mul", (a, b), a_data * b_data, rule)
+
+
+def sum_all(x: Tensor) -> Tensor:
+    """Sum of every element, as a recorded (1, 1, 1, 1) scalar tensor."""
+    out = x.data.sum(dtype=x.dtype).reshape(1, 1, 1, 1)
+    shape = x.shape
+
+    def rule(g: np.ndarray):
+        return (np.broadcast_to(g.reshape(()), shape).copy(),)
+
+    return record_op("sum_all", (x,), out, rule)
 
 
 def fd_grad_entries(loss_fn, t: Tensor, entries, eps: float = 1e-4) -> np.ndarray:

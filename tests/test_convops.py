@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from dnet.convops import (
     transposed_conv,
     using_deterministic,
 )
-from dnet.tensor import Tensor, backward, multiply, recording, sum_all, tensor, using_dtype
+from dnet.tensor import Tensor, backward, recording, relu, using_dtype
 
-from conftest import conv2d_naive, fd_full_grad, max_rel_err, zero_insert_kernel
+from conftest import (
+    conv2d_naive, fd_full_grad, max_rel_err, multiply, sum_all, tensor, zero_insert_kernel,
+)
 
 
 def row(values, channels=1):
@@ -1114,3 +1117,80 @@ class TestTapEngineAdjoint:
         lhs, scale = _dot(y.data, u.data)
         rhs, _ = _dot(x.data, adjoint.data)
         assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+class TestFusedRelu:
+    """A ``relu`` kernel gives relu(op(x, the same kernel without relu)):
+    the output and every gradient byte for byte, in one tape node.
+
+    The input's second image is all -0.0, and channel 0 of the weight is
+    positive, so its products there are -0.0; one input element is NaN.
+    With a bias whose channel 0 is -0.0 and channel 1 is +0.0, the
+    pre-activation holds exact zeros and NaN in every case, and in exact
+    mode conv2d and depthwise_conv2d, which add one -0.0 product at a time
+    to the bias, also hold -0.0 away from the padding. transposed_conv adds
+    into a +0.0 buffer, so it never yields -0.0.
+    """
+
+    # (op, input shape, kernel size, stride, dilation, conv2d route)
+    CASES = {
+        "conv2d_1x1": (conv2d, (2, 6, 6, 3), 1, 1, 1, "shifted"),
+        "conv2d_shifted": (conv2d, (2, 20, 20, 3), 3, 1, 1, "shifted"),
+        "conv2d_im2col": (conv2d, (2, 12, 12, 3), 3, 2, 1, "im2col"),
+        "depthwise_conv2d": (depthwise_conv2d, (2, 12, 12, 3), 3, 1, 2, None),
+        "transposed_conv": (transposed_conv, (2, 6, 6, 3), 2, 2, 1, None),
+    }
+
+    @staticmethod
+    def _kernel(op, cin, k, stride, dilation, with_bias, rng):
+        cout = cin if op is depthwise_conv2d else 4
+        w = rng.normal(size=(k, k, cin, 1 if op is depthwise_conv2d else cout))
+        if op is depthwise_conv2d:
+            w[:, :, 0] = np.abs(w[:, :, 0])
+        else:
+            w[..., 0] = np.abs(w[..., 0])
+        bias = None
+        if with_bias:
+            b = rng.normal(size=(1, 1, 1, cout))
+            b[..., 0], b[..., 1] = -0.0, 0.0
+            bias = tensor(b, requires_grad=True)
+        pads = (0, 0, 0, 0) if op is transposed_conv else same_pads(k, dilation, stride)
+        return ConvKernel(tensor(w, requires_grad=True), bias, stride, dilation, pads, relu=True)
+
+    @staticmethod
+    def _run(op, x, kernel, u, fused):
+        with recording() as g:
+            y = op(x, kernel) if fused else relu(op(x, replace(kernel, relu=False)))
+            grads = backward(sum_all(multiply(y, u)), g)
+        leaves = [x, kernel.weight] + ([kernel.bias] if kernel.bias is not None else [])
+        return y.data, [grads[t] for t in leaves], [node.op for node in g.nodes]
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_relu_of_the_plain_op(self, case, dtype, with_bias, deterministic, rng):
+        op, shape, k, stride, dilation, route = self.CASES[case]
+        with using_dtype(dtype), using_deterministic(deterministic):
+            x_data = rng.normal(size=shape)
+            x_data[1] = -0.0
+            x_data[0, 2, 3, 0] = np.nan
+            x = tensor(x_data, requires_grad=True)
+            kernel = self._kernel(op, shape[3], k, stride, dilation, with_bias, rng)
+            pre = op(x, replace(kernel, relu=False)).data
+            u = tensor(rng.normal(size=pre.shape))
+            got, got_grads, got_ops = self._run(op, x, kernel, u, fused=True)
+            want, want_grads, want_ops = self._run(op, x, kernel, u, fused=False)
+        if route is not None:
+            padded = (shape[1] + sum(kernel.padding[:2]), shape[2] + sum(kernel.padding[2:]))
+            assert convops._shifts(stride, padded, *pre.shape[1:3]) == (route == "shifted")
+        assert np.isnan(pre).any() and (pre == 0).any()
+        if deterministic and with_bias and op is not transposed_conv:
+            assert np.signbit(pre[pre == 0]).any()
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert len(got_grads) == len(want_grads) == (3 if with_bias else 2)
+        for a, b in zip(got_grads, want_grads):
+            assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+        assert got_ops == [op.__name__, "mul", "sum_all"]
+        assert want_ops == [op.__name__, "relu", "mul", "sum_all"]

@@ -103,8 +103,8 @@ def unresolved_names(source: str) -> list[str]:
 def test_script_checker_flags_missing_names():
     source = (
         "from dnet import convops\n"
-        "from dnet.tensor import tensor, gone\n"
-        "convops.conv2d(convops._gone, tensor)\n"
+        "from dnet.tensor import Tensor, gone\n"
+        "convops.conv2d(convops._gone, Tensor)\n"
     )
     assert unresolved_names(source) == ["dnet.tensor.gone", "dnet.convops._gone"]
 

@@ -18,13 +18,11 @@ from dnet.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from dnet.tensor import (
-    Tensor, backward, concat_channels, recording, tensor, using_dtype,
-)
+from dnet.tensor import Tensor, backward, concat_channels, recording, using_dtype
 from dnet.losses import sigmoid, total_loss
 from dnet.training import predict_probs
 
-from conftest import conv2d_naive, fd_grad_entries, max_rel_err
+from conftest import conv2d_naive, fd_grad_entries, max_rel_err, tensor
 
 TINY = dict(channels_scale=0.125)
 
@@ -146,31 +144,37 @@ class TestEncoder:
             want = conv2d_naive(
                 x.data, kern.weight.data, bias, kern.stride, kern.dilation, kern.padding
             )
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, np.maximum(want, 0) if kern.relu else want)
+
+    def test_relu_rides_every_kernel_but_the_linear_ones(self):
+        # The restores and projections feed the residual sum, the depthwise
+        # convs feed their pointwise mix and the head emits logits; every
+        # other kernel carries its ReLU.
+        model = DNet(DNetConfig(**TINY), seed=0)
+        names = {id(t): name for name, t in model.parameters().items()}
+        linear = sorted(names[id(k.weight)] for k in _collect_kernels(model) if not k.relu)
+        suffixes = (".restore.w", ".project.w", ".dw.w", "decoder.head.w")
+        assert linear == sorted(n for n in names.values() if n.endswith(suffixes))
 
 
 def _collect_kernels(model) -> list[ConvKernel]:
     kernels = []
     enc = model.encoder
-    for unit in (enc.root1, enc.root2, enc.root3):
-        kernels.append(unit.kernel)
+    kernels.extend([enc.root1, enc.root2, enc.root3])
     for stage in enc.blocks:
         for block in stage:
-            kernels.append(block.reduce.kernel)
-            kernels.append(block.spatial.kernel)
-            kernels.append(block.restore.kernel)
+            kernels.extend([block.reduce, block.spatial, block.restore])
             if block.project is not None:
-                kernels.append(block.project.kernel)
+                kernels.append(block.project)
     if model.msif is not None:
-        kernels.append(model.msif.point.kernel)
+        kernels.append(model.msif.point)
         for dw, pw in model.msif.sep_branches:
             kernels.extend([dw, pw])
-        kernels.append(model.msif.gap_conv.kernel)
-        kernels.append(model.msif.fuse.kernel)
+        kernels.extend([model.msif.gap_conv, model.msif.fuse])
     dec = model.decoder
     for up, fuse in dec.stages:
-        kernels.extend([up, fuse.kernel])
-    kernels.extend([dec.up4, dec.refine1.kernel, dec.refine2.kernel, dec.head])
+        kernels.extend([up, fuse])
+    kernels.extend([dec.up4, dec.refine1, dec.refine2, dec.head])
     return kernels
 
 
@@ -209,11 +213,11 @@ class TestMSIF:
     def test_branch_count_and_fused_input_width(self):
         model = DNet(DNetConfig(), seed=0)
         assert len(model.msif.sep_branches) == 3
-        assert model.msif.fuse.kernel.in_channels == 5 * 256  # M = 1280 channels
+        assert model.msif.fuse.in_channels == 5 * 256  # M = 1280 channels
 
     def test_constant_input_gap_branch(self, rng):
         model = DNet(DNetConfig(**TINY), seed=0)
-        cin = model.msif.point.kernel.in_channels
+        cin = model.msif.point.in_channels
         g = tensor(np.full((1, 4, 4, cin), 0.75))
         branches = model.msif.branch_outputs(g)
         from dnet.convops import global_avg_pool
@@ -490,10 +494,10 @@ class TestEncoderLayerSpecs:
         model = DNet(cfg, seed=0)
         names = {id(t): name for name, t in model.parameters().items()}
         enc = model.encoder
-        convs = [unit.kernel for unit in (enc.root1, enc.root2, enc.root3)]
+        convs = [enc.root1, enc.root2, enc.root3]
         for stage in enc.blocks:
             for block in stage:
-                convs += [block.reduce.kernel, block.spatial.kernel, block.restore.kernel]
+                convs += [block.reduce, block.spatial, block.restore]
         built = [
             (names[id(k.weight)], k.weight.shape[0], k.weight.shape[1], k.stride, k.dilation)
             for k in convs

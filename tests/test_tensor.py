@@ -17,17 +17,13 @@ from dnet.tensor import (
     backward,
     concat_channels,
     elementwise_add,
-    multiply,
     record_op,
     recording,
     relu,
-    sum_all,
-    tensor,
     using_dtype,
-    zeros,
 )
 
-from conftest import fd_full_grad, max_rel_err
+from conftest import fd_full_grad, max_rel_err, multiply, sum_all, tensor, zeros
 
 
 def test_tensor_must_be_4d():

@@ -4,7 +4,7 @@ import pytest
 from dnet.errors import ConfigError, ShapeError
 from dnet.losses import total_loss
 from dnet.model import DNet, DNetConfig
-from dnet.tensor import Tensor, backward, recording, tensor, using_dtype
+from dnet.tensor import Tensor, backward, recording, using_dtype
 from dnet.training import (
     BETA1,
     BETA2,
@@ -18,6 +18,8 @@ from dnet.training import (
     synth_vessels,
     train,
 )
+
+from conftest import tensor
 
 MICRO = dict(channels_scale=0.03125)  # 1/32 of the full widths
 
