@@ -9,8 +9,8 @@ line to stderr; outputs are deterministic given the configured seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -107,14 +107,22 @@ def _gt_name(pred_name: str) -> str:
     return stem + ".pgm"
 
 
+_CSV_BLOCK_ROWS = 1024  # rows formatted per write; bounds the text held at once
+
+
 def _write_csv(path, columns: dict) -> None:
-    """One CSV column per (header, values) entry; numbers to 12 significant digits."""
+    """One CSV column per (header, values) entry; numbers to 12 significant digits.
+
+    Lines end in ``\r\n``. Each block of rows is formatted by one ``%`` over a
+    repeated row template, so no per-value Python formatting call runs.
+    """
     arrays = [np.asarray(values) for values in columns.values()]
-    specs = ["" if a.dtype.kind == "U" else ".12g" for a in arrays]
+    template = ",".join("%s" if a.dtype.kind == "U" else "%.12g" for a in arrays) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(map(format, row, specs) for row in zip(*arrays))
+        fh.write(",".join(columns) + "\r\n")
+        for start in range(0, len(arrays[0]), _CSV_BLOCK_ROWS):
+            block = [a[start:start + _CSV_BLOCK_ROWS].tolist() for a in arrays]
+            fh.write(template * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 def _cmd_eval(args) -> int:
@@ -154,9 +162,8 @@ def _cmd_eval(args) -> int:
                     f"eval: fov mask {fov_path} shape {fov.shape} vs ground truth {gt.shape}"
                 )
         counts = counts + confusion(pred >= MASK_THRESHOLD, gt, fov)
-        keep = fov if fov is not None else np.ones_like(gt, dtype=bool)
-        scores.append(pred[keep].ravel())
-        labels.append(gt[keep].ravel())
+        scores.append(pred.ravel() if fov is None else pred[fov])
+        labels.append(gt.ravel() if fov is None else gt[fov])
     # metrics() and roc_pr_curves() reject these as shape errors; here they
     # are defects of the input files.
     if counts.total == 0:

@@ -140,8 +140,12 @@ def roc_pr_curves(scores, labels) -> CurveReport:
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ShapeError("roc_pr_curves: need at least one positive and one negative label")
+    if np.isnan(s).any():
+        raise ShapeError("roc_pr_curves: scores contain NaN, which has no rank")
 
-    order = np.argsort(-s, kind="stable")
+    # Counts are read only at the last index of each tied group, so the order
+    # inside a tie is irrelevant and the sort need not be stable.
+    order = np.argsort(-s)
     s_sorted = s[order]
     y_sorted = y[order]
     # Last index of every tied group of equal scores.
@@ -149,7 +153,7 @@ def roc_pr_curves(scores, labels) -> CurveReport:
     ends = np.r_[distinct, s_sorted.size - 1]
     cum_tp = np.cumsum(y_sorted)[ends].astype(np.float64)
     cum_fp = (ends + 1) - cum_tp
-    thresholds = s_sorted[ends]
+    thresholds = s_sorted[ends] + 0.0  # a tie of -0.0 and 0.0 reads 0.0 in any order
 
     tpr = np.r_[0.0, cum_tp / n_pos]
     fpr = np.r_[0.0, cum_fp / n_neg]

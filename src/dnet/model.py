@@ -126,10 +126,11 @@ class _Builder:
 
     Initialization is fan-in-scaled uniform (bound sqrt(6 / fan_in)) for
     weights and zero for biases, keeping activations bounded without
-    normalization layers.
+    normalization layers. Without a generator the weights are left unset
+    (``np.empty``), for a checkpoint to fill.
     """
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator | None):
         self.rng = rng
         self.params: dict[str, Tensor] = {}
         self.kernel_weights: list[Tensor] = []
@@ -141,8 +142,11 @@ class _Builder:
         return t
 
     def _weight(self, name: str, shape: tuple[int, ...], fan_in: int) -> Tensor:
-        bound = np.sqrt(6.0 / fan_in)
-        data = self.rng.uniform(-bound, bound, size=shape).astype(default_dtype())
+        if self.rng is None:
+            data = np.empty(shape, dtype=default_dtype())
+        else:
+            bound = np.sqrt(6.0 / fan_in)
+            data = self.rng.uniform(-bound, bound, size=shape).astype(default_dtype())
         t = Tensor(data, requires_grad=True)
         self._register(name, t)
         self.kernel_weights.append(t)
@@ -362,8 +366,10 @@ class DNet:
     """Encoder, optional fusion and decoder; returns the logits ``total_loss`` takes."""
 
     def __init__(self, cfg: DNetConfig, seed: int = 0):
+        self._build(cfg, _Builder(np.random.default_rng(seed)))
+
+    def _build(self, cfg: DNetConfig, builder: _Builder) -> None:
         self.cfg = cfg
-        builder = _Builder(np.random.default_rng(seed))
         self.encoder = Encoder(builder, cfg)
         concat_width = sum(self.encoder.out_channels[s] for s in (3, 4, 5))
         if cfg.msif_enabled:
@@ -492,7 +498,10 @@ def _read_model(fh) -> DNet:
         msif_enabled=bool(msif),
         channels_scale=scale_micro / 1_000_000,
     )
-    model = DNet(cfg, seed=0)
+    # Built with unset weights, none drawn: the check that every parameter
+    # is read from the file guarantees that none stays unset.
+    model = DNet.__new__(DNet)
+    model._build(cfg, _Builder(None))
     params = model.parameters()
     seen = set()
     for _ in range(n_params):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from dnet.cli import main
+from dnet.cli import _CSV_BLOCK_ROWS, _write_csv, main
 from dnet.model import CHECKPOINT_MAGIC, DNet, DNetConfig, load_checkpoint, save_checkpoint
 from dnet.pnm import read_pnm, write_mask_pgm, write_ppm, write_prob_pgm
 
@@ -227,6 +227,41 @@ class TestRFAnalyze:
         assert run_cli("rf-analyze", "--layers", layers) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: {layers}:2: {reason}") and err.count("\n") == 1
+
+
+def _csv_module_writer(path, columns: dict) -> None:
+    """Reference writer: csv.writer rows, numbers through format(v, ".12g")."""
+    arrays = [np.asarray(values) for values in columns.values()]
+    specs = ["" if a.dtype.kind == "U" else ".12g" for a in arrays]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(map(format, row, specs) for row in zip(*arrays))
+
+
+class TestWriteCsv:
+    SPECIAL = np.array([np.inf, -0.0, 0.0, 1.0, 1e-17, 1.23456789012e14])
+
+    @pytest.mark.parametrize(
+        "rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1]
+    )
+    def test_bytes_match_csv_module(self, rows, tmp_path):
+        rng = np.random.default_rng(rows)
+        columns = {
+            "name": np.resize(np.array(["accuracy", "auc_roc", "f1"]), rows),
+            "special": np.resize(self.SPECIAL, rows),
+            "shifted": np.roll(np.resize(self.SPECIAL, rows), 1),
+            "random": rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, size=rows),
+        }
+        _write_csv(tmp_path / "new.csv", columns)
+        _csv_module_writer(tmp_path / "ref.csv", columns)
+        data = (tmp_path / "new.csv").read_bytes()
+        assert data == (tmp_path / "ref.csv").read_bytes()
+        assert data.count(b"\r\n") == rows + 1
+
+    def test_header_only_without_rows(self, tmp_path):
+        _write_csv(tmp_path / "empty.csv", {"threshold": [], "fpr": []})
+        assert (tmp_path / "empty.csv").read_bytes() == b"threshold,fpr\r\n"
 
 
 def _checkpoint(path, first_dims=None):

@@ -19,6 +19,23 @@ def pairwise_ranking_auc(scores, labels) -> float:
     return wins / (pos.size * neg.size)
 
 
+def stable_sweep(scores, labels) -> dict:
+    """The threshold sweep with ties kept in input order by a stable sort."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels) > 0.5
+    order = np.argsort(-s, kind="stable")
+    s_sorted, y_sorted = s[order], y[order]
+    ends = np.r_[np.nonzero(np.diff(s_sorted))[0], s.size - 1]
+    cum_tp = np.cumsum(y_sorted)[ends].astype(np.float64)
+    cum_fp = (ends + 1) - cum_tp
+    return {
+        "thresholds": np.r_[np.inf, s_sorted[ends]],
+        "fpr": np.r_[0.0, cum_fp / (y.size - y.sum())],
+        "tpr": np.r_[0.0, cum_tp / y.sum()],
+        "precision": np.r_[1.0, cum_tp / (cum_tp + cum_fp)],
+    }
+
+
 class TestConfusion:
     def test_perfect_prediction(self):
         gt = np.array([[1, 0], [0, 1]])
@@ -152,3 +169,29 @@ class TestCurves:
         assert squashed.auc_pr == pytest.approx(base.auc_pr, abs=1e-12)
         assert np.array_equal(squashed.fpr, base.fpr)
         assert np.array_equal(squashed.tpr, base.tpr)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_order_invariant(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3000
+        scores = rng.integers(0, 6, size=n) / 5.0  # six levels: every score is tied
+        scores[rng.random(n) < 0.5] *= -1.0  # signed zeros tie at level 0
+        labels = rng.random(n) < 0.3
+        reference = stable_sweep(scores, labels)
+        first = roc_pr_curves(scores, labels)
+        for _ in range(5):
+            perm = rng.permutation(n)
+            rep = roc_pr_curves(scores[perm], labels[perm])
+            for field, expected in reference.items():
+                assert np.array_equal(getattr(rep, field), expected), field
+                assert np.array_equal(getattr(rep, field), getattr(first, field)), field
+            assert (rep.auc_roc, rep.auc_pr) == (first.auc_roc, first.auc_pr)
+
+    def test_signed_zero_tie_reads_zero(self):
+        for scores in ([0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [-0.0, -0.0, 1.0]):
+            rep = roc_pr_curves(scores, [0, 1, 1])
+            assert not np.signbit(rep.thresholds).any()
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(ShapeError, match="NaN"):
+            roc_pr_curves([0.1, np.nan, 0.9], [0, 1, 1])

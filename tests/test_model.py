@@ -417,6 +417,23 @@ class TestCheckpoint:
         for name, p in model.parameters().items():
             assert np.array_equal(p.data, reloaded.parameters()[name].data)
 
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        model = DNet(DNetConfig(**TINY), seed=5)
+        first = tmp_path / "a.dnet"
+        second = tmp_path / "b.dnet"
+        save_checkpoint(model, first)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        reloaded = load_checkpoint(first)
+        save_checkpoint(reloaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert list(reloaded.parameters()) == list(model.parameters())
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.data, reloaded.parameters()[name].data), name
+
     def test_failed_save_keeps_the_previous_file(self, tmp_path):
         path = tmp_path / "m.dnet"
         save_checkpoint(DNet(DNetConfig(**TINY), seed=0), path)
