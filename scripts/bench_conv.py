@@ -12,11 +12,11 @@ padded input so that conv2d's shape rule can be checked on every case:
   script exits 1 if they do not, so it doubles as a smoke check of the
   exact forward.
 * ``shifted`` (one GEMM per tap on shifted row slices, stride 1 only; ``-``
-  otherwise) and ``banded`` (one im2col GEMM per band of output rows) are
-  the GEMM helpers; ``gemm fwd`` is the one conv2d picks (shifted when the
-  stride is 1 and the padded grid is at most 1.25x the output grid, and
-  one GEMM without either helper for an unpadded unit-stride 1x1 kernel)
-  and should track the smaller of the two.
+  otherwise) and ``i2c fwd`` (one GEMM over the whole im2col column
+  matrix) are the GEMM lowerings; ``gemm fwd`` is the one conv2d picks
+  (shifted when the stride is 1 and the padded grid is at most 1.25x the
+  output grid, and one GEMM without either lowering for an unpadded
+  unit-stride 1x1 kernel) and should track the smaller of the two.
 
 The backward rule is the same GEMM-shaped code in both modes, with two
 helpers of its own, also timed on their own:
@@ -34,10 +34,10 @@ helpers of its own, also timed on their own:
 
 Times are medians in ms; a jump in one against an earlier run is a
 shape-level regression. ``gemm MB`` is the peak that ``tracemalloc`` sees
-during one GEMM forward, whose helpers work in bounded bands of output
-rows, so a jump there is a shape-level memory regression; ``max diff`` is
-the largest forward difference between the modes. Run from the repository
-root:
+during one GEMM forward: bounded bands on shifted slices, the whole column
+matrix on im2col, so a jump there is a shape-level memory regression;
+``max diff`` is the largest forward difference between the modes. Run from
+the repository root:
 
     PYTHONPATH=src python scripts/bench_conv.py
 """
@@ -112,6 +112,13 @@ def shifted_gemm(xp, w, d, s, out) -> None:
     convops._shifted_gemm(xp, w, d, out)
 
 
+def im2col_gemm(xp, w, d, s, out) -> None:
+    """The GEMM forward's whole-matrix branch in ``convops._dense``."""
+    kh, kw, _, cout = w.shape
+    _, ho, wo, _ = out.shape
+    out += (convops._im2col(xp, kh, kw, d, s, ho, wo) @ w.reshape(-1, cout)).reshape(out.shape)
+
+
 def time_case(x, kern, deterministic: bool) -> tuple[float, np.ndarray]:
     """Forward ms and the forward output in one mode."""
     with using_deterministic(deterministic):
@@ -160,7 +167,7 @@ def main() -> int:
     mismatched, disagreeing = [], []
     print(
         f"{'case':>34} {'stacked':>8} {'c-first':>8} {'det fwd':>9} {'shifted':>8} "
-        f"{'banded':>8} {'gemm fwd':>9} {'speedup':>8} "
+        f"{'i2c fwd':>8} {'gemm fwd':>9} {'speedup':>8} "
         f"{'sh bwd':>8} {'i2c bwd':>8} {'bwd':>8} {'gemm MB':>8} {'max diff':>10}"
     )
     for n, h, w, cin, cout, k, d, s in CASES:
@@ -173,7 +180,7 @@ def main() -> int:
         stacked, stacked_bytes = helper_run(x, kern, convops._exact_stacked)
         cfirst, cfirst_bytes = helper_run(x, kern, convops._exact_channel_first)
         shifted = f"{helper_run(x, kern, shifted_gemm)[0]:8.2f}" if s == 1 else f"{'-':>8}"
-        banded = helper_run(x, kern, convops._banded_gemm)[0]
+        i2c_fwd = helper_run(x, kern, im2col_gemm)[0]
         ho, wo = conv2d(x, kern).shape[1:3]
         upstream = rng.normal(size=(n, ho, wo, cout)).astype(x.dtype)
         det_fwd, ref = time_case(x, kern, True)
@@ -190,7 +197,7 @@ def main() -> int:
             disagreeing.append(label)
         print(
             f"{label:>34} {stacked:8.2f} {cfirst:8.2f} {det_fwd:9.2f} {shifted} "
-            f"{banded:8.2f} {gemm_fwd:9.2f} {det_fwd / gemm_fwd:8.1f} "
+            f"{i2c_fwd:8.2f} {gemm_fwd:9.2f} {det_fwd / gemm_fwd:8.1f} "
             f"{sh_bwd} {i2c_bwd:8.2f} {bwd:8.2f} {peak:8.1f} {diff:10.2e}"
         )
     for label in mismatched:

@@ -70,7 +70,6 @@ from .training import (
     evaluate,
     poly_lr,
     predict_probs,
-    save_loss_trace,
     synth_vessels,
     train,
 )

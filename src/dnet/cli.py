@@ -23,7 +23,7 @@ from .metrics import MASK_THRESHOLD, ConfusionCounts, confusion, metrics, roc_pr
 from .model import DNet, load_checkpoint, save_checkpoint, encoder_layer_specs
 from .pnm import read_pnm, write_mask_pgm, write_ppm, write_prob_pgm
 from .receptive import LayerSpec, RFReport, rf_stack
-from .training import predict_probs, save_loss_trace, synth_vessels, train
+from .training import predict_probs, synth_vessels, train
 
 __all__ = ["main"]
 
@@ -73,7 +73,7 @@ def _cmd_train(args) -> int:
     trace = train(dataset, model, train_cfg)
     ckpt = out / "checkpoint.dnet"
     save_checkpoint(model, ckpt)
-    save_loss_trace(out / "loss.csv", trace)
+    _write_csv(out / "loss.csv", dict(zip(("step", "lr", "loss"), zip(*trace))))
     print(f"trained {len(trace)} steps; loss {trace[0][2]:.6g} -> {trace[-1][2]:.6g}")
     print(f"wrote {ckpt} and {out / 'loss.csv'}")
     return 0

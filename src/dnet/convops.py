@@ -32,17 +32,16 @@ convolution forward. Only that forward has two execution strategies:
 * GEMM fast path (``using_deterministic(False)``): same math, BLAS
   reduction order, so results agree with the tap-ordered path only to
   floating-point tolerance. It is therefore gated out of deterministic mode
-  rather than offered as a bit-exact replacement. It works one band of
-  whole output rows at a time in buffers of bounded size, so a large image
-  never needs the whole im2col column matrix (hundreds of MB for a 3x3
-  layer at 576x576). One of two helpers is picked by shape (``_shifts``).
-  A stride-1 kernel whose padded input grid is at most 1.25x its output
-  grid runs ``_shifted_gemm``: in each image's padded input, flattened to a
-  (pixels, channels) matrix, every tap of a band reads one contiguous row
-  slice, so the band is one GEMM per tap with no column copy. Any other
-  runs ``_banded_gemm``, which lowers each band into an im2col buffer and
-  runs one GEMM. A 1x1 unit-stride kernel on an unpadded input needs
-  neither and stays one GEMM.
+  rather than offered as a bit-exact replacement. One of two lowerings is
+  picked by shape (``_shifts``). A stride-1 kernel whose padded input grid
+  is at most 1.25x its output grid runs ``_shifted_gemm``: in each image's
+  padded input, flattened to a (pixels, channels) matrix, every tap of a
+  band of whole output rows reads one contiguous row slice, so the band is
+  one GEMM per tap with no column copy, in buffers of bounded size. Any
+  other kernel is one GEMM over the whole ``_im2col`` column matrix, which
+  grows with the image area: up to 11.9 MB in a full-width 576x576
+  forward. A 1x1 unit-stride kernel on an unpadded input needs neither and
+  stays one GEMM on a reshape.
 
 The backward rules are GEMM-shaped and the same in both modes. conv2d's
 picks by the forward's shape rule. Where the forward's shifted row slices
@@ -86,16 +85,13 @@ __all__ = [
 
 _deterministic = True
 
-# Element budget of one band's im2col column matrix in the GEMM forward
-# (4 MB in float32): the whole matrix of a full-resolution 3x3 layer at
-# 576x576 would be hundreds of MB. Bands of 1, 4 and 16 MB ran a 576x576
-# full-width predict at the same speed within noise on a 2-core host. The
-# stride-1 GEMM forward's band accumulator and temporary get a quarter of
-# it each: at 576x576 32->32, budgets of 1, 4 and 16 MB in all ran within
-# 7% of each other (135, 129 and 127 ms). The
-# exact forward's product stack shares the budget: stacks of 2^16 to 2^20
-# elements ran the desk-scale shapes at about the same speed, 2^12 up to 4x
-# slower.
+# Element budget of the bounded buffers of the conv2d forwards (4 MB in
+# float32). The stride-1 GEMM forward's band accumulator and temporary get
+# a quarter of it each: at 576x576 32->32, budgets of 1, 4 and 16 MB in all
+# ran within 7% of each other (135, 129 and 127 ms). The exact forward's
+# product stack shares the budget: stacks of 2^16 to 2^20 elements ran the
+# desk-scale shapes at about the same speed, 2^12 up to 4x slower. The
+# im2col GEMM forward has no budget: it holds its whole column matrix.
 _BAND_ELEMENTS = 1 << 20
 
 
@@ -228,21 +224,11 @@ def _spread(g: np.ndarray, w: np.ndarray, shape, pads, d: int, s: int) -> np.nda
                     lambda a, b: (g2 @ w[a, b].T).reshape(-1, ho, wo, cin), g.dtype)
 
 
-def _im2col(
-    xp: np.ndarray, kh: int, kw: int, d: int, s: int, ho: int, wo: int,
-    buf: np.ndarray | None = None,
-) -> np.ndarray:
-    """Column matrix of the tap gather: row (n, i, j), column (a, b, channel).
-
-    The matrix is written into the leading elements of the flat array
-    ``buf`` when one is given, or into a new array.
-    """
+def _im2col(xp: np.ndarray, kh: int, kw: int, d: int, s: int, ho: int, wo: int) -> np.ndarray:
+    """Column matrix of the tap gather: row (n, i, j), column (a, b, channel)."""
     n, _, _, c = xp.shape
     k = kh * kw * c
-    if buf is None:
-        cols = np.empty((n, ho, wo, k), dtype=xp.dtype)
-    else:
-        cols = buf[: n * ho * wo * k].reshape(n, ho, wo, k)
+    cols = np.empty((n, ho, wo, k), dtype=xp.dtype)
     for a, b in np.ndindex(kh, kw):
         base = (a * kw + b) * c
         cols[..., base : base + c] = _tap_view(xp, a, b, d, s, ho, wo)
@@ -329,25 +315,6 @@ def _row_bands(ho: int, rows: int):
     """(first, end) of each band of ``rows`` output rows; the last may be short."""
     for i0 in range(0, ho, rows):
         yield i0, min(i0 + rows, ho)
-
-
-def _banded_gemm(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
-    """GEMM forward through im2col, one band of whole output rows at a time.
-
-    Each band spans the batch; its column matrix holds at most
-    ``_BAND_ELEMENTS`` elements (but at least one row) in one buffer that
-    every band reuses, and one GEMM adds the band into ``out``.
-    """
-    kh, kw, _, cout = w.shape
-    n, ho, wo, _ = out.shape
-    wm = w.reshape(-1, cout)
-    row = n * wo * wm.shape[0]
-    rows = max(1, _BAND_ELEMENTS // row)
-    buf = np.empty(min(rows, ho) * row, dtype=xp.dtype)
-    for i0, i1 in _row_bands(ho, rows):
-        xs = xp[:, i0 * s : (i1 - 1) * s + (kh - 1) * d + 1]
-        cols = _im2col(xs, kh, kw, d, s, i1 - i0, wo, buf)
-        out[:, i0:i1] += (cols @ wm).reshape(n, i1 - i0, wo, cout)
 
 
 def _shifts(s: int, padded, ho: int, wo: int) -> bool:
@@ -460,8 +427,8 @@ def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> No
     1x1 kernel whose one tap reads all of ``xp`` is one GEMM on a reshape; a
     stride-1 kernel whose padded grid is at most 1.25x its output grid
     (``_shifts``) runs ``_shifted_gemm``, one GEMM per tap on shifted row
-    slices of ``xp``; any other runs ``_banded_gemm``, one im2col GEMM per
-    band of output rows.
+    slices of ``xp``; any other is one GEMM over the whole im2col column
+    matrix, the lowering its backward uses.
     """
     kh, kw, cin, cout = w.shape
     _, ho, wo, _ = out.shape
@@ -471,17 +438,17 @@ def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> No
         out += (xp.reshape(-1, cin) @ w.reshape(cin, cout)).reshape(out.shape)
     # The shifted GEMMs also compute the padded columns (and rows) that the
     # output discards, and add each later tap's product into the band, in
-    # place of the column copy. ms banded -> shifted (padded/output area),
-    # 2-core host, OpenBLAS: 576^2 32->32 157.8 -> 101.8 (1.01), 288^2
-    # 128->64 172.1 -> 113.1 (1.01), 4x64^2 32->32 7.78 -> 4.86 (1.06),
-    # 36^2 128->128 d2 3.36 -> 3.22 (1.23); but 4x16^2 64->64 1.01 -> 1.18
-    # (1.27), 36^2 256->256 d4 10.56 -> 12.52 (1.49), 4x8^2 64->64
-    # 0.31 -> 0.48 (1.56). Inside the bound, 36^2 256->256 d2 (10.48 ->
-    # 11.39) and 4x32^2 32->64 (2.30 -> 2.56) still lose a little.
+    # place of the column copy. ms im2col (in row bands) -> shifted
+    # (padded/output area), 2-core host, OpenBLAS: 576^2 32->32 157.8 ->
+    # 101.8 (1.01), 288^2 128->64 172.1 -> 113.1 (1.01), 4x64^2 32->32
+    # 7.78 -> 4.86 (1.06), 36^2 128->128 d2 3.36 -> 3.22 (1.23); but 4x16^2
+    # 64->64 1.01 -> 1.18 (1.27), 36^2 256->256 d4 10.56 -> 12.52 (1.49),
+    # 4x8^2 64->64 0.31 -> 0.48 (1.56). Inside the bound, 36^2 256->256 d2
+    # (10.48 -> 11.39) and 4x32^2 32->64 (2.30 -> 2.56) still lose a little.
     elif _shifts(s, xp.shape[1:3], ho, wo):
         _shifted_gemm(xp, w, d, out)
     else:
-        _banded_gemm(xp, w, d, s, out)
+        out += (_im2col(xp, kh, kw, d, s, ho, wo) @ w.reshape(-1, cout)).reshape(out.shape)
 
 
 def _check_channels(op: str, x: Tensor, kernel: ConvKernel, cin: int, bias_channels: int) -> None:

@@ -148,8 +148,9 @@ def roc_pr_curves(scores, labels) -> CurveReport:
     order = np.argsort(-s)
     s_sorted = s[order]
     y_sorted = y[order]
-    # Last index of every tied group of equal scores.
-    distinct = np.nonzero(np.diff(s_sorted))[0]
+    # Last index of every tied group of equal scores. Compared, not
+    # differenced: inf - inf is NaN, which would split a tie of infinities.
+    distinct = np.nonzero(s_sorted[1:] != s_sorted[:-1])[0]
     ends = np.r_[distinct, s_sorted.size - 1]
     cum_tp = np.cumsum(y_sorted)[ends].astype(np.float64)
     cum_fp = (ends + 1) - cum_tp

@@ -9,7 +9,6 @@ construction. Everything is a pure function of its seed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,7 +29,6 @@ __all__ = [
     "evaluate",
     "predict_probs",
     "synth_vessels",
-    "save_loss_trace",
 ]
 
 
@@ -117,10 +115,10 @@ def adam_step(
     largest parameter and shared by all of them, in the operation order of
     the plain array expression, so the result is bit-identical to it.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if not len(params) == len(grads) == len(state.m) == len(state.v):
         raise ShapeError(
             f"adam_step: {len(params)} params vs {len(grads)} grads vs "
-            f"{len(state.m)} state slots"
+            f"{len(state.m)} m and {len(state.v)} v state slots"
         )
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
@@ -232,14 +230,6 @@ def evaluate(model, dataset) -> tuple[MetricsReport, ConfusionCounts]:
         probs = predict_probs(model, img)
         counts = counts + confusion(probs >= MASK_THRESHOLD, np.asarray(mask).squeeze())
     return metrics(counts), counts
-
-
-def save_loss_trace(path, trace: Sequence[tuple[int, float, float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "lr", "loss"])
-        for step, lr, loss in trace:
-            writer.writerow([step, f"{lr:.12g}", f"{loss:.12g}"])
 
 
 # --- synthetic vessel images -------------------------------------------------

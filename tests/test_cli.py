@@ -4,9 +4,11 @@ import struct
 import numpy as np
 import pytest
 
+from dnet import cli
 from dnet.cli import _CSV_BLOCK_ROWS, _write_csv, main
 from dnet.model import CHECKPOINT_MAGIC, DNet, DNetConfig, load_checkpoint, save_checkpoint
 from dnet.pnm import read_pnm, write_mask_pgm, write_ppm, write_prob_pgm
+from dnet.training import train
 
 
 def run_cli(*args) -> int:
@@ -157,6 +159,19 @@ class TestTrainSynthMode:
                        "--synth-size", 32, "--out", out) == 0
         model = load_checkpoint(out / "checkpoint.dnet")
         assert model.cfg.msif_enabled
+
+    def test_loss_csv_bytes(self, tmp_path, monkeypatch):
+        traces = []
+        monkeypatch.setattr(cli, "train", lambda *args: traces.append(train(*args)) or traces[0])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = 3\nchannels_scale = 0.03125\nbatch = 2\n")
+        out = tmp_path / "out"
+        assert run_cli("train", "--config", cfg, "--synth", 2,
+                       "--synth-size", 32, "--out", out) == 0
+        (trace,) = traces
+        rows = "".join(f"{step},{lr:.12g},{loss:.12g}\r\n" for step, lr, loss in trace)
+        assert (out / "loss.csv").read_bytes() == ("step,lr,loss\r\n" + rows).encode()
+        assert [step for step, _, _ in trace] == [0, 1, 2]
 
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

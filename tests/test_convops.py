@@ -772,12 +772,12 @@ def counting_row_bands(lowered: list):
     return bands
 
 
-class TestBandedGemmForward:
-    """The GEMM forward lowers bounded bands of output rows, one GEMM each."""
+class TestIm2colGemmForward:
+    """The GEMM forward of a kernel off the shifted-slice rule is one GEMM
+    over the whole im2col column matrix, with no bands."""
 
-    # name -> (kernel, stride, dilation, pads, input shape); every output
-    # height leaves a partial last band of three rows. A unit-stride 1x1
-    # kernel reads all of the padded input, a reshape: one GEMM, no band.
+    # name -> (kernel, stride, dilation, pads, input shape). A unit-stride
+    # 1x1 kernel reads all of the padded input, a reshape: one GEMM.
     CASES = {
         "3x3 stride 2 asymmetric pads": (3, 2, 1, (0, 1, 0, 1), (2, 9, 8, 3)),
         "3x3 dilation 4 on 4x4 (block 5)": (3, 1, 4, same_pads(3, 4), (2, 4, 4, 8)),
@@ -798,51 +798,17 @@ class TestBandedGemmForward:
             bias = tensor(rng.normal(size=(1, 1, 1, 5)))
         kern = ConvKernel(w, bias, stride, dilation, pads)
         want = reference_im2col_conv2d(x.data, w.data, bias.data, stride, dilation, pads)
-        _, ho, wo, _ = want.shape
-        # band_rows 0 sets a budget below one row, which still lowers one row.
+        _, _, wo, _ = want.shape
+        # A budget of band_rows output rows (0: below one row) bands no route.
         monkeypatch.setattr(convops, "_BAND_ELEMENTS", band_rows * n * wo * k * k * cin)
-        lowered = []  # output rows of each band, whichever GEMM helper runs
+        lowered = []  # output rows of each band, if any helper cut bands
         monkeypatch.setattr(convops, "_row_bands", counting_row_bands(lowered))
         with using_deterministic(False):
             fast = conv2d(x, kern).data
         exact = conv2d(x, kern).data
-        if k == 1 and stride == 1:
-            assert lowered == []
-        else:
-            assert len(lowered) == math.ceil(ho / max(band_rows, 1)) and sum(lowered) == ho
+        assert lowered == []
         assert np.all(np.abs(fast - want) <= 1e-12 * np.abs(want).max())
         assert np.abs(exact - fast).max() < 1e-12
-
-    def test_peak_below_half_the_whole_column_matrix(self, rng):
-        x = tensor(rng.normal(size=(1, 128, 128, 64)))
-        kern = ConvKernel(tensor(rng.normal(size=(3, 3, 64, 64))), None, 1, 1, same_pads(3))
-        whole = 128 * 128 * 9 * 64 * x.data.itemsize
-        with using_deterministic(False):
-            tracemalloc.start()
-            try:
-                conv2d(x, kern)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert peak < whole / 2
-
-    def test_strided_peak_below_half_the_whole_column_matrix(self, rng, monkeypatch):
-        # Stride 2 takes the im2col bands. Unpadded, so the input is not copied.
-        x = tensor(rng.normal(size=(1, 257, 257, 64)))
-        kern = ConvKernel(tensor(rng.normal(size=(3, 3, 64, 64))), None, 2, 1, (0, 0, 0, 0))
-        whole = 128 * 128 * 9 * 64 * x.data.itemsize
-        banded = []
-        monkeypatch.setattr(convops, "_banded_gemm",
-                            lambda *args, f=convops._banded_gemm: banded.append(f(*args)))
-        with using_deterministic(False):
-            tracemalloc.start()
-            try:
-                conv2d(x, kern)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert len(banded) == 1
-        assert peak < whole / 2
 
 
 class TestShiftedGemmForward:
@@ -888,16 +854,30 @@ class TestShiftedGemmForward:
             assert np.abs(exact - got).max() < 1e-12
         assert one_row >= 5 and partial >= 5
 
+    def test_peak_below_half_the_whole_column_matrix(self, rng):
+        x = tensor(rng.normal(size=(1, 128, 128, 64)))
+        kern = ConvKernel(tensor(rng.normal(size=(3, 3, 64, 64))), None, 1, 1, same_pads(3))
+        whole = 128 * 128 * 9 * 64 * x.data.itemsize
+        with using_deterministic(False):
+            tracemalloc.start()
+            try:
+                conv2d(x, kern)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < whole / 2
+
 
 class TestGemmForwardRoute:
     """Which GEMM forward each conv2d of the two benchmarked GEMM-mode
     forwards takes: a full-width 576x576 predict and a full-width 64x64
     training step (batch 4). Unpadded unit-stride 1x1 kernels are one GEMM
     on a reshape; shifted row slices serve stride-1 kernels whose padded
-    grid is at most 1.25x the output grid; im2col bands serve the rest:
-    the strided kernels and, at 576x576, the two dilation-4 kernels on
-    44x44 padded grids (1.49x), at 64x64 every layer from 1/4 resolution
-    down."""
+    grid is at most 1.25x the output grid; one GEMM over the whole im2col
+    column matrix serves the rest: the strided kernels and, at 576x576, the
+    two dilation-4 kernels on 44x44 padded grids (1.49x), at 64x64 every
+    layer from 1/4 resolution down. The column matrix, which grows with the
+    image area, is pinned in bytes."""
 
     # (ho, k, stride, dilation, cin, cout) -> conv2d calls
     SHIFTED_576 = {
@@ -914,29 +894,39 @@ class TestGemmForwardRoute:
     }
 
     @pytest.mark.parametrize(
-        "size, batch, shifted, banded", [(576, 1, SHIFTED_576, 7), (64, 4, SHIFTED_64, 20)]
+        "size, batch, shifted, im2col, im2col_max_bytes",
+        [(576, 1, SHIFTED_576, 7, 11_943_936), (64, 4, SHIFTED_64, 20, 4_718_592)],
     )
-    def test_full_width_forwards(self, size, batch, shifted, banded, monkeypatch):
+    def test_full_width_forwards(self, size, batch, shifted, im2col, im2col_max_bytes,
+                                 monkeypatch):
         taken = []  # [route, shape] per conv2d call
-        dense = convops._dense
+        im2col_bytes = []  # column-matrix bytes per im2col-route call
+        dense, lower = convops._dense, convops._im2col
 
         def spy(xp, w, d, s, out):
             taken.append(["reshape", (out.shape[1], w.shape[0], s, d, *w.shape[2:])])
             dense(xp, w, d, s, out)
 
-        def stub(route):  # records the route and skips the work
-            return lambda *args: taken[-1].__setitem__(0, route)
+        def skip_shifted(*args):  # records the route and skips the work
+            taken[-1][0] = "shifted"
+
+        def spy_im2col(*args):
+            taken[-1][0] = "im2col"
+            cols = lower(*args)
+            im2col_bytes.append(cols.nbytes)
+            return cols
 
         monkeypatch.setattr(convops, "_dense", spy)
-        monkeypatch.setattr(convops, "_shifted_gemm", stub("shifted"))
-        monkeypatch.setattr(convops, "_banded_gemm", stub("banded"))
+        monkeypatch.setattr(convops, "_shifted_gemm", skip_shifted)
+        monkeypatch.setattr(convops, "_im2col", spy_im2col)
         net = DNet(DNetConfig(channels_scale=1.0))
         with using_deterministic(False):
             net(tensor(np.zeros((batch, size, size, 3), dtype=np.float32)))
         routes = {route: Counter(shape for r, shape in taken if r == route)
-                  for route in ("shifted", "banded", "reshape")}
+                  for route in ("shifted", "im2col", "reshape")}
         assert routes["shifted"] == shifted
-        assert routes["banded"].total() == banded
+        assert routes["im2col"].total() == len(im2col_bytes) == im2col
+        assert max(im2col_bytes) == im2col_max_bytes
         assert routes["reshape"].total() == 40
         assert all(k == 1 and s == 1 for _, k, s, _, _, _ in routes["reshape"])
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ def stable_sweep(scores, labels) -> dict:
     y = np.asarray(labels) > 0.5
     order = np.argsort(-s, kind="stable")
     s_sorted, y_sorted = s[order], y[order]
-    ends = np.r_[np.nonzero(np.diff(s_sorted))[0], s.size - 1]
+    ends = np.r_[np.nonzero(s_sorted[1:] != s_sorted[:-1])[0], s.size - 1]
     cum_tp = np.cumsum(y_sorted)[ends].astype(np.float64)
     cum_fp = (ends + 1) - cum_tp
     return {
@@ -186,6 +188,40 @@ class TestCurves:
                 assert np.array_equal(getattr(rep, field), expected), field
                 assert np.array_equal(getattr(rep, field), getattr(first, field)), field
             assert (rep.auc_roc, rep.auc_pr) == (first.auc_roc, first.auc_pr)
+
+    @pytest.mark.parametrize(
+        "scores, labels, auc",
+        [
+            ([np.inf, np.inf, 0.0, 0.0], [1, 0, 1, 0], 0.5),
+            ([-np.inf, -np.inf, 1.0], [1, 0, 1], 0.75),
+        ],
+    )
+    def test_tie_of_infinities_is_one_group(self, scores, labels, auc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = roc_pr_curves(scores, labels)
+        assert rep.auc_roc == auc == pairwise_ranking_auc(scores, labels)
+        assert rep.thresholds.size == len(set(scores)) + 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_logits_of_saturated_probabilities(self, seed):
+        # logit is strictly monotone and maps probabilities 0 and 1 to -inf
+        # and +inf, so the curves must be those of the probabilities.
+        rng = np.random.default_rng(seed)
+        probs = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=200)
+        labels = rng.random(200) < 0.4
+        with np.errstate(divide="ignore"):
+            logits = np.log(probs) - np.log1p(-probs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = roc_pr_curves(logits, labels)
+        base = roc_pr_curves(probs, labels)
+        assert np.isinf(logits).sum() > 0
+        assert rep.auc_roc == pytest.approx(pairwise_ranking_auc(probs, labels), abs=1e-12)
+        assert rep.auc_roc == pytest.approx(pairwise_ranking_auc(logits, labels), abs=1e-12)
+        for field in ("fpr", "tpr", "precision"):
+            assert np.array_equal(getattr(rep, field), getattr(base, field)), field
+        assert (rep.auc_roc, rep.auc_pr) == (base.auc_roc, base.auc_pr)
 
     def test_signed_zero_tie_reads_zero(self):
         for scores in ([0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [-0.0, -0.0, 1.0]):

@@ -14,7 +14,6 @@ from dnet.training import (
     adam_step,
     evaluate,
     poly_lr,
-    save_loss_trace,
     synth_vessels,
     train,
 )
@@ -142,6 +141,16 @@ class TestAdam:
         state = AdamState.for_params([p])
         with pytest.raises(ShapeError):
             adam_step([p], [np.zeros((1, 1, 1, 3))], state, lr=0.1)
+
+    @pytest.mark.parametrize("short", ["m", "v"])
+    def test_short_state_rejected(self, short, rng):
+        params = [tensor(rng.normal(size=(1, 1, 1, 2)), requires_grad=True) for _ in range(2)]
+        before = [p.data.copy() for p in params]
+        state = AdamState.for_params(params)
+        getattr(state, short).pop()
+        with pytest.raises(ShapeError, match="state slots"):
+            adam_step(params, [np.ones((1, 1, 1, 2))] * 2, state, lr=0.1)
+        assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
 
     def test_step_counter_increments(self, rng):
         p = tensor(rng.normal(size=(1, 1, 1, 1)), requires_grad=True)
@@ -273,10 +282,3 @@ class TestTrainLoop:
         report, counts = evaluate(model, ds)
         assert counts.total == 2 * 32 * 32
         assert 0.0 <= report.accuracy <= 1.0
-
-    def test_save_loss_trace(self, tmp_path):
-        path = tmp_path / "loss.csv"
-        save_loss_trace(path, [(0, 1e-3, 0.5), (1, 9e-4, 0.4)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,lr,loss"
-        assert lines[1].startswith("0,0.001,")
