@@ -24,9 +24,7 @@ from .tensor import (
     backward,
     concat_channels,
     default_dtype,
-    elementwise_add,
     recording,
-    relu,
     using_dtype,
 )
 from .convops import (

@@ -57,6 +57,9 @@ gradient is ``_spread``. Bilinear upsampling serves only the pooled
 A kernel with ``relu`` set fuses its ReLU into the operator's one tape
 node: the output is rectified in place, so the pre-activation is never
 held, and the rule masks the upstream gradient by ``out > 0`` first.
+conv2d also takes a residual, added into its output in place before the
+ReLU, so a residual unit's restore conv, shortcut sum and ReLU are one
+node; the residual's gradient is the masked upstream gradient.
 """
 
 from __future__ import annotations
@@ -138,7 +141,8 @@ class ConvKernel:
     ``weight`` is (kh, kw, in_channels, out_channels); ``bias`` is an
     optional (1, 1, 1, out_channels) tensor. ``padding`` is explicit
     per-side (top, bottom, left, right). With ``relu`` set, the operator
-    that applies the kernel returns max(0, op(x)) from one tape node.
+    that applies the kernel returns max(0, op(x)), and conv2d with a
+    residual r max(0, r + conv2d(x)), from one tape node.
     """
 
     weight: Tensor
@@ -479,34 +483,45 @@ def _bias_filled(kernel: ConvKernel, shape, dtype) -> np.ndarray:
     return out
 
 
-def _record(op: str, x: Tensor, kernel: ConvKernel, out: np.ndarray, grads) -> Tensor:
-    """Record ``op`` over (x, weight[, bias]); ``grads(g)`` yields (gx, gw).
+def _record(op: str, x: Tensor, kernel: ConvKernel, out: np.ndarray, grads,
+            residual: Tensor | None = None) -> Tensor:
+    """Record ``op`` over (x, weight[, bias][, residual]); ``grads(g)``
+    yields (gx, gw).
 
-    A ``relu`` kernel's ``out`` is rectified in place and ``g`` masked by
-    ``out > 0`` first. The optional bias receives ``g`` summed per channel.
+    A ``residual`` is added into ``out`` in place, as ``residual + out``;
+    then a ``relu`` kernel's ``out`` is rectified in place and ``g`` masked
+    by ``out > 0`` first. The bias receives ``g`` summed per channel, the
+    residual ``g`` itself.
     """
     relu, bias = kernel.relu, kernel.bias
+    extra = [] if bias is None else [bias]
+    if residual is not None:
+        if residual.shape != out.shape:
+            raise ShapeError(f"{op}: residual shape {residual.shape} differs from "
+                             f"the output's {out.shape}")
+        np.add(residual.data, out, out=out)
+        extra.append(residual)
     if relu:
         np.maximum(out, 0, out=out)
 
     def rule(g: np.ndarray):
         if relu:
             g = g * (out > 0)
-        if bias is None:
-            return grads(g)
-        return (*grads(g), g.sum(axis=(0, 1, 2)).reshape(bias.shape))
+        gb = () if bias is None else (g.sum(axis=(0, 1, 2)).reshape(bias.shape),)
+        gr = () if residual is None else (g,)
+        return (*grads(g), *gb, *gr)
 
-    inputs = (x, kernel.weight) if bias is None else (x, kernel.weight, bias)
-    return record_op(op, inputs, out, rule)
+    return record_op(op, (x, kernel.weight, *extra), out, rule)
 
 
-def conv2d(x: Tensor, kernel: ConvKernel) -> Tensor:
+def conv2d(x: Tensor, kernel: ConvKernel, residual: Tensor | None = None) -> Tensor:
     """Dense 2-D convolution (cross-correlation), dilation-aware.
 
     out[n,i,j,c] = bias[c]
                  + sum_{a,b,m} x[n, i*s + a*d - pad_top, j*s + b*d - pad_left, m]
                                * w[a,b,m,c]
-    with zero contribution from out-of-range positions.
+    with zero contribution from out-of-range positions. A ``residual`` of
+    the output's shape is added to it before the kernel's ReLU.
     """
     _, _, cin, cout = kernel.weight.shape
     _check_channels("conv2d", x, kernel, cin, cout)
@@ -524,7 +539,7 @@ def conv2d(x: Tensor, kernel: ConvKernel) -> Tensor:
             return _shifted_grads(xp, w, d, g, x_shape, kernel.padding)
         return _im2col_grads(xp, w, d, s, g, x_shape, kernel.padding)
 
-    return _record("conv2d", x, kernel, out, grads)
+    return _record("conv2d", x, kernel, out, grads, residual)
 
 
 def depthwise_conv2d(x: Tensor, kernel: ConvKernel) -> Tensor:

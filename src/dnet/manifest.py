@@ -46,7 +46,7 @@ def load_manifest(path) -> list[tuple[np.ndarray, np.ndarray]]:
         for lineno, line in enumerate(path.read_text(errors="replace").splitlines(), start=1)
         if line.strip() and not line.strip().startswith("#")
     ]
-    if not records or not records[0][1].startswith("split"):
+    if not records or records[0][1].split()[0] != "split":
         raise ManifestError(f"{path}: first line must be 'split train|test'")
     split_line = records[0][1]
     split_parts = split_line.split()

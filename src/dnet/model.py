@@ -26,13 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, ShapeError
-from .tensor import (
-    Tensor,
-    concat_channels,
-    default_dtype,
-    elementwise_add,
-    relu,
-)
+from .tensor import Tensor, concat_channels, default_dtype
 from .convops import (
     ConvKernel,
     bilinear_upsample,
@@ -181,9 +175,10 @@ class ResidualBottleneck:
 
     The spatial convolution carries the unit's stride and dilation. The
     shortcut is the identity unless channels or resolution change, in which
-    case a 1x1 projection (with the unit's stride) aligns it. The kernels of
-    the first two convolutions carry their ReLU (``relu=True``); a separate
-    ReLU follows the post-addition sum.
+    case a 1x1 projection (with the unit's stride) aligns it. Every kernel
+    but the projection carries its ReLU (``relu=True``): the restore conv
+    takes the shortcut as its residual, so relu(restore(h) + shortcut) is
+    its one tape node.
     """
 
     def __init__(
@@ -200,16 +195,19 @@ class ResidualBottleneck:
         self.spatial = builder.conv(
             f"{name}.spatial", 3, c_reduce, c_spatial, stride, dilation, relu=True
         )
-        self.restore = builder.conv(f"{name}.restore", 1, c_spatial, c_out)
+        self.restore = builder.conv(f"{name}.restore", 1, c_spatial, c_out, relu=True)
         self.project = None
         if cin != c_out or stride != 1:
             self.project = builder.conv(f"{name}.project", 1, cin, c_out, stride)
         self.out_channels = c_out
 
     def forward(self, v: Tensor) -> Tensor:
-        h = conv2d(conv2d(conv2d(v, self.reduce), self.spatial), self.restore)
+        h = conv2d(conv2d(v, self.reduce), self.spatial)
+        # Recorded here, the projection keeps the order, and so the bits, of
+        # v's gradient sum as with a separate residual add: a later consumer's
+        # (a stage output's concat), then the projection's, then the reduce's.
         shortcut = conv2d(v, self.project) if self.project is not None else v
-        return relu(elementwise_add(shortcut, h))
+        return conv2d(h, self.restore, shortcut)
 
     __call__ = forward
 
@@ -432,7 +430,9 @@ def save_checkpoint(model: DNet, path) -> None:
 
     Each tensor is stored as (name length, name bytes, 4 dims, little-endian
     32-bit floats); save -> load -> save reproduces the file byte for byte.
-    It is written to a sibling ``.tmp`` file first, so a failed save keeps the old one.
+    It is written to a sibling ``.tmp`` file first and flushed to disk before
+    it replaces ``path``, so neither a failed save nor a system crash loses
+    the old one.
     """
     cfg = model.cfg
     params = model.parameters()
@@ -457,6 +457,8 @@ def save_checkpoint(model: DNet, path) -> None:
                 fh.write(encoded)
                 fh.write(struct.pack("<4I", *t.shape))
                 fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -464,9 +466,12 @@ def save_checkpoint(model: DNet, path) -> None:
 
 
 def _read_exact(fh, count: int) -> bytes:
-    data = fh.read(count)
+    """``count`` bytes, if the file has that many left: a corrupt count is
+    rejected before anything is allocated for it."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = fh.read(count) if count <= left else b""
     if len(data) != count:
-        raise CheckpointError("checkpoint truncated")
+        raise CheckpointError(f"checkpoint truncated: {count} bytes wanted, {left} left")
     return data
 
 

@@ -12,6 +12,9 @@ gradients across fan-out, and returns the gradients of the leaves only: the
 intermediate gradient is released as soon as the rule that consumes it has
 run.
 
+The one operator defined here is :func:`concat_channels`; the network's
+ReLUs and residual sums ride its convolution kernels (see ``convops``).
+
 Tensors are treated as immutable once produced by an operation; optimizers
 may rewrite leaf ``.data`` buffers between recorded forward passes. Nothing
 here mutates a stored gradient in place, so gradient arrays may be shared.
@@ -35,8 +38,6 @@ __all__ = [
     "record_op",
     "default_dtype",
     "using_dtype",
-    "elementwise_add",
-    "relu",
     "concat_channels",
     "backward",
 ]
@@ -166,28 +167,6 @@ def record_op(
         out.requires_grad = True
         _graph_stack[-1].record(Node(op, tuple(inputs), out, backward_rule))
     return out
-
-
-def elementwise_add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; both inputs receive the upstream gradient unchanged."""
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise_add: shape mismatch {a.shape} vs {b.shape}")
-    out = a.data + b.data
-
-    def rule(g: np.ndarray):
-        return g, g
-
-    return record_op("add", (a, b), out, rule)
-
-
-def relu(x: Tensor) -> Tensor:
-    """max(0, x); gradient passes where x > 0 and is zero elsewhere."""
-    out = np.maximum(x.data, 0)
-
-    def rule(g: np.ndarray):
-        return (g * (out > 0),)  # out > 0 exactly where x > 0, NaN included
-
-    return record_op("relu", (x,), out, rule)
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:

@@ -1,13 +1,15 @@
 """Shared test utilities: tensor builders, autodiff probes,
 finite-difference gradients and reference oracles.
 
-``multiply`` and ``sum_all`` are recorded operators that the package does
-not need; tests use them to turn any tensor into a scalar loss with a known
-upstream gradient. The finite-difference helper perturbs raw parameter
-entries and re-runs the forward function, so it is independent of every
-backward rule it checks. The naive convolution oracle is a plain scalar
-loop accumulating in the same dtype as the production code, which lets
-tests assert bit-identical agreement in deterministic mode.
+``multiply``, ``sum_all``, ``elementwise_add`` and ``relu`` are recorded
+operators that the package does not need; tests use them to turn any tensor
+into a scalar loss with a known upstream gradient, and as the separate-node
+references that the convolutions' fused ReLU and residual sum must match.
+The finite-difference helper perturbs raw parameter entries and re-runs the
+forward function, so it is independent of every backward rule it checks.
+The naive convolution oracle is a plain scalar loop accumulating in the same
+dtype as the production code, which lets tests assert bit-identical
+agreement in deterministic mode.
 """
 
 from __future__ import annotations
@@ -54,6 +56,28 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.broadcast_to(g.reshape(()), shape).copy(),)
 
     return record_op("sum_all", (x,), out, rule)
+
+
+def elementwise_add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; both inputs receive the upstream gradient unchanged."""
+    if a.shape != b.shape:
+        raise ShapeError(f"elementwise_add: shape mismatch {a.shape} vs {b.shape}")
+    out = a.data + b.data
+
+    def rule(g: np.ndarray):
+        return g, g
+
+    return record_op("add", (a, b), out, rule)
+
+
+def relu(x: Tensor) -> Tensor:
+    """max(0, x); gradient passes where x > 0 and is zero elsewhere."""
+    out = np.maximum(x.data, 0)
+
+    def rule(g: np.ndarray):
+        return (g * (out > 0),)  # out > 0 exactly where x > 0, NaN included
+
+    return record_op("relu", (x,), out, rule)
 
 
 def fd_grad_entries(loss_fn, t: Tensor, entries, eps: float = 1e-4) -> np.ndarray:

@@ -33,7 +33,7 @@ from dnet.model import (
 )
 from dnet.receptive import LayerSpec, coverage_map, rf_stack, rf_single
 from dnet.convops import dilated_kernel_extent
-from dnet.tensor import backward, concat_channels, recording, relu, using_dtype
+from dnet.tensor import backward, concat_channels, recording, using_dtype
 from dnet.training import AdamState, TrainConfig, adam_step, evaluate, poly_lr, synth_vessels, train
 
 from conftest import fd_full_grad, max_rel_err, multiply, sum_all, tensor, zero_insert_kernel
@@ -161,11 +161,16 @@ def test_criterion_05_gradient_suite():
         weigh = tensor(rng.normal(size=(1, 6, 5, 2)))
         _fd_check(lambda: sum_all(multiply(bilinear_upsample(x, 6, 5), weigh)), (x,))
 
-        # relu (inputs away from the kink)
+        # conv2d with a residual and its ReLU in one node: the sums (base)
+        # stay away from the kink
+        fused = np.random.default_rng(51)
+        x = tensor(fused.normal(size=(1, 4, 4, 2)), requires_grad=True)
+        w = tensor(fused.normal(size=(1, 1, 2, 2)), requires_grad=True)
         base = rng.uniform(0.2, 1.5, size=(1, 4, 4, 2)) * rng.choice([-1, 1], (1, 4, 4, 2))
-        x = tensor(base, requires_grad=True)
+        r = tensor(base - conv2d(x, ConvKernel(w, None)).data, requires_grad=True)
+        kern = ConvKernel(w, None, relu=True)
         weigh = tensor(rng.normal(size=(1, 4, 4, 2)))
-        _fd_check(lambda: sum_all(multiply(relu(x), weigh)), (x,))
+        _fd_check(lambda: sum_all(multiply(conv2d(x, kern, r), weigh)), (x, w, r))
 
         # total loss wrt logits of both signs (through sigmoid) and a weight tensor
         pred = tensor(rng.uniform(-2.0, 2.0, size=(1, 4, 4, 1)), requires_grad=True)

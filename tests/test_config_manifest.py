@@ -155,6 +155,15 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(tmp_path / "manifest.txt")
 
+    @pytest.mark.parametrize("first", ["splitty train", "splits test", "Split train"])
+    def test_split_word_must_be_exact(self, tmp_path, first):
+        materialize(tmp_path)
+        path = tmp_path / "manifest.txt"
+        path.write_text(path.read_text().replace("split train", first))
+        says = re.escape("first line must be 'split train|test'")
+        with pytest.raises(ManifestError, match=says):
+            load_manifest(path)
+
     def test_empty_manifest_rejected(self, tmp_path):
         (tmp_path / "manifest.txt").write_text("split train\n")
         with pytest.raises(ManifestError):

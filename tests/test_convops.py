@@ -23,10 +23,11 @@ from dnet.convops import (
     transposed_conv,
     using_deterministic,
 )
-from dnet.tensor import Tensor, backward, recording, relu, using_dtype
+from dnet.tensor import Tensor, backward, recording, using_dtype
 
 from conftest import (
-    conv2d_naive, fd_full_grad, max_rel_err, multiply, sum_all, tensor, zero_insert_kernel,
+    conv2d_naive, elementwise_add, fd_full_grad, max_rel_err, multiply, relu, sum_all, tensor,
+    zero_insert_kernel,
 )
 
 
@@ -1148,12 +1149,19 @@ class TestFusedRelu:
         return ConvKernel(tensor(w, requires_grad=True), bias, stride, dilation, pads, relu=True)
 
     @staticmethod
-    def _run(op, x, kernel, u, fused):
+    def _run(op, x, kernel, u, fused, residual=None):
+        """Output, leaf gradients and tape ops of op(x, kernel[, residual]),
+        fused, or as relu([add(residual,] op(x, plain kernel)[)])."""
+        extra = () if residual is None else (residual,)
         with recording() as g:
-            y = op(x, kernel) if fused else relu(op(x, replace(kernel, relu=False)))
+            if fused:
+                y = op(x, kernel, *extra)
+            else:
+                y = op(x, replace(kernel, relu=False))
+                y = relu(y if residual is None else elementwise_add(residual, y))
             grads = backward(sum_all(multiply(y, u)), g)
         leaves = [x, kernel.weight] + ([kernel.bias] if kernel.bias is not None else [])
-        return y.data, [grads[t] for t in leaves], [node.op for node in g.nodes]
+        return y.data, [grads[t] for t in [*leaves, *extra]], [node.op for node in g.nodes]
 
     @pytest.mark.parametrize("deterministic", [True, False])
     @pytest.mark.parametrize("with_bias", [True, False])
@@ -1184,3 +1192,55 @@ class TestFusedRelu:
             assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
         assert got_ops == [op.__name__, "mul", "sum_all"]
         assert want_ops == [op.__name__, "relu", "mul", "sum_all"]
+
+    @pytest.mark.parametrize("nan_in", ["x", "residual"])
+    @pytest.mark.parametrize("deterministic", [True, False])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["conv2d_1x1", "conv2d_shifted", "conv2d_im2col"])
+    def test_residual_equals_relu_of_the_plain_sum(
+        self, case, dtype, with_bias, deterministic, nan_in, rng
+    ):
+        # conv2d(x, kernel, r) against relu(add(r, conv2d(x, plain kernel))).
+        # The residual's second image is all -0.0 as well, and its last
+        # output row cancels the plain output, so the sum holds exact zeros,
+        # and -0.0 where the plain output does; exactly one operand of the
+        # sum holds a NaN.
+        op, shape, k, stride, dilation, route = self.CASES[case]
+        with using_dtype(dtype), using_deterministic(deterministic):
+            x_data = rng.normal(size=shape)
+            x_data[1] = -0.0
+            if nan_in == "x":
+                x_data[0, 2, 3, 0] = np.nan
+            x = tensor(x_data, requires_grad=True)
+            kernel = self._kernel(op, shape[3], k, stride, dilation, with_bias, rng)
+            pre = op(x, replace(kernel, relu=False)).data
+            r_data = rng.normal(size=pre.shape)
+            r_data[1] = -0.0
+            r_data[0, -1] = -pre[0, -1]
+            if nan_in == "residual":
+                r_data[0, 1, 2, 0] = np.nan
+            r = tensor(r_data, requires_grad=True)
+            u = tensor(rng.normal(size=pre.shape))
+            got, got_grads, got_ops = self._run(op, x, kernel, u, True, r)
+            want, want_grads, want_ops = self._run(op, x, kernel, u, False, r)
+        padded = (shape[1] + sum(kernel.padding[:2]), shape[2] + sum(kernel.padding[2:]))
+        assert convops._shifts(stride, padded, *pre.shape[1:3]) == (route == "shifted")
+        total = r.data + pre
+        assert np.isnan(pre).any() != np.isnan(r.data).any()
+        assert np.isnan(total).any() and (total == 0).any()
+        if deterministic and with_bias:
+            assert np.signbit(total[total == 0]).any()
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert len(got_grads) == len(want_grads) == (4 if with_bias else 3)
+        for a, b in zip(got_grads, want_grads):
+            assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+        assert got_ops == ["conv2d", "mul", "sum_all"]
+        assert want_ops == ["conv2d", "add", "relu", "mul", "sum_all"]
+
+    def test_residual_of_another_shape_is_rejected(self, rng):
+        x = tensor(rng.normal(size=(1, 4, 4, 2)))
+        kernel = ConvKernel(tensor(rng.normal(size=(1, 1, 2, 3))), None, relu=True)
+        with pytest.raises(ShapeError, match=r"conv2d: residual shape \(1, 4, 4, 2\)"):
+            conv2d(x, kernel, tensor(rng.normal(size=(1, 4, 4, 2))))

@@ -6,9 +6,9 @@ import pytest
 from dnet.errors import ShapeError
 from dnet.losses import sigmoid, total_loss
 from dnet.model import DNet, DNetConfig
-from dnet.tensor import Tensor, backward, elementwise_add, record_op, recording, using_dtype
+from dnet.tensor import Tensor, backward, record_op, recording, using_dtype
 
-from conftest import fd_full_grad, max_rel_err, tensor
+from conftest import elementwise_add, fd_full_grad, max_rel_err, tensor
 
 
 def test_sigmoid_values():
@@ -243,8 +243,8 @@ def test_training_step_records_one_loss_node(rng):
     ops = [node.op for node in g.nodes]
     assert ops.count("total_loss") == 1
     assert g.nodes[-1].op == "total_loss"
-    # Each conv or doubling that a ReLU follows carries it in its own node;
-    # a relu node is left only on each of the 15 residual sums.
-    assert len(g) == forward_nodes + 1 == 111
-    assert ops.count("relu") == 15
-    assert sum(node.output.data.nbytes for node in g.nodes) == 226_692
+    # Each conv or doubling that a ReLU follows carries it in its own node,
+    # and each residual unit's restore conv its shortcut sum.
+    assert len(g) == forward_nodes + 1 == 81
+    assert ops.count("relu") == ops.count("add") == 0
+    assert sum(node.output.data.nbytes for node in g.nodes) == 183_684

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 import struct
 
@@ -147,13 +148,14 @@ class TestEncoder:
             assert np.array_equal(got, np.maximum(want, 0) if kern.relu else want)
 
     def test_relu_rides_every_kernel_but_the_linear_ones(self):
-        # The restores and projections feed the residual sum, the depthwise
-        # convs feed their pointwise mix and the head emits logits; every
-        # other kernel carries its ReLU.
+        # The projections feed the restore conv's residual sum, the
+        # depthwise convs feed their pointwise mix and the head emits
+        # logits; every other kernel carries its ReLU, the restores after
+        # their shortcut sum.
         model = DNet(DNetConfig(**TINY), seed=0)
         names = {id(t): name for name, t in model.parameters().items()}
         linear = sorted(names[id(k.weight)] for k in _collect_kernels(model) if not k.relu)
-        suffixes = (".restore.w", ".project.w", ".dw.w", "decoder.head.w")
+        suffixes = (".project.w", ".dw.w", "decoder.head.w")
         assert linear == sorted(n for n in names.values() if n.endswith(suffixes))
 
 
@@ -390,6 +392,11 @@ CHECKPOINT_DEFECTS = {
     ),
     "shape mismatch": (_edit_records(_reshape_first), "has shape"),
     "missing parameter": (_edit_records(lambda r: r[:-1]), "missing parameters"),
+    # the first record's name length, read before anything is allocated for it
+    "name length": (
+        lambda data: data[:49] + b"\xff" * 4 + data[53:],
+        r"truncated: 4294967295 bytes wanted, \d+ left",
+    ),
 }
 
 
@@ -445,6 +452,26 @@ class TestCheckpoint:
             save_checkpoint(model, path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_save_is_on_disk_before_it_replaces_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.dnet"
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def spy_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_size))
+            fsync(fd)
+
+        def spy_replace(src, dst):
+            calls.append(("replace", os.path.getsize(src)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        save_checkpoint(DNet(DNetConfig(**TINY), seed=0), path)
+        # The whole file was flushed to the descriptor that fsync synced.
+        size = path.stat().st_size
+        assert calls == [("fsync", size), ("replace", size)]
 
     def test_forward_identical_after_reload(self, tmp_path, rng):
         model = DNet(DNetConfig(**TINY), seed=1)

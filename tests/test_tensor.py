@@ -16,14 +16,14 @@ from dnet.tensor import (
     Tensor,
     backward,
     concat_channels,
-    elementwise_add,
     record_op,
     recording,
-    relu,
     using_dtype,
 )
 
-from conftest import fd_full_grad, max_rel_err, multiply, sum_all, tensor, zeros
+from conftest import (
+    elementwise_add, fd_full_grad, max_rel_err, multiply, relu, sum_all, tensor, zeros,
+)
 
 
 def test_tensor_must_be_4d():
