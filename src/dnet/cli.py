@@ -70,7 +70,12 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = DNet(model_cfg, seed=train_cfg.seed)
-    trace = train(dataset, model, train_cfg)
+    try:
+        trace = train(dataset, model, train_cfg)
+    except ShapeError as exc:
+        if args.manifest is None:
+            raise
+        raise ShapeError(f"{args.manifest}: {exc}") from exc
     ckpt = out / "checkpoint.dnet"
     save_checkpoint(model, ckpt)
     _write_csv(out / "loss.csv", dict(zip(("step", "lr", "loss"), zip(*trace))))

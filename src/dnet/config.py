@@ -77,9 +77,11 @@ def parse_run_config(path) -> tuple[DNetConfig, TrainConfig]:
     Keys the file leaves out keep the dataclass defaults, and a dilation
     triple that sets only some of d1, d2, d3 takes the others from
     ``DNetConfig()``; the file may be empty. Lines starting with ``#`` and
-    blank lines are ignored. Every ``ConfigError`` names ``path``.
+    blank lines are ignored; a key set twice is an error. Every
+    ``ConfigError`` names ``path``.
     """
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}  # key -> line that set it
     text = Path(path).read_text(errors="replace")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -94,6 +96,9 @@ def parse_run_config(path) -> tuple[DNetConfig, TrainConfig]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if not raw:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         values[key] = raw
 
     try:

@@ -127,7 +127,6 @@ class _Builder:
     def __init__(self, rng: np.random.Generator | None):
         self.rng = rng
         self.params: dict[str, Tensor] = {}
-        self.kernel_weights: list[Tensor] = []
 
     def _register(self, name: str, t: Tensor) -> Tensor:
         if name in self.params:
@@ -141,10 +140,7 @@ class _Builder:
         else:
             bound = np.sqrt(6.0 / fan_in)
             data = self.rng.uniform(-bound, bound, size=shape).astype(default_dtype())
-        t = Tensor(data, requires_grad=True)
-        self._register(name, t)
-        self.kernel_weights.append(t)
-        return t
+        return self._register(name, Tensor(data, requires_grad=True))
 
     def _bias(self, name: str, cout: int) -> Tensor:
         t = Tensor(np.zeros((1, 1, 1, cout), dtype=default_dtype()), requires_grad=True)
@@ -381,7 +377,6 @@ class DNet:
             builder, cfg, decoder_in, (self.encoder.out_channels[2], root, root)
         )
         self._params = builder.params
-        self._kernel_weights = builder.kernel_weights
 
     def forward(self, image: Tensor) -> Tensor:
         """Per-pixel vessel logits, same spatial size as the input."""
@@ -396,8 +391,9 @@ class DNet:
         return self._params
 
     def kernel_parameters(self) -> list[Tensor]:
-        """Convolution weights only (no biases); the L2-regularized set."""
-        return list(self._kernel_weights)
+        """Convolution weights only (the ``*.w`` parameters, no biases), in
+        registration order; the L2-regularized set."""
+        return [t for name, t in self._params.items() if name.endswith(".w")]
 
 
 def encoder_layer_specs(cfg: DNetConfig) -> list[LayerSpec]:

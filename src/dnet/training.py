@@ -247,14 +247,15 @@ def _raster_bezier(mask: np.ndarray, p0, p1, p2, width: int) -> None:
     pts = _bezier_point(p0, p1, p2, np.linspace(0.0, 1.0, steps)[:, None])
     radius = width / 2.0
     r_int = int(np.ceil(radius))
-    for y, x in pts:
-        yi, xi = int(round(y)), int(round(x))
-        y0, y1 = max(0, yi - r_int), min(h, yi + r_int + 1)
-        x0, x1 = max(0, xi - r_int), min(w, xi + r_int + 1)
-        if y0 >= y1 or x0 >= x1:
-            continue
-        yy, xx = np.mgrid[y0:y1, x0:x1]
-        mask[y0:y1, x0:x1] |= (yy - y) ** 2 + (xx - x) ** 2 <= radius * radius
+    # One (2r+1)² window per sample point, centred on the rounded point.
+    offsets = np.arange(-r_int, r_int + 1)
+    y, x = pts[:, 0, None, None], pts[:, 1, None, None]
+    yy = np.rint(y).astype(np.int64) + offsets[:, None]
+    xx = np.rint(x).astype(np.int64) + offsets[None, :]
+    hit = (yy - y) ** 2 + (xx - x) ** 2 <= radius * radius
+    hit &= (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+    rows, cols = np.broadcast_arrays(yy, xx)
+    mask[rows[hit], cols[hit]] = True
 
 
 def _random_curve(rng: np.random.Generator, h: int, w: int):

@@ -149,6 +149,18 @@ class TestPipeline:
         assert err.startswith(f"error: manifest: {manifest}:4: image {data / 'big.ppm'}")
         assert err.count("\n") == 1
 
+    def test_train_shape_error_names_the_manifest(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_cli("synth", "--n", 2, "--height", 40, "--width", 40, "--out", data) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = 1\nchannels_scale = 0.0625\n")
+        manifest = data / "manifest.txt"
+        assert run_cli("train", "--config", cfg, "--manifest", manifest,
+                       "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: shape: {manifest}: encoder input spatial dims "
+                       "must be divisible by 16, got 40x40\n")
+
 
 class TestTrainSynthMode:
     def test_synth_training_writes_loadable_checkpoint(self, tmp_path):

@@ -69,6 +69,12 @@ lambda = 0
         with pytest.raises(ConfigError):
             parse_run_config(write_cfg(tmp_path, "batch = 0\n"))
 
+    def test_key_set_twice_rejected(self, tmp_path):
+        path = write_cfg(tmp_path, "lr = 1e-3\n# later\nbatch = 2\nlr = 5e-2\n")
+        message = f"{path}:4: 'lr' already set on line 1"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_run_config(path)
+
     def test_missing_equals_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_run_config(write_cfg(tmp_path, "d1 1\n"))

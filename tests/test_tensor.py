@@ -1,11 +1,12 @@
+import pkgutil
 import sys
-import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dnet
 from dnet.convops import using_deterministic
 from dnet.errors import GraphError, ShapeError
 from dnet.losses import sigmoid, total_loss
@@ -301,10 +302,16 @@ def test_forward_outputs_remain_finite(rng):
     assert np.isfinite(sigmoid(x.data)).all()
 
 
-def test_dnet_tensor_is_the_module():
-    # The package must not shadow its submodule with the ``tensor`` factory.
-    import dnet
-    import dnet.tensor as tensor_module
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(dnet.__path__))
 
-    assert isinstance(dnet.tensor, types.ModuleType)
-    assert tensor_module is sys.modules["dnet.tensor"]
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_dnet_submodule_is_the_module(name):
+    # The package binds no name of its own that could shadow a submodule
+    # (it once shadowed ``tensor`` and ``metrics`` with functions).
+    scope = {}
+    exec(f"from dnet import {name} as via_from\nimport dnet.{name} as via_import", scope)
+    module = sys.modules[f"dnet.{name}"]
+    assert scope["via_from"] is module
+    assert scope["via_import"] is module
+    assert getattr(dnet, name) is module

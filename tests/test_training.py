@@ -11,6 +11,8 @@ from dnet.training import (
     EPS,
     AdamState,
     TrainConfig,
+    _bezier_point,
+    _raster_bezier,
     adam_step,
     evaluate,
     poly_lr,
@@ -160,7 +162,43 @@ class TestAdam:
             assert state.t == expected
 
 
+def reference_raster_bezier(mask, p0, p1, p2, width):
+    """One disc window per sample point, marked in a Python loop."""
+    h, w = mask.shape
+    approx_len = np.hypot(*(p1 - p0)) + np.hypot(*(p2 - p1))
+    steps = max(8, int(3 * approx_len))
+    pts = _bezier_point(p0, p1, p2, np.linspace(0.0, 1.0, steps)[:, None])
+    radius = width / 2.0
+    r_int = int(np.ceil(radius))
+    for y, x in pts:
+        yi, xi = int(round(y)), int(round(x))
+        y0, y1 = max(0, yi - r_int), min(h, yi + r_int + 1)
+        x0, x1 = max(0, xi - r_int), min(w, xi + r_int + 1)
+        if y0 >= y1 or x0 >= x1:
+            continue
+        yy, xx = np.mgrid[y0:y1, x0:x1]
+        mask[y0:y1, x0:x1] |= (yy - y) ** 2 + (xx - x) ** 2 <= radius * radius
+
+
 class TestSynthVessels:
+    def test_raster_matches_reference_loop(self):
+        rng = np.random.default_rng(0)
+        for i in range(400):
+            h, w = (int(v) for v in rng.integers(1, 24, size=2))
+            # Control points up to 6 px past every edge. Every other stroke
+            # has them on the half-pixel grid, so pixels at its exactly
+            # sampled end points lie on the disc boundary.
+            lo, hi = np.array([-6.0, -6.0]), np.array([h + 6.0, w + 6.0])
+            points = [rng.uniform(lo, hi) for _ in range(3)]
+            if i % 2 == 0:
+                points = [np.round(p * 2) / 2 for p in points]
+            width = int(rng.integers(1, 5))
+            start = rng.random((h, w)) < 0.1
+            ours, ref = start.copy(), start.copy()
+            _raster_bezier(ours, *points, width)
+            reference_raster_bezier(ref, *points, width)
+            assert ours.tobytes() == ref.tobytes(), (h, w, points, width)
+
     def test_same_seed_identical(self):
         a = synth_vessels(11, 3, 32, 32)
         b = synth_vessels(11, 3, 32, 32)
