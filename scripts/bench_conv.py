@@ -3,15 +3,17 @@
 
 The deterministic (tap-ordered) forward is the correctness reference,
 bit-identical to the naive loop; the GEMM forward trades that guarantee for
-BLAS throughput. Each forward has two helpers, timed on their own from the
-padded input so that conv2d's shape rule can be checked on every case:
+BLAS throughput. Each forward has two helpers, timed on their own so that
+conv2d's shape rule can be checked on every case; all but ``shifted`` read
+the padded input, made once before the timing:
 
 * ``stacked`` and ``c-first`` are the tap-ordered helpers; ``det fwd`` is
   the one conv2d picks (channel-first when ``cout < wo``) and should track
   the smaller of the two. They must give the same bytes on every case; the
   script exits 1 if they do not, so it doubles as a smoke check of the
   exact forward.
-* ``shifted`` (one GEMM per tap on shifted row slices, stride 1 only; ``-``
+* ``shifted`` (one GEMM per tap on shifted row slices of bands of padded
+  rows that it fills from the unpadded input, stride 1 only; ``-``
   otherwise) and ``i2c fwd`` (one GEMM over the whole im2col column
   matrix) are the GEMM lowerings; ``gemm fwd`` is the one conv2d picks
   (shifted when the stride is 1 and the padded grid is at most 1.25x the
@@ -97,26 +99,35 @@ def median_ms(fn, budget_s: float = 0.5, min_repeats: int = 3) -> float:
 
 
 def helper_run(x, kern, helper) -> tuple[float, bytes]:
-    """Median ms of one forward helper, called as helper(xp, w, d, s, out)
-    on the padded input, and the bytes of its output."""
-    w = kern.weight.data
-    xp, ho, wo = convops._gather_frame("conv2d", x, kern)
-    shape = (x.shape[0], ho, wo, w.shape[3])
-    ms = median_ms(lambda: helper(xp, w, kern.dilation, kern.stride, np.zeros(shape, x.dtype)))
+    """Median ms of one forward helper, called as helper(x, xp, kern, out)
+    with the unpadded and the padded input and a zero output, and the bytes
+    of its output."""
+    xp = convops._pad_input(x.data, kern.padding)
+    _, ho, wo = convops._gather_frame("conv2d", x, kern)
+    shape = (x.shape[0], ho, wo, kern.out_channels)
+    ms = median_ms(lambda: helper(x.data, xp, kern, np.zeros(shape, x.dtype)))
     out = np.zeros(shape, x.dtype)
-    helper(xp, w, kern.dilation, kern.stride, out)
+    helper(x.data, xp, kern, out)
     return ms, out.tobytes()
 
 
-def shifted_gemm(xp, w, d, s, out) -> None:
-    convops._shifted_gemm(xp, w, d, out)
+def exact_helper(exact):
+    """A tap-ordered helper, which adds the taps into ``out`` from the padded input."""
+    return lambda x, xp, kern, out: exact(xp, kern.weight.data, kern.dilation, kern.stride, out)
 
 
-def im2col_gemm(xp, w, d, s, out) -> None:
+def shifted_gemm(x, xp, kern, out) -> None:
+    """The stride-1 GEMM forward, which fills its padded rows from ``x``."""
+    convops._shifted_gemm(x, kern.weight.data, kern.dilation, kern.padding, out)
+
+
+def im2col_gemm(x, xp, kern, out) -> None:
     """The GEMM forward's whole-matrix branch in ``convops._dense``."""
+    w = kern.weight.data
     kh, kw, _, cout = w.shape
     _, ho, wo, _ = out.shape
-    out += (convops._im2col(xp, kh, kw, d, s, ho, wo) @ w.reshape(-1, cout)).reshape(out.shape)
+    cols = convops._im2col(xp, kh, kw, kern.dilation, kern.stride, ho, wo)
+    np.matmul(cols, w.reshape(-1, cout), out=out.reshape(-1, cout))
 
 
 def time_case(x, kern, deterministic: bool) -> tuple[float, np.ndarray]:
@@ -138,7 +149,7 @@ def backward_runs(x, kern, upstream) -> tuple[float | None, float, bool]:
     and of the im2col one, and whether their input and weight gradients
     agree to the per-tap oracle's tolerance."""
     w, d, s, pads = kern.weight.data, kern.dilation, kern.stride, kern.padding
-    xp, _, _ = convops._gather_frame("conv2d", x, kern)
+    xp = convops._pad_input(x.data, pads)
     i2c = median_ms(lambda: convops._im2col_grads(xp, w, d, s, upstream, x.shape, pads))
     if s != 1:
         return None, i2c, True
@@ -177,8 +188,8 @@ def main() -> int:
             Tensor(rng.normal(size=(1, 1, 1, cout)).astype(np.float32), requires_grad=True),
             s, d, same_pads(k, d, s),
         )
-        stacked, stacked_bytes = helper_run(x, kern, convops._exact_stacked)
-        cfirst, cfirst_bytes = helper_run(x, kern, convops._exact_channel_first)
+        stacked, stacked_bytes = helper_run(x, kern, exact_helper(convops._exact_stacked))
+        cfirst, cfirst_bytes = helper_run(x, kern, exact_helper(convops._exact_channel_first))
         shifted = f"{helper_run(x, kern, shifted_gemm)[0]:8.2f}" if s == 1 else f"{'-':>8}"
         i2c_fwd = helper_run(x, kern, im2col_gemm)[0]
         ho, wo = conv2d(x, kern).shape[1:3]

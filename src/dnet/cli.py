@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from itertools import chain
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DnetError, ManifestError, ShapeError
 from .config import parse_run_config
+from .convops import using_deterministic
 from .losses import LOSS_FORMULA
 from .manifest import as_rgb, load_manifest, write_manifest
 from .metrics import MASK_THRESHOLD, ConfusionCounts, confusion, metrics, roc_pr_curves
@@ -31,6 +33,11 @@ __all__ = ["main"]
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 with the standard error line, not 2
         raise ConfigError(f"arguments: {message}")
+
+
+def _conv_mode(args):
+    """The convolution mode that ``--conv`` names; without it, the one in effect."""
+    return nullcontext() if args.conv is None else using_deterministic(args.conv == "exact")
 
 
 def _cmd_synth(args) -> int:
@@ -71,7 +78,8 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     model = DNet(model_cfg, seed=train_cfg.seed)
     try:
-        trace = train(dataset, model, train_cfg)
+        with _conv_mode(args):
+            trace = train(dataset, model, train_cfg)
     except ShapeError as exc:
         if args.manifest is None:
             raise
@@ -87,7 +95,8 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
     try:
-        probs = predict_probs(model, as_rgb(read_pnm(args.image)))
+        with _conv_mode(args):
+            probs = predict_probs(model, as_rgb(read_pnm(args.image)))
     except ShapeError as exc:
         raise ShapeError(f"{args.image}: {exc}") from exc
     out = Path(args.out)
@@ -246,6 +255,12 @@ def _cmd_rf_analyze(args) -> int:
     return 0
 
 
+def _add_conv_option(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--conv", choices=("exact", "gemm"),
+                   help="convolution forward: exact (tap-ordered, bit-reproducible) or "
+                        "gemm (BLAS, faster); default: the mode in effect")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -264,12 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth", type=int, help="train on N generated images instead")
     p.add_argument("--synth-size", type=int, default=64)
     p.add_argument("--out", required=True)
+    _add_conv_option(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="run a checkpoint on one image")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
+    _add_conv_option(p)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("eval", help="score probability maps against ground truth")

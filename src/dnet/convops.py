@@ -34,14 +34,22 @@ convolution forward. Only that forward has two execution strategies:
   floating-point tolerance. It is therefore gated out of deterministic mode
   rather than offered as a bit-exact replacement. One of two lowerings is
   picked by shape (``_shifts``). A stride-1 kernel whose padded input grid
-  is at most 1.25x its output grid runs ``_shifted_gemm``: in each image's
-  padded input, flattened to a (pixels, channels) matrix, every tap of a
-  band of whole output rows reads one contiguous row slice, so the band is
-  one GEMM per tap with no column copy, in buffers of bounded size. Any
-  other kernel is one GEMM over the whole ``_im2col`` column matrix, which
-  grows with the image area: up to 11.9 MB in a full-width 576x576
-  forward. A 1x1 unit-stride kernel on an unpadded input needs neither and
-  stays one GEMM on a reshape.
+  is at most 1.25x its output grid runs ``_shifted_gemm``, band by band of
+  whole output rows: it fills the band's padded input rows from the
+  unpadded input into one reusable zero-bordered buffer, flattened to a
+  (pixels, channels) matrix in which every tap reads one contiguous row
+  slice, so the band is one GEMM per tap with no column copy and no padded
+  copy of the input, in buffers of bounded size. Any other kernel is one
+  GEMM over the whole ``_im2col`` column matrix, which grows with the image
+  area: up to 11.9 MB in a full-width 576x576 forward. A 1x1 unit-stride
+  kernel on an unpadded input needs neither and stays one GEMM on a
+  reshape. Each GEMM writes the output itself.
+
+Every forward writes its output through one epilogue, ``_epilogue``: the
+bias is added, then a residual, then the ReLU is applied, each in place, once
+per band on shifted slices and once over the map otherwise. The tap-ordered
+forward and the depthwise convolution start from the bias instead, so it
+is the first term of their sums, and skip the epilogue's bias.
 
 The backward rules are GEMM-shaped and the same in both modes. conv2d's
 picks by the forward's shape rule. Where the forward's shifted row slices
@@ -51,8 +59,10 @@ one input-gradient GEMM per tap: no column copy, no strided scatter. That
 covers every unit-stride 1x1 kernel, whose padded grid is its output
 grid, with one GEMM each. Any other conv2d runs ``_im2col_grads``: the
 weight gradient is one ``_im2col(...).T @ g`` product and the input
-gradient is ``_spread``. Bilinear upsampling serves only the pooled
-(n, 1, 1, c) map, so it is a broadcast and its backward a sum.
+gradient is ``_spread``. The rules of conv2d, the depthwise convolution
+and max pooling rebuild the padded input when they run, so the tape
+holds no padded copy. Bilinear upsampling serves only the pooled (n, 1,
+1, c) map, so it is a broadcast and its backward a sum.
 
 A kernel with ``relu`` set fuses its ReLU into the operator's one tape
 node: the output is rectified in place, so the pre-activation is never
@@ -89,10 +99,14 @@ __all__ = [
 _deterministic = True
 
 # Element budget of the bounded buffers of the conv2d forwards (4 MB in
-# float32). The stride-1 GEMM forward's band accumulator and temporary get
-# a quarter of it each: at 576x576 32->32, budgets of 1, 4 and 16 MB in all
-# ran within 7% of each other (135, 129 and 127 ms). The exact forward's
-# product stack shares the budget: stacks of 2^16 to 2^20 elements ran the
+# float32). The stride-1 GEMM forward's band buffers (its padded input rows,
+# accumulator and temporary) get three eighths of it together, a band size
+# that stays in a 2 MB L2 cache. Interleaved medians, ms, 2-core host,
+# OpenBLAS, against 150.5 and 143.3 ms when the accumulator and temporary
+# got a quarter each over a whole padded copy of the input: at 576x576
+# 32->32, totals of 1, 1.5 and 2 MB ran 142.0, 136.4 and 132.9 ms; at
+# 288x288 128->64, 136.7, 126.8 and 128.0 ms. The exact forward's product
+# stack shares the budget: stacks of 2^16 to 2^20 elements ran the
 # desk-scale shapes at about the same speed, 2^12 up to 4x slower. The
 # im2col GEMM forward has no budget: it holds its whole column matrix.
 _BAND_ELEMENTS = 1 << 20
@@ -178,12 +192,39 @@ class ConvKernel:
 
 
 def _pad_input(x: np.ndarray, padding, fill: float = 0.0) -> np.ndarray:
+    """``x`` grown by (top, bottom, left, right) ``padding`` rows and columns
+    of ``fill``: the bytes of ``np.pad``'s constant mode, from one allocation
+    whose every element is written once. ``x`` itself when no side is padded.
+    """
     pt, pb, pl, pr = padding
     if pt == pb == pl == pr == 0:
         return x
-    return np.pad(
-        x, ((0, 0), (pt, pb), (pl, pr), (0, 0)), mode="constant", constant_values=fill
-    )
+    n, h, w, c = x.shape
+    xp = np.empty((n, h + pt + pb, w + pl + pr, c), dtype=x.dtype)
+    xp[:, :pt] = fill
+    xp[:, pt + h :] = fill
+    xp[:, pt : pt + h, :pl] = fill
+    xp[:, pt : pt + h, pl + w :] = fill
+    xp[:, pt : pt + h, pl : pl + w] = x
+    return xp
+
+
+def _epilogue(band: np.ndarray, out: np.ndarray, bias=None, residual=None,
+              relu: bool = False) -> None:
+    """Write ``band`` into ``out`` once as the operator's output: ``bias +
+    band``, then ``residual + out``, then ``max(out, 0)``, each in place.
+
+    ``band`` may be ``out`` itself; without a bias it is copied in as it is.
+    Every convolution-family forward ends here, whole map or band by band.
+    """
+    if bias is not None:
+        np.add(bias, band, out=out)
+    elif band is not out:
+        out[...] = band
+    if residual is not None:
+        np.add(residual, out, out=out)
+    if relu:
+        np.maximum(out, 0, out=out)
 
 
 def _out_extent(op: str, padded: int, k_eff: int, stride: int) -> int:
@@ -331,34 +372,53 @@ def _shifts(s: int, padded, ho: int, wo: int) -> bool:
     return s == 1 and 4 * hp * wp <= 5 * ho * wo
 
 
-def _shifted_gemm(xp: np.ndarray, w: np.ndarray, d: int, out: np.ndarray) -> None:
-    """Stride-1 GEMM forward with no column copy: one GEMM per tap and band.
+def _shifted_gemm(x: np.ndarray, w: np.ndarray, d: int, pads, out: np.ndarray,
+                  bias=None, residual=None, relu: bool = False) -> None:
+    """Stride-1 GEMM forward with no column copy and no padded copy: one GEMM
+    per tap and band of output rows, then the band's ``_epilogue``.
 
-    Each image's padded input is a flat (hp * wp, cin) matrix. For a band of
-    output rows [i0, i1), tap (a, b) reads its contiguous rows from
-    (i0 + a*d)*wp + b*d on, (i1 - i0 - 1)*wp + wo of them, so never past
-    the image: the products land in a band accumulator laid out over the
-    padded width, whose first ``wo`` columns are added into ``out`` and
-    whose other columns, which mix taps across a row end, are discarded.
-    The accumulator and the temporary that takes each later tap's product
-    hold a quarter of ``_BAND_ELEMENTS`` each (but at least one row).
+    A band of output rows [i0, i1) of an image reads its padded rows [i0, i1
+    + (kh - 1)*d). They are filled from the unpadded ``x`` into one
+    zero-bordered buffer over the padded width, which every band reuses: its
+    padding columns stay zero, and a band at an image's top or bottom zeroes
+    the rows it takes from the padding. Flattened to a (pixels, channels)
+    matrix, tap (a, b) reads its contiguous rows of the buffer from a*d*wp +
+    b*d on, (i1 - i0 - 1)*wp + wo of them, so never past it: the products
+    land in a band accumulator laid out over the padded width, whose first
+    ``wo`` columns go into ``out`` and whose other columns, which mix taps
+    across a row end, are discarded. The input buffer, the accumulator and
+    the temporary that takes each later tap's product hold three eighths of
+    ``_BAND_ELEMENTS`` together, but at least one output row.
     """
     kh, kw, cin, cout = w.shape
+    n, h, wd, _ = x.shape
     _, ho, wo, _ = out.shape
-    wp = xp.shape[2]
-    rows = min(ho, max(1, _BAND_ELEMENTS // (4 * wp * cout)))
+    pt, _, pl, _ = pads
+    wp, halo = wo + (kw - 1) * d, (kh - 1) * d
+    rows = (_BAND_ELEMENTS * 3 // 8 - halo * wp * cin) // (wp * (cin + 2 * cout))
+    rows = min(ho, max(1, rows))
+    xb = np.zeros((rows + halo, wp, cin), dtype=x.dtype)
+    flat = xb.reshape(-1, cin)
     acc = np.empty((rows * wp, cout), dtype=out.dtype)
     tmp = np.empty_like(acc)
-    for img, dst in zip(xp, out):
-        flat = img.reshape(-1, cin)
+    for k in range(n):
         for i0, i1 in _row_bands(ho, rows):
+            # Buffer row r is padded row i0 + r, which is input row i0 + r - pt.
+            nb = i1 - i0 + halo
+            lo = min(max(pt - i0, 0), nb)
+            hi = min(max(pt + h - i0, lo), nb)
+            xb[:lo] = 0.0
+            xb[lo:hi, pl : pl + wd] = x[k, i0 + lo - pt : i0 + hi - pt]
+            xb[hi:nb] = 0.0
             m = (i1 - i0 - 1) * wp + wo
             for t, (a, b) in enumerate(np.ndindex(kh, kw)):
-                start = (i0 + a * d) * wp + b * d
+                start = a * d * wp + b * d
                 np.matmul(flat[start : start + m], w[a, b], out=tmp[:m] if t else acc[:m])
                 if t:
                     acc[:m] += tmp[:m]
-            dst[i0:i1] += acc[: (i1 - i0) * wp].reshape(i1 - i0, wp, cout)[:, :wo]
+            band = acc[: (i1 - i0) * wp].reshape(1, i1 - i0, wp, cout)[:, :, :wo]
+            _epilogue(band, out[k : k + 1, i0:i1], bias,
+                      None if residual is None else residual[k : k + 1, i0:i1], relu)
 
 
 def _shifted_grads(xp: np.ndarray, w: np.ndarray, d: int, g: np.ndarray, shape, pads):
@@ -421,25 +481,35 @@ def _im2col_grads(xp: np.ndarray, w: np.ndarray, d: int, s: int, g: np.ndarray, 
     return gx, (_im2col(xp, kh, kw, d, s, ho, wo).T @ g.reshape(-1, cout)).reshape(w.shape)
 
 
-def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
-    """Dense tap gather: out += sum over taps (a, b) of tap(a, b) @ w[a, b].
+def _dense(x: np.ndarray, kernel: ConvKernel, out: np.ndarray, residual=None) -> None:
+    """Dense tap gather of ``kernel`` over the unpadded input ``x``, written
+    into ``out`` through ``_epilogue``: sum over taps (a, b) of tap(a, b) @
+    w[a, b], then the bias, ``residual`` and the kernel's ReLU.
 
-    The output grid is ``out``'s spatial extent. Deterministic mode adds one
-    (kernel row, kernel col, input channel) tap at a time: channel-first when
-    the output row outruns the output channels, else by stacking each tap's
-    products and folding the stack with one sequential reduce. Otherwise a
-    1x1 kernel whose one tap reads all of ``xp`` is one GEMM on a reshape; a
-    stride-1 kernel whose padded grid is at most 1.25x its output grid
-    (``_shifts``) runs ``_shifted_gemm``, one GEMM per tap on shifted row
-    slices of ``xp``; any other is one GEMM over the whole im2col column
-    matrix, the lowering its backward uses.
+    The output grid is ``out``'s spatial extent. Deterministic mode starts
+    from the bias and adds one (kernel row, kernel col, input channel) tap at
+    a time: channel-first when the output row outruns the output channels,
+    else by stacking each tap's products and folding the stack with one
+    sequential reduce. Otherwise a 1x1 kernel whose one tap reads all of the
+    padded input is one GEMM on a reshape; a stride-1 kernel whose padded
+    grid is at most 1.25x its output grid (``_shifts``) runs
+    ``_shifted_gemm``, one GEMM per tap on shifted row slices of bands of
+    padded rows; any other is one GEMM over the whole im2col column matrix,
+    the lowering its backward uses. The GEMMs write ``out`` itself.
     """
+    w, d, s, pads = kernel.weight.data, kernel.dilation, kernel.stride, kernel.padding
+    bias = None if kernel.bias is None else kernel.bias.data
     kh, kw, cin, cout = w.shape
     _, ho, wo, _ = out.shape
+    padded = (x.shape[1] + pads[0] + pads[1], x.shape[2] + pads[2] + pads[3])
     if _deterministic:
-        (_exact_channel_first if cout < wo else _exact_stacked)(xp, w, d, s, out)
-    elif kh == kw == 1 and xp.shape[1:3] == (ho, wo):
-        out += (xp.reshape(-1, cin) @ w.reshape(cin, cout)).reshape(out.shape)
+        # The bias first, then the taps; the epilogue adds no bias.
+        out[...] = 0.0 if bias is None else bias
+        bias = None
+        (_exact_channel_first if cout < wo else _exact_stacked)(_pad_input(x, pads), w, d, s, out)
+    elif kh == kw == 1 and padded == (ho, wo):
+        np.matmul(_pad_input(x, pads).reshape(-1, cin), w.reshape(cin, cout),
+                  out=out.reshape(-1, cout))
     # The shifted GEMMs also compute the padded columns (and rows) that the
     # output discards, and add each later tap's product into the band, in
     # place of the column copy. ms im2col (in row bands) -> shifted
@@ -449,10 +519,13 @@ def _dense(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> No
     # 64->64 1.01 -> 1.18 (1.27), 36^2 256->256 d4 10.56 -> 12.52 (1.49),
     # 4x8^2 64->64 0.31 -> 0.48 (1.56). Inside the bound, 36^2 256->256 d2
     # (10.48 -> 11.39) and 4x32^2 32->64 (2.30 -> 2.56) still lose a little.
-    elif _shifts(s, xp.shape[1:3], ho, wo):
-        _shifted_gemm(xp, w, d, out)
+    elif _shifts(s, padded, ho, wo):
+        _shifted_gemm(x, w, d, pads, out, bias, residual, kernel.relu)
+        return
     else:
-        out += (_im2col(xp, kh, kw, d, s, ho, wo) @ w.reshape(-1, cout)).reshape(out.shape)
+        np.matmul(_im2col(_pad_input(x, pads), kh, kw, d, s, ho, wo), w.reshape(-1, cout),
+                  out=out.reshape(-1, cout))
+    _epilogue(out, out, bias, residual, kernel.relu)
 
 
 def _check_channels(op: str, x: Tensor, kernel: ConvKernel, cin: int, bias_channels: int) -> None:
@@ -464,45 +537,27 @@ def _check_channels(op: str, x: Tensor, kernel: ConvKernel, cin: int, bias_chann
         )
 
 
-def _gather_frame(op: str, x: Tensor, kernel: ConvKernel) -> tuple[np.ndarray, int, int]:
-    """Padded input and output extent of a strided, dilated tap gather."""
+def _gather_frame(op: str, x: Tensor, kernel: ConvKernel) -> tuple[tuple[int, int], int, int]:
+    """Padded grid (hp, wp) and output extent of a strided, dilated tap gather."""
     kh, kw = kernel.weight.shape[:2]
     s, d = kernel.stride, kernel.dilation
-    xp = _pad_input(x.data, kernel.padding)
-    ho = _out_extent(op, xp.shape[1], dilated_kernel_extent(kh, d), s)
-    wo = _out_extent(op, xp.shape[2], dilated_kernel_extent(kw, d), s)
-    return xp, ho, wo
-
-
-def _bias_filled(kernel: ConvKernel, shape, dtype) -> np.ndarray:
-    out = np.empty(shape, dtype=dtype)
-    if kernel.bias is not None:
-        out[...] = kernel.bias.data
-    else:
-        out.fill(0.0)
-    return out
+    pt, pb, pl, pr = kernel.padding
+    hp, wp = x.shape[1] + pt + pb, x.shape[2] + pl + pr
+    ho = _out_extent(op, hp, dilated_kernel_extent(kh, d), s)
+    wo = _out_extent(op, wp, dilated_kernel_extent(kw, d), s)
+    return (hp, wp), ho, wo
 
 
 def _record(op: str, x: Tensor, kernel: ConvKernel, out: np.ndarray, grads,
             residual: Tensor | None = None) -> Tensor:
-    """Record ``op`` over (x, weight[, bias][, residual]); ``grads(g)``
-    yields (gx, gw).
+    """Record ``op`` over (x, weight[, bias][, residual]), whose ``out`` has
+    been through ``_epilogue``; ``grads(g)`` yields (gx, gw).
 
-    A ``residual`` is added into ``out`` in place, as ``residual + out``;
-    then a ``relu`` kernel's ``out`` is rectified in place and ``g`` masked
-    by ``out > 0`` first. The bias receives ``g`` summed per channel, the
-    residual ``g`` itself.
+    A ``relu`` kernel's rule masks ``g`` by ``out > 0`` first. The bias
+    receives ``g`` summed per channel, the residual ``g`` itself.
     """
     relu, bias = kernel.relu, kernel.bias
-    extra = [] if bias is None else [bias]
-    if residual is not None:
-        if residual.shape != out.shape:
-            raise ShapeError(f"{op}: residual shape {residual.shape} differs from "
-                             f"the output's {out.shape}")
-        np.add(residual.data, out, out=out)
-        extra.append(residual)
-    if relu:
-        np.maximum(out, 0, out=out)
+    extra = ([] if bias is None else [bias]) + ([] if residual is None else [residual])
 
     def rule(g: np.ndarray):
         if relu:
@@ -525,19 +580,24 @@ def conv2d(x: Tensor, kernel: ConvKernel, residual: Tensor | None = None) -> Ten
     """
     _, _, cin, cout = kernel.weight.shape
     _check_channels("conv2d", x, kernel, cin, cout)
-    s, d = kernel.stride, kernel.dilation
-    xp, ho, wo = _gather_frame("conv2d", x, kernel)
-    w = kernel.weight.data
-    out = _bias_filled(kernel, (x.shape[0], ho, wo, cout), x.dtype)
-    _dense(xp, w, d, s, out)
+    s, d, pads = kernel.stride, kernel.dilation, kernel.padding
+    padded, ho, wo = _gather_frame("conv2d", x, kernel)
+    shape = (x.shape[0], ho, wo, cout)
+    if residual is not None and residual.shape != shape:
+        raise ShapeError(f"conv2d: residual shape {residual.shape} differs from "
+                         f"the output's {shape}")
+    out = np.empty(shape, dtype=x.dtype)
+    _dense(x.data, kernel, out, None if residual is None else residual.data)
+    x_data, w = x.data, kernel.weight.data
     # No input gradient for a constant input, such as the network's image.
     x_shape = x.shape if x.requires_grad else None
-    shifted = _shifts(s, xp.shape[1:3], ho, wo)
+    shifted = _shifts(s, padded, ho, wo)
 
     def grads(g: np.ndarray):
+        xp = _pad_input(x_data, pads)  # rebuilt here, not held from the forward
         if shifted:
-            return _shifted_grads(xp, w, d, g, x_shape, kernel.padding)
-        return _im2col_grads(xp, w, d, s, g, x_shape, kernel.padding)
+            return _shifted_grads(xp, w, d, g, x_shape, pads)
+        return _im2col_grads(xp, w, d, s, g, x_shape, pads)
 
     return _record("conv2d", x, kernel, out, grads, residual)
 
@@ -552,18 +612,21 @@ def depthwise_conv2d(x: Tensor, kernel: ConvKernel) -> Tensor:
     if mult != 1:
         raise ShapeError(f"depthwise_conv2d: channel multiplier must be 1, got {mult}")
     _check_channels("depthwise_conv2d", x, kernel, cin, cin)
-    s, d = kernel.stride, kernel.dilation
-    xp, ho, wo = _gather_frame("depthwise_conv2d", x, kernel)
-    w = kernel.weight.data[:, :, :, 0]  # (kh, kw, C)
-    out = _bias_filled(kernel, (x.shape[0], ho, wo, cin), x.dtype)
+    s, d, pads = kernel.stride, kernel.dilation, kernel.padding
+    _, ho, wo = _gather_frame("depthwise_conv2d", x, kernel)
+    x_data, w = x.data, kernel.weight.data[:, :, :, 0]  # (kh, kw, C)
+    xp = _pad_input(x_data, pads)
+    out = np.empty((x.shape[0], ho, wo, cin), dtype=x.dtype)
+    out[...] = 0.0 if kernel.bias is None else kernel.bias.data  # the bias first
     for a in range(kh):
         for b in range(kw):
             out += _tap_view(xp, a, b, d, s, ho, wo) * w[a, b]
-    x_shape = x.shape
+    _epilogue(out, out, relu=kernel.relu)
 
     def grads(g: np.ndarray):
-        gx = _scatter(x_shape, kernel.padding, (kh, kw), d, s, ho, wo,
+        gx = _scatter(x_data.shape, pads, (kh, kw), d, s, ho, wo,
                       lambda a, b: g * w[a, b], g.dtype)
+        xp = _pad_input(x_data, pads)  # rebuilt here, not held from the forward
         gw = np.empty((kh, kw, cin, 1), dtype=g.dtype)
         for a in range(kh):
             for b in range(kw):
@@ -642,8 +705,7 @@ def transposed_conv(x: Tensor, kernel: ConvKernel) -> Tensor:
 
     x_data, w = x.data, kernel.weight.data
     out = _spread(x_data, w.swapaxes(2, 3), (n, ho, wo, cout), kernel.padding, d, s)
-    if kernel.bias is not None:
-        out += kernel.bias.data
+    _epilogue(out, out, None if kernel.bias is None else kernel.bias.data, relu=kernel.relu)
 
     def grads(g: np.ndarray):
         cols = _im2col(_pad_input(g, kernel.padding), kh, kw, d, s, h, wdt)

@@ -6,9 +6,11 @@ import pytest
 
 from dnet import cli
 from dnet.cli import _CSV_BLOCK_ROWS, _write_csv, main
+from dnet.convops import deterministic_mode, using_deterministic
+from dnet.manifest import as_rgb
 from dnet.model import CHECKPOINT_MAGIC, DNet, DNetConfig, load_checkpoint, save_checkpoint
 from dnet.pnm import read_pnm, write_mask_pgm, write_ppm, write_prob_pgm
-from dnet.training import train
+from dnet.training import predict_probs, train
 
 
 def run_cli(*args) -> int:
@@ -160,6 +162,60 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err == (f"error: shape: {manifest}: encoder input spatial dims "
                        "must be divisible by 16, got 40x40\n")
+
+
+class TestConvOption:
+    """``--conv`` picks the convolution forward of one ``train`` or
+    ``predict``; without it the command runs the mode in effect, so a
+    caller's ``using_deterministic(False)`` still holds."""
+
+    def test_predict(self, workspace, tmp_path, monkeypatch):
+        ckpt = workspace / "run" / "checkpoint.dnet"
+        image = workspace / "data" / "img_000.ppm"
+        model, img = load_checkpoint(ckpt), as_rgb(read_pnm(image))
+        want = {}
+        for mode in ("exact", "gemm"):
+            with using_deterministic(mode == "exact"):
+                want[mode] = predict_probs(model, img).tobytes()
+        assert want["exact"] != want["gemm"]
+        got = []  # the probabilities of each predict command
+
+        def spy(*args):
+            probs = predict_probs(*args)
+            got.append(probs.tobytes())
+            return probs
+
+        monkeypatch.setattr(cli, "predict_probs", spy)
+        argv = ["predict", "--checkpoint", ckpt, "--image", image, "--out", tmp_path]
+        assert run_cli(*argv, "--conv", "gemm") == 0
+        with using_deterministic(False):
+            assert run_cli(*argv) == 0
+            assert run_cli(*argv, "--conv", "exact") == 0
+        assert run_cli(*argv) == 0
+        assert got == [want["gemm"], want["gemm"], want["exact"], want["exact"]]
+        assert deterministic_mode()
+
+    def test_train(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = 2\nchannels_scale = 0.03125\nbatch = 2\n")
+
+        def checkpoint(name, *flag):
+            out = tmp_path / name
+            assert run_cli("train", "--config", cfg, "--synth", 2, "--synth-size", 32,
+                           "--out", out, *flag) == 0
+            return (out / "checkpoint.dnet").read_bytes()
+
+        gemm = checkpoint("gemm", "--conv", "gemm")
+        with using_deterministic(False):
+            in_effect = checkpoint("in_effect")
+            exact = checkpoint("exact", "--conv", "exact")
+        assert gemm == in_effect
+        assert checkpoint("default") == exact != gemm
+
+    def test_rejects_other_modes(self, capsys):
+        assert run_cli("predict", "--checkpoint", "c", "--image", "i", "--out", "o",
+                       "--conv", "fast") == 1
+        assert "invalid choice: 'fast'" in capsys.readouterr().err
 
 
 class TestTrainSynthMode:

@@ -812,9 +812,18 @@ class TestIm2colGemmForward:
         assert np.abs(exact - fast).max() < 1e-12
 
 
+def shifted_budget(rows: int, wp: int, halo: int, cin: int, cout: int) -> int:
+    """A ``_BAND_ELEMENTS`` under which ``_shifted_gemm`` cuts bands of
+    ``rows`` output rows over a ``wp``-wide padded grid whose kernel spans
+    ``halo`` extra rows; 0 stands for a budget below one row, which still
+    makes one-row bands."""
+    return -(-8 * (rows * wp * (cin + 2 * cout) + halo * wp * cin) // 3) if rows else 0
+
+
 class TestShiftedGemmForward:
-    """The stride-1 GEMM forward reads shifted row slices of the flat padded
-    input, one GEMM per tap and band, and matches the whole-matrix GEMM."""
+    """The stride-1 GEMM forward fills bands of padded rows from the unpadded
+    input, reads shifted row slices of them, one GEMM per tap and band, and
+    matches the whole-matrix GEMM."""
 
     def test_matches_whole_matrix_reference(self, rng, monkeypatch):
         one_row = partial = 0  # trials with one-row bands, with a short last band
@@ -835,25 +844,56 @@ class TestShiftedGemmForward:
                 wk = tensor(rng.normal(size=(k, k, cin, cout)))
                 bias = tensor(rng.normal(size=(1, 1, 1, cout)))
             want = reference_im2col_conv2d(x.data, wk.data, bias.data, 1, d, pads)
-            # Band rows (0 stands for a budget below one row, which still
-            # makes one-row bands), from the padded width the bands span.
             rows = int(rng.integers(0, 4)) if trial % 3 else ho
             wp = w + pads[2] + pads[3]
-            monkeypatch.setattr(convops, "_BAND_ELEMENTS", 4 * rows * wp * cout)
+            monkeypatch.setattr(convops, "_BAND_ELEMENTS",
+                                shifted_budget(rows, wp, kd - 1, cin, cout))
             band = max(rows, 1)
             one_row += band == 1 and ho > 1
             partial += band > 1 and ho % band != 0
             got = np.empty_like(want)
-            got[...] = bias.data
             lowered.clear()
             with monkeypatch.context() as m:
                 m.setattr(convops, "_row_bands", counting_bands)
-                convops._shifted_gemm(convops._pad_input(x.data, pads), wk.data, d, got)
+                convops._shifted_gemm(x.data, wk.data, d, pads, got, bias.data)
             assert len(lowered) == n * math.ceil(ho / band) and sum(lowered) == n * ho
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
             exact = conv2d(x, ConvKernel(wk, bias, 1, d, pads)).data
             assert np.abs(exact - got).max() < 1e-12
         assert one_row >= 5 and partial >= 5
+
+    # name -> (input shape, cout, dilation, pads); each has a 3x3 kernel
+    # whose padded grid is at most 1.25x its output grid.
+    BANDED = {
+        "batch 2, same pads": ((2, 20, 20, 5), 7, 1, same_pads(3)),
+        "dilation 2, asymmetric pads": ((1, 41, 40, 3), 4, 2, (3, 1, 2, 2)),
+    }
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("case", sorted(BANDED))
+    def test_band_cuts_keep_the_bytes(self, case, fused, rng, monkeypatch):
+        # One-row bands, and 3-row bands whose last band is short, give the
+        # bytes of one band over the whole output, with and without a
+        # residual and a ReLU in the band's epilogue.
+        shape, cout, d, pads = self.BANDED[case]
+        n, h, w, cin = shape
+        x = tensor(rng.normal(size=shape))
+        kern = ConvKernel(tensor(rng.normal(size=(3, 3, cin, cout))),
+                          tensor(rng.normal(size=(1, 1, 1, cout))), 1, d, pads, relu=fused)
+        ho, wp = h + pads[0] + pads[1] - 2 * d, w + pads[2] + pads[3]
+        residual = tensor(rng.normal(size=(n, ho, wp - 2 * d, cout)))
+        assert ho % 3 != 0
+        outputs = {}
+        lowered = []  # output rows of each band of the run
+        monkeypatch.setattr(convops, "_row_bands", counting_row_bands(lowered))
+        for rows in (ho, 1, 3):
+            lowered.clear()
+            monkeypatch.setattr(convops, "_BAND_ELEMENTS",
+                                shifted_budget(rows, wp, 2 * d, cin, cout))
+            with using_deterministic(False):
+                outputs[rows] = conv2d(x, kern, residual if fused else None).data.tobytes()
+            assert len(lowered) == n * math.ceil(ho / rows)
+        assert outputs[1] == outputs[ho] and outputs[3] == outputs[ho]
 
     def test_peak_below_half_the_whole_column_matrix(self, rng):
         x = tensor(rng.normal(size=(1, 128, 128, 64)))
@@ -867,6 +907,71 @@ class TestShiftedGemmForward:
             finally:
                 tracemalloc.stop()
         assert peak < whole / 2
+
+    def test_peak_below_output_and_a_quarter_of_the_input(self, rng):
+        # No padded copy of the input: only the bounded band buffers and
+        # the output are allocated.
+        x = tensor(rng.normal(size=(1, 256, 256, 32)))
+        kern = ConvKernel(tensor(rng.normal(size=(3, 3, 32, 32))),
+                          tensor(rng.normal(size=(1, 1, 1, 32))), 1, 1, same_pads(3), relu=True)
+        residual = tensor(rng.normal(size=x.shape))
+        with using_deterministic(False):
+            tracemalloc.start()
+            try:
+                y = conv2d(x, kern, residual)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < y.data.nbytes + x.data.nbytes / 4
+
+
+class TestRecordedConvHoldsNoPaddedCopy:
+    """A recorded conv2d or depthwise conv holds its output and nothing the
+    size of its input: the rule rebuilds the padded input when it runs."""
+
+    # name -> (op, kernel, stride, dilation); the input is 1x64x64x16
+    CASES = {
+        "conv2d shifted": (conv2d, 3, 1, 1),
+        "conv2d im2col": (conv2d, 3, 2, 1),
+        "depthwise_conv2d": (depthwise_conv2d, 3, 1, 2),
+    }
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_holds_the_output_only(self, case, deterministic, rng):
+        op, k, stride, dilation = self.CASES[case]
+        x = tensor(rng.normal(size=(1, 64, 64, 16)), requires_grad=True)
+        cout = 1 if op is depthwise_conv2d else 16
+        kern = ConvKernel(tensor(rng.normal(size=(k, k, 16, cout)), requires_grad=True),
+                          tensor(rng.normal(size=(1, 1, 1, 16)), requires_grad=True),
+                          stride, dilation, same_pads(k, dilation, stride), relu=True)
+        with using_deterministic(deterministic):
+            tracemalloc.start()
+            try:
+                with recording() as graph:
+                    y = op(x, kern)
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert held <= y.data.nbytes + 64 * 1024
+        gx, gw, _ = graph.nodes[-1].backward(np.ones(y.shape, y.dtype))
+        assert gx.shape == x.shape and gw.shape == kern.weight.shape
+
+
+class TestPadInput:
+    def test_bytes_of_np_pad(self, rng):
+        for trial in range(60):
+            dtype = (np.float32, np.float64, np.float16, np.int32)[trial % 4]
+            fills = (0.0, 2.5, -3.0) + (() if dtype is np.int32 else (-np.inf,))
+            fill = fills[trial // 4 % len(fills)]
+            shape = tuple(int(v) for v in rng.integers(1, 5, size=4))
+            pads = tuple(int(v) for v in rng.integers(0, 4, size=4))
+            x = (rng.normal(size=shape) * 10).astype(dtype)
+            got = convops._pad_input(x, pads, fill)
+            want = np.pad(x, ((0, 0), pads[:2], pads[2:], (0, 0)), constant_values=fill)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert convops._pad_input(x, (0, 0, 0, 0), -np.inf) is x
 
 
 class TestGemmForwardRoute:
@@ -904,12 +1009,14 @@ class TestGemmForwardRoute:
         im2col_bytes = []  # column-matrix bytes per im2col-route call
         dense, lower = convops._dense, convops._im2col
 
-        def spy(xp, w, d, s, out):
-            taken.append(["reshape", (out.shape[1], w.shape[0], s, d, *w.shape[2:])])
-            dense(xp, w, d, s, out)
+        def spy(x, kernel, out, residual=None):
+            w, s, d = kernel.weight.shape, kernel.stride, kernel.dilation
+            taken.append(["reshape", (out.shape[1], w[0], s, d, *w[2:])])
+            dense(x, kernel, out, residual)
 
-        def skip_shifted(*args):  # records the route and skips the work
+        def skip_shifted(x, w, d, pads, out, *args):  # records the route, writes zeros
             taken[-1][0] = "shifted"
+            out[...] = 0.0
 
         def spy_im2col(*args):
             taken[-1][0] = "im2col"
