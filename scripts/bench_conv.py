@@ -34,6 +34,12 @@ helpers of its own, also timed on their own:
   tolerance of the per-tap oracle in the tests; the script exits 1 if they
   do not.
 
+The helper columns run the whole kernel; ``det fwd``, ``gemm fwd`` and
+``bwd`` go through conv2d, which runs only the taps that read the input.
+On a dilated kernel whose outer taps read only padding, such as the
+dilation-4 cases on 4x4 maps, those columns therefore time the trimmed
+kernel beside the helpers' whole one.
+
 Times are medians in ms; a jump in one against an earlier run is a
 shape-level regression. ``gemm MB`` is the peak that ``tracemalloc`` sees
 during one GEMM forward: bounded bands on shifted slices, the whole column
@@ -78,6 +84,7 @@ CASES = [
     (4, 16, 16, 8, 8, 3, 1, 1),  # block 1 spatial
     (4, 8, 8, 32, 16, 3, 1, 1),  # decoder, 1/8 resolution
     (4, 4, 4, 32, 32, 3, 4, 1),  # block 5 spatial
+    (4, 4, 4, 256, 256, 3, 4, 1),  # full-width block 4, unit 3, at 64x64: trims to its centre tap
     (4, 4, 4, 128, 32, 1, 1, 1),  # MSIF mix at 1/16
     (4, 4, 4, 16, 32, 1, 1, 1),  # bottleneck expand at 1/16
     (4, 1, 1, 128, 32, 1, 1, 1),  # MSIF image-pool branch
@@ -103,7 +110,7 @@ def helper_run(x, kern, helper) -> tuple[float, bytes]:
     with the unpadded and the padded input and a zero output, and the bytes
     of its output."""
     xp = convops._pad_input(x.data, kern.padding)
-    _, ho, wo = convops._gather_frame("conv2d", x, kern)
+    ho, wo = convops._gather_frame("conv2d", x, kern)
     shape = (x.shape[0], ho, wo, kern.out_channels)
     ms = median_ms(lambda: helper(x.data, xp, kern, np.zeros(shape, x.dtype)))
     out = np.zeros(shape, x.dtype)

@@ -51,6 +51,23 @@ per band on shifted slices and once over the map otherwise. The tap-ordered
 forward and the depthwise convolution start from the bias instead, so it
 is the first term of their sums, and skip the epilogue's bias.
 
+conv2d and the depthwise convolution run only the kernel taps that read
+the input. ``_live_window`` takes, along each axis, the kernel rows or
+columns from the first to the last tap that reads an input pixel at some
+output, with the per-side padding that keeps the output grid; the forward
+and both rules run on that window, and the weight gradient is written into
+zeros of the weight's shape. A tap outside it reads only padding, so its
+products are exact zeros: for finite weights, outputs and gradients keep
+their bytes (but for the sign of an all-zero sum that starts from a bias
+of -0.0). The window follows from the input shape alone. On a 64x64 crop,
+whose 1/16 map is 4x4, it cuts the dilation-4 spatial convolutions of
+blocks 4 and 5 (unit 3) and the MSIF depthwise convolutions at rates 6 and
+12 to their centre tap, an unpadded 1x1 kernel; at 576x576 the 36x36 map
+is wider than every tap's reach and nothing is cut. A NaN or infinite
+weight on a dropped tap contributes nothing, where a product with the
+zero padding would have made the output NaN, and a kernel with no live
+tap outputs its bias, then the residual, then the ReLU.
+
 The backward rules are GEMM-shaped and the same in both modes. conv2d's
 picks by the forward's shape rule. Where the forward's shifted row slices
 serve, ``_shifted_grads`` reads the same slices, with the padded inputs
@@ -481,28 +498,31 @@ def _im2col_grads(xp: np.ndarray, w: np.ndarray, d: int, s: int, g: np.ndarray, 
     return gx, (_im2col(xp, kh, kw, d, s, ho, wo).T @ g.reshape(-1, cout)).reshape(w.shape)
 
 
-def _dense(x: np.ndarray, kernel: ConvKernel, out: np.ndarray, residual=None) -> None:
-    """Dense tap gather of ``kernel`` over the unpadded input ``x``, written
-    into ``out`` through ``_epilogue``: sum over taps (a, b) of tap(a, b) @
-    w[a, b], then the bias, ``residual`` and the kernel's ReLU.
+def _dense(x: np.ndarray, w: np.ndarray, d: int, s: int, pads, out: np.ndarray,
+           bias=None, residual=None, relu: bool = False) -> None:
+    """Dense tap gather of the (kh, kw, cin, cout) weight ``w`` over the
+    unpadded input ``x`` grown by ``pads``, written into ``out`` through
+    ``_epilogue``: sum over taps (a, b) of tap(a, b) @ w[a, b], then the
+    bias, ``residual`` and the ReLU.
 
-    The output grid is ``out``'s spatial extent. Deterministic mode starts
-    from the bias and adds one (kernel row, kernel col, input channel) tap at
-    a time: channel-first when the output row outruns the output channels,
-    else by stacking each tap's products and folding the stack with one
-    sequential reduce. Otherwise a 1x1 kernel whose one tap reads all of the
-    padded input is one GEMM on a reshape; a stride-1 kernel whose padded
-    grid is at most 1.25x its output grid (``_shifts``) runs
-    ``_shifted_gemm``, one GEMM per tap on shifted row slices of bands of
-    padded rows; any other is one GEMM over the whole im2col column matrix,
-    the lowering its backward uses. The GEMMs write ``out`` itself.
+    The output grid is ``out``'s spatial extent. A weight with no taps
+    gives the epilogue's terms alone. Deterministic mode starts from the
+    bias and adds one (kernel row, kernel col, input channel) tap at a time:
+    channel-first when the output row outruns the output channels, else by
+    stacking each tap's products and folding the stack with one sequential
+    reduce. Otherwise a 1x1 kernel whose one tap reads all of the padded
+    input is one GEMM on a reshape; a stride-1 kernel whose padded grid is
+    at most 1.25x its output grid (``_shifts``) runs ``_shifted_gemm``, one
+    GEMM per tap on shifted row slices of bands of padded rows; any other is
+    one GEMM over the whole im2col column matrix, the lowering its backward
+    uses. The GEMMs write ``out`` itself.
     """
-    w, d, s, pads = kernel.weight.data, kernel.dilation, kernel.stride, kernel.padding
-    bias = None if kernel.bias is None else kernel.bias.data
     kh, kw, cin, cout = w.shape
     _, ho, wo, _ = out.shape
     padded = (x.shape[1] + pads[0] + pads[1], x.shape[2] + pads[2] + pads[3])
-    if _deterministic:
+    if not w.size:
+        out[...] = 0.0
+    elif _deterministic:
         # The bias first, then the taps; the epilogue adds no bias.
         out[...] = 0.0 if bias is None else bias
         bias = None
@@ -520,12 +540,12 @@ def _dense(x: np.ndarray, kernel: ConvKernel, out: np.ndarray, residual=None) ->
     # 4x8^2 64->64 0.31 -> 0.48 (1.56). Inside the bound, 36^2 256->256 d2
     # (10.48 -> 11.39) and 4x32^2 32->64 (2.30 -> 2.56) still lose a little.
     elif _shifts(s, padded, ho, wo):
-        _shifted_gemm(x, w, d, pads, out, bias, residual, kernel.relu)
+        _shifted_gemm(x, w, d, pads, out, bias, residual, relu)
         return
     else:
         np.matmul(_im2col(_pad_input(x, pads), kh, kw, d, s, ho, wo), w.reshape(-1, cout),
                   out=out.reshape(-1, cout))
-    _epilogue(out, out, bias, residual, kernel.relu)
+    _epilogue(out, out, bias, residual, relu)
 
 
 def _check_channels(op: str, x: Tensor, kernel: ConvKernel, cin: int, bias_channels: int) -> None:
@@ -537,36 +557,77 @@ def _check_channels(op: str, x: Tensor, kernel: ConvKernel, cin: int, bias_chann
         )
 
 
-def _gather_frame(op: str, x: Tensor, kernel: ConvKernel) -> tuple[tuple[int, int], int, int]:
-    """Padded grid (hp, wp) and output extent of a strided, dilated tap gather."""
+def _gather_frame(op: str, x: Tensor, kernel: ConvKernel) -> tuple[int, int]:
+    """Output extent (ho, wo) of a strided, dilated tap gather."""
     kh, kw = kernel.weight.shape[:2]
     s, d = kernel.stride, kernel.dilation
     pt, pb, pl, pr = kernel.padding
-    hp, wp = x.shape[1] + pt + pb, x.shape[2] + pl + pr
-    ho = _out_extent(op, hp, dilated_kernel_extent(kh, d), s)
-    wo = _out_extent(op, wp, dilated_kernel_extent(kw, d), s)
-    return (hp, wp), ho, wo
+    ho = _out_extent(op, x.shape[1] + pt + pb, dilated_kernel_extent(kh, d), s)
+    wo = _out_extent(op, x.shape[2] + pl + pr, dilated_kernel_extent(kw, d), s)
+    return ho, wo
+
+
+def _live_window(h: int, w: int, kernel: ConvKernel) -> tuple[slice, slice, tuple]:
+    """(rows, cols, pads): the kernel rows and columns from the first to the
+    last tap that reads at least one pixel of an h x w input, and the
+    per-side padding under which that window has the kernel's output grid.
+
+    A tap outside the window reads only padding, so its products are exact
+    zeros and the window's gather is the kernel's. Along each axis, tap a
+    reads input position i*s + a*d - lead at output i; the first output at
+    or past position 0 settles whether any reads the input. An axis keeps
+    all its taps and its padding when its window would need a negative pad;
+    the slices are empty, with the kernel's padding, when no tap is live.
+    Without padding every tap reads the input: tap a reads position a*d at
+    output 0, inside the input, as the kernel's extent fits in it.
+    """
+    if not any(kernel.padding):
+        return slice(None), slice(None), kernel.padding
+    s, d = kernel.stride, kernel.dilation
+    window, pads = [], []
+    for n, k, lead, trail in ((h, kernel.weight.shape[0], *kernel.padding[:2]),
+                              (w, kernel.weight.shape[1], *kernel.padding[2:])):
+        out = (n + lead + trail - (k - 1) * d - 1) // s + 1
+        live = [a for a in range(k)
+                if (i := max(0, -((a * d - lead) // s))) < out and i * s + a * d - lead < n]
+        if not live:
+            return slice(0, 0), slice(0, 0), kernel.padding
+        a0, a1 = live[0], live[-1] + 1
+        lo = lead - a0 * d
+        hi = (out - 1) * s + (a1 - a0 - 1) * d + 1 - n - lo
+        if a1 - a0 == k or lo < 0 or hi < 0:
+            a0, a1, lo, hi = 0, k, lead, trail
+        window.append(slice(a0, a1))
+        pads += [lo, hi]
+    return window[0], window[1], tuple(pads)
 
 
 def _record(op: str, x: Tensor, kernel: ConvKernel, out: np.ndarray, grads,
-            residual: Tensor | None = None) -> Tensor:
+            residual: Tensor | None = None, window=(slice(None), slice(None))) -> Tensor:
     """Record ``op`` over (x, weight[, bias][, residual]), whose ``out`` has
-    been through ``_epilogue``; ``grads(g)`` yields (gx, gw).
+    been through ``_epilogue``; ``grads(g)`` yields (gx, gw), gw over the
+    (rows, cols) ``window`` of the kernel's taps (``_live_window``).
 
-    A ``relu`` kernel's rule masks ``g`` by ``out > 0`` first. The bias
-    receives ``g`` summed per channel, the residual ``g`` itself.
+    A ``relu`` kernel's rule masks ``g`` by ``out > 0`` first. A ``gw``
+    smaller than the weight is written into zeros of the weight's shape. The
+    bias receives ``g`` summed per channel, the residual ``g`` itself.
     """
-    relu, bias = kernel.relu, kernel.bias
+    relu, bias, weight = kernel.relu, kernel.bias, kernel.weight
     extra = ([] if bias is None else [bias]) + ([] if residual is None else [residual])
 
     def rule(g: np.ndarray):
         if relu:
             g = g * (out > 0)
+        gx, gw = grads(g)
+        if gw.shape != weight.shape:
+            full = np.zeros(weight.shape, dtype=gw.dtype)
+            full[window] = gw
+            gw = full
         gb = () if bias is None else (g.sum(axis=(0, 1, 2)).reshape(bias.shape),)
         gr = () if residual is None else (g,)
-        return (*grads(g), *gb, *gr)
+        return (gx, gw, *gb, *gr)
 
-    return record_op(op, (x, kernel.weight, *extra), out, rule)
+    return record_op(op, (x, weight, *extra), out, rule)
 
 
 def conv2d(x: Tensor, kernel: ConvKernel, residual: Tensor | None = None) -> Tensor:
@@ -575,65 +636,72 @@ def conv2d(x: Tensor, kernel: ConvKernel, residual: Tensor | None = None) -> Ten
     out[n,i,j,c] = bias[c]
                  + sum_{a,b,m} x[n, i*s + a*d - pad_top, j*s + b*d - pad_left, m]
                                * w[a,b,m,c]
-    with zero contribution from out-of-range positions. A ``residual`` of
+    with zero contribution from out-of-range positions: only the taps that
+    read the input run (``_live_window``), so a non-finite weight on a tap
+    that reads only padding contributes nothing either. A ``residual`` of
     the output's shape is added to it before the kernel's ReLU.
     """
     _, _, cin, cout = kernel.weight.shape
     _check_channels("conv2d", x, kernel, cin, cout)
-    s, d, pads = kernel.stride, kernel.dilation, kernel.padding
-    padded, ho, wo = _gather_frame("conv2d", x, kernel)
+    ho, wo = _gather_frame("conv2d", x, kernel)
     shape = (x.shape[0], ho, wo, cout)
     if residual is not None and residual.shape != shape:
         raise ShapeError(f"conv2d: residual shape {residual.shape} differs from "
                          f"the output's {shape}")
+    x_data, s, d = x.data, kernel.stride, kernel.dilation
+    rows, cols, pads = _live_window(x.shape[1], x.shape[2], kernel)
+    w = kernel.weight.data[rows, cols]
     out = np.empty(shape, dtype=x.dtype)
-    _dense(x.data, kernel, out, None if residual is None else residual.data)
-    x_data, w = x.data, kernel.weight.data
+    _dense(x_data, w, d, s, pads, out, None if kernel.bias is None else kernel.bias.data,
+           None if residual is None else residual.data, kernel.relu)
     # No input gradient for a constant input, such as the network's image.
     x_shape = x.shape if x.requires_grad else None
+    padded = (x.shape[1] + pads[0] + pads[1], x.shape[2] + pads[2] + pads[3])
     shifted = _shifts(s, padded, ho, wo)
 
     def grads(g: np.ndarray):
+        if not w.size:  # no tap reads the input
+            return None if x_shape is None else np.zeros(x_shape, g.dtype), np.zeros_like(w)
         xp = _pad_input(x_data, pads)  # rebuilt here, not held from the forward
         if shifted:
             return _shifted_grads(xp, w, d, g, x_shape, pads)
         return _im2col_grads(xp, w, d, s, g, x_shape, pads)
 
-    return _record("conv2d", x, kernel, out, grads, residual)
+    return _record("conv2d", x, kernel, out, grads, residual, (rows, cols))
 
 
 def depthwise_conv2d(x: Tensor, kernel: ConvKernel) -> Tensor:
     """Per-channel spatial convolution (channel multiplier 1).
 
     The kernel weight is (kh, kw, C, 1): one spatial filter per input
-    channel, producing the same channel count.
+    channel, producing the same channel count. Like conv2d, it runs only
+    the taps that read the input.
     """
-    kh, kw, cin, mult = kernel.weight.shape
+    _, _, cin, mult = kernel.weight.shape
     if mult != 1:
         raise ShapeError(f"depthwise_conv2d: channel multiplier must be 1, got {mult}")
     _check_channels("depthwise_conv2d", x, kernel, cin, cin)
-    s, d, pads = kernel.stride, kernel.dilation, kernel.padding
-    _, ho, wo = _gather_frame("depthwise_conv2d", x, kernel)
-    x_data, w = x.data, kernel.weight.data[:, :, :, 0]  # (kh, kw, C)
+    ho, wo = _gather_frame("depthwise_conv2d", x, kernel)
+    x_data, s, d = x.data, kernel.stride, kernel.dilation
+    rows, cols, pads = _live_window(x.shape[1], x.shape[2], kernel)
+    w = kernel.weight.data[rows, cols, :, 0]  # (kh, kw, C) over the window
+    taps = w.shape[:2]
     xp = _pad_input(x_data, pads)
     out = np.empty((x.shape[0], ho, wo, cin), dtype=x.dtype)
     out[...] = 0.0 if kernel.bias is None else kernel.bias.data  # the bias first
-    for a in range(kh):
-        for b in range(kw):
-            out += _tap_view(xp, a, b, d, s, ho, wo) * w[a, b]
+    for a, b in np.ndindex(*taps):
+        out += _tap_view(xp, a, b, d, s, ho, wo) * w[a, b]
     _epilogue(out, out, relu=kernel.relu)
 
     def grads(g: np.ndarray):
-        gx = _scatter(x_data.shape, pads, (kh, kw), d, s, ho, wo,
-                      lambda a, b: g * w[a, b], g.dtype)
+        gx = _scatter(x_data.shape, pads, taps, d, s, ho, wo, lambda a, b: g * w[a, b], g.dtype)
         xp = _pad_input(x_data, pads)  # rebuilt here, not held from the forward
-        gw = np.empty((kh, kw, cin, 1), dtype=g.dtype)
-        for a in range(kh):
-            for b in range(kw):
-                gw[a, b, :, 0] = (_tap_view(xp, a, b, d, s, ho, wo) * g).sum(axis=(0, 1, 2))
+        gw = np.empty((*taps, cin, 1), dtype=g.dtype)
+        for a, b in np.ndindex(*taps):
+            gw[a, b, :, 0] = (_tap_view(xp, a, b, d, s, ho, wo) * g).sum(axis=(0, 1, 2))
         return gx, gw
 
-    return _record("depthwise_conv2d", x, kernel, out, grads)
+    return _record("depthwise_conv2d", x, kernel, out, grads, window=(rows, cols))
 
 
 def max_pool(
@@ -673,13 +741,19 @@ def max_pool(
     x_data = x.data
 
     def rule(g: np.ndarray):
+        # Taps claim windows in row-major order: a tap equal to the window's
+        # maximum (or NaN where it is NaN) takes ``g`` unless an earlier tap
+        # did, which routes it as the first argmax of the stacked taps would.
         xp = _pad_input(x_data, padding, fill=-np.inf)
-        # (n, ho, wo, c, kh*kw), row-major window order
-        argmax = np.stack([_tap_view(xp, a, b, 1, stride, ho, wo) for a, b in taps],
-                          axis=-1).argmax(axis=-1)
-        gx = _scatter(x_data.shape, padding, (kh, kw), 1, stride, ho, wo,
-                      lambda a, b: g * (argmax == a * kw + b), g.dtype)
-        return (gx,)
+        free, nan = np.ones(out.shape, dtype=bool), np.isnan(out)
+
+        def claim(a: int, b: int) -> np.ndarray:
+            tap = _tap_view(xp, a, b, 1, stride, ho, wo)
+            hit = free & ((tap == out) | (nan & np.isnan(tap)))
+            np.logical_xor(free, hit, out=free)
+            return g * hit
+
+        return (_scatter(x_data.shape, padding, (kh, kw), 1, stride, ho, wo, claim, g.dtype),)
 
     return record_op("max_pool", (x,), out, rule)
 

@@ -257,7 +257,8 @@ class TestExactLayouts:
             ((4, 64, 64, 4), 4, 1, "_exact_channel_first"),  # decoder, full resolution
             ((4, 32, 32, 16), 8, 1, "_exact_channel_first"),  # decoder, 1/2 resolution
             ((4, 8, 8, 32), 16, 1, "_exact_stacked"),  # decoder, 1/8 resolution
-            ((4, 4, 4, 32), 32, 4, "_exact_stacked"),  # block 5 spatial
+            ((4, 4, 4, 32), 32, 4, "_exact_stacked"),  # block 5 spatial, its centre tap
+            ((4, 8, 8, 32), 32, 4, "_exact_stacked"),  # the same, every tap reading the input
         ],
     )
     def test_conv2d_picks_layout_by_shape(self, shape, cout, dilation, layout, rng, monkeypatch):
@@ -434,23 +435,43 @@ class TestMaxPool:
 
     def test_forward_matches_stack_reference(self, rng):
         # The running maximum equals taking the first maximum of the stacked
-        # window taps; small integer values make ties common.
-        for _ in range(40):
+        # window taps, and the gradient goes to that tap; small integer
+        # values make ties common, and NaN and -inf entries make NaN and
+        # all -inf windows, whose first NaN or first tap takes the gradient.
+        non_finite = 0  # trials with a NaN or -inf entry
+        for trial in range(60):
             k, stride = (int(v) for v in rng.integers(1, [5, 4]))
             pads = tuple(int(v) for v in rng.integers(0, k, size=4))
             h, w = (int(v) for v in rng.integers(1, 9, size=2))
             data = rng.integers(-2, 3, size=(2, h, w, 3)).astype(np.float32)
             if rng.random() < 0.5:
                 data = data + rng.normal(size=data.shape).astype(np.float32)
+            if trial % 3:
+                data[rng.random(size=data.shape) < 0.1] = np.nan
+                data[rng.random(size=data.shape) < 0.3] = -np.inf
             pt, pb, pl, pr = pads
             xp = np.pad(data, ((0, 0), (pt, pb), (pl, pr), (0, 0)), constant_values=-np.inf)
             kh, kw = min(k, xp.shape[1]), min(k, xp.shape[2])
             ho = (xp.shape[1] - kh) // stride + 1
             wo = (xp.shape[2] - kw) // stride + 1
             stack = np.stack([t for _, _, t in _taps(xp, kh, kw, 1, stride, ho, wo)], axis=-1)
-            want = np.take_along_axis(stack, stack.argmax(axis=-1)[..., None], axis=-1)[..., 0]
-            got = max_pool(tensor(data), k, stride, pads).data
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            argmax = stack.argmax(axis=-1)
+            want = np.take_along_axis(stack, argmax[..., None], axis=-1)[..., 0]
+            x = tensor(data, requires_grad=True)
+            try:
+                with recording() as graph:
+                    y = max_pool(x, k, stride, pads)
+            except ShapeError:  # a window wholly in the padding
+                continue
+            non_finite += not np.isfinite(data).all()
+            assert y.dtype == want.dtype and np.array_equal(y.data, want, equal_nan=True)
+            u = rng.normal(size=y.shape).astype(np.float32)
+            (got,) = graph.nodes[-1].backward(u)
+            gxp = np.zeros_like(xp)
+            for a, b, view in _taps(gxp, kh, kw, 1, stride, ho, wo):
+                view += u * (argmax == a * kw + b)
+            assert got.tobytes() == gxp[:, pt : pt + h, pl : pl + w].tobytes()
+        assert non_finite >= 30
 
 
 class TestTransposedConv:
@@ -686,10 +707,13 @@ class TestGradientsMatchPerTapLoop:
         "3x3 dilation 2 batch 2 (shifted)": (3, 1, 2, same_pads(3, 2), (2, 38, 40, 2)),
     }
     # The cases whose backward runs on shifted row slices: stride 1 and a
-    # padded grid at most 1.25x the output grid. The others take im2col.
+    # padded grid at most 1.25x the output grid, once the taps that read
+    # only padding are trimmed; the dilation-4 kernel on a 4x4 map runs its
+    # centre tap, an unpadded 1x1 kernel. The others take im2col.
     SHIFTED = {
         "1x1 unit stride unpadded", "1x1 padded", "3x3 batch 2 (shifted)",
         "3x3 asymmetric pads (shifted)", "3x3 dilation 2 batch 2 (shifted)",
+        "3x3 dilation 4 on 4x4 (block 5)",
     }
     # name -> (kernel, stride, dilation, pads, input shape)
     TRANSPOSED = {
@@ -782,6 +806,8 @@ class TestIm2colGemmForward:
     CASES = {
         "3x3 stride 2 asymmetric pads": (3, 2, 1, (0, 1, 0, 1), (2, 9, 8, 3)),
         "3x3 dilation 4 on 4x4 (block 5)": (3, 1, 4, same_pads(3, 4), (2, 4, 4, 8)),
+        # On 4x4 only the centre tap reads the input; on 8x8 every tap does.
+        "3x3 dilation 4 on 8x8": (3, 1, 4, same_pads(3, 4), (2, 8, 8, 8)),
         "3x3 dilation 2 asymmetric pads": (3, 1, 2, (2, 0, 1, 2), (1, 7, 6, 3)),
         "1x1 stride 2 batch 4": (1, 2, 1, (0, 0, 0, 0), (4, 7, 6, 4)),
         "1x1 padded batch 4": (1, 1, 1, (1, 1, 0, 2), (4, 5, 6, 4)),
@@ -982,8 +1008,9 @@ class TestGemmForwardRoute:
     grid is at most 1.25x the output grid; one GEMM over the whole im2col
     column matrix serves the rest: the strided kernels and, at 576x576, the
     two dilation-4 kernels on 44x44 padded grids (1.49x), at 64x64 every
-    layer from 1/4 resolution down. The column matrix, which grows with the
-    image area, is pinned in bytes."""
+    layer from 1/4 resolution down but the two dilation-4 kernels on 4x4
+    maps, which run their centre tap as unpadded 1x1 kernels. The column
+    matrix, which grows with the image area, is pinned in bytes."""
 
     # (ho, k, stride, dilation, cin, cout) -> conv2d calls
     SHIFTED_576 = {
@@ -1000,19 +1027,18 @@ class TestGemmForwardRoute:
     }
 
     @pytest.mark.parametrize(
-        "size, batch, shifted, im2col, im2col_max_bytes",
-        [(576, 1, SHIFTED_576, 7, 11_943_936), (64, 4, SHIFTED_64, 20, 4_718_592)],
+        "size, batch, shifted, im2col, im2col_max_bytes, reshape",
+        [(576, 1, SHIFTED_576, 7, 11_943_936, 40), (64, 4, SHIFTED_64, 18, 4_718_592, 42)],
     )
-    def test_full_width_forwards(self, size, batch, shifted, im2col, im2col_max_bytes,
+    def test_full_width_forwards(self, size, batch, shifted, im2col, im2col_max_bytes, reshape,
                                  monkeypatch):
         taken = []  # [route, shape] per conv2d call
         im2col_bytes = []  # column-matrix bytes per im2col-route call
         dense, lower = convops._dense, convops._im2col
 
-        def spy(x, kernel, out, residual=None):
-            w, s, d = kernel.weight.shape, kernel.stride, kernel.dilation
-            taken.append(["reshape", (out.shape[1], w[0], s, d, *w[2:])])
-            dense(x, kernel, out, residual)
+        def spy(x, w, d, s, pads, out, *args):
+            taken.append(["reshape", (out.shape[1], w.shape[0], s, d, *w.shape[2:])])
+            dense(x, w, d, s, pads, out, *args)
 
         def skip_shifted(x, w, d, pads, out, *args):  # records the route, writes zeros
             taken[-1][0] = "shifted"
@@ -1035,7 +1061,7 @@ class TestGemmForwardRoute:
         assert routes["shifted"] == shifted
         assert routes["im2col"].total() == len(im2col_bytes) == im2col
         assert max(im2col_bytes) == im2col_max_bytes
-        assert routes["reshape"].total() == 40
+        assert routes["reshape"].total() == reshape
         assert all(k == 1 and s == 1 for _, k, s, _, _, _ in routes["reshape"])
 
 
@@ -1045,9 +1071,11 @@ class TestConvBackwardRoute:
     width (GEMM mode). The rule is the GEMM forward's shape rule, so it is
     the same in both modes. Shifted row slices serve every stride-1 kernel
     whose padded grid is at most 1.25x the output grid: the 40 unit-stride
-    1x1 kernels, whose padded grid is their output grid, and the 3x3
-    kernels at 1/2 and full resolution. The im2col rule serves the rest:
-    the strided kernels and every 3x3 kernel from 1/4 resolution down."""
+    1x1 kernels, whose padded grid is their output grid, the two
+    dilation-4 3x3 kernels on 4x4 maps, which run their centre tap as such
+    a 1x1 kernel, and the 3x3 kernels at 1/2 and full resolution. The
+    im2col rule serves the rest: the strided kernels and every other 3x3
+    kernel from 1/4 resolution down."""
 
     # (ho, k, stride, dilation, cin, cout) -> conv2d calls, at full width
     SHIFTED_3X3 = {
@@ -1081,9 +1109,9 @@ class TestConvBackwardRoute:
         scaled = {(*key[:4], int(key[4] * scale), int(key[5] * scale)): n
                   for key, n in self.SHIFTED_3X3.items()}
         assert shifted_3x3 == scaled
-        assert routes["shifted"].total() - shifted_3x3.total() == 40
+        assert routes["shifted"].total() - shifted_3x3.total() == 42
         assert all(s == 1 for _, _, s, _, _, _ in routes["shifted"])
-        assert routes["im2col"].total() == 20
+        assert routes["im2col"].total() == 18
         assert all(s == 2 or (k == 3 and ho <= 16)
                    for ho, k, s, _, _, _ in routes["im2col"])
 
@@ -1351,3 +1379,232 @@ class TestFusedRelu:
         kernel = ConvKernel(tensor(rng.normal(size=(1, 1, 2, 3))), None, relu=True)
         with pytest.raises(ShapeError, match=r"conv2d: residual shape \(1, 4, 4, 2\)"):
             conv2d(x, kernel, tensor(rng.normal(size=(1, 4, 4, 2))))
+
+
+def live_taps(n: int, k: int, lead: int, trail: int, s: int, d: int) -> list[int]:
+    """The taps of a k-tap axis that read one of ``n`` input positions at
+    some output, by brute force over the outputs."""
+    out = (n + lead + trail - dilated_kernel_extent(k, d)) // s + 1
+    return [a for a in range(k) if any(0 <= i * s + a * d - lead < n for i in range(out))]
+
+
+def diagonal(w: np.ndarray) -> np.ndarray:
+    """The (kh, kw, c, c) conv2d weight of a (kh, kw, c, 1) depthwise weight."""
+    kh, kw, c, _ = w.shape
+    full = np.zeros((kh, kw, c, c), dtype=w.dtype)
+    full[:, :, range(c), range(c)] = w[..., 0]
+    return full
+
+
+class TestDeadTaps:
+    """conv2d and depthwise_conv2d run only the kernel taps that read the
+    input (``_live_window``). A dropped tap's products are exact zeros, so
+    exact-mode outputs keep the naive loop's bytes, gradients match the
+    per-tap loop, and the dead taps' weight gradient is exactly 0."""
+
+    # name -> (kernel, stride, dilation, pads, input shape)
+    CASES = {
+        # The 1/16 map of a 64x64 crop, where only the centre tap reads it.
+        "3x3 dilation 4 on 4x4 (block 4, 5)": (3, 1, 4, same_pads(3, 4), (2, 4, 4, 3)),
+        "3x3 dilation 6 on 4x4 (msif branch 2)": (3, 1, 6, same_pads(3, 6), (2, 4, 4, 3)),
+        "3x3 dilation 12 on 4x4 (msif branch 3)": (3, 1, 12, same_pads(3, 12), (2, 4, 4, 3)),
+        # The first kernel row reads only the top padding; every column lives.
+        "3x3 dilation 2 asymmetric pads": (3, 1, 2, (4, 0, 1, 3), (2, 3, 5, 3)),
+        # The first row and column are dead; the window keeps 2 pads a side.
+        "3x3 dilation 3 stride 2": (3, 2, 3, (3, 3, 3, 3), (2, 4, 4, 3)),
+        # Both taps of each axis read padding only: the output is the bias.
+        "2x2 dilation 2 no live tap": (2, 1, 2, (1, 1, 1, 1), (2, 1, 1, 3)),
+        # Tap 0 is dead, but the window of tap 1 alone would need a lead pad
+        # of -2, so the whole kernel runs.
+        "2x2 stride 4 negative window pad": (2, 4, 3, (1, 4, 1, 4), (2, 3, 3, 3)),
+    }
+    # name -> the (rows, cols) window that runs
+    WINDOWS = {
+        "3x3 dilation 4 on 4x4 (block 4, 5)": ((1, 2), (1, 2)),
+        "3x3 dilation 6 on 4x4 (msif branch 2)": ((1, 2), (1, 2)),
+        "3x3 dilation 12 on 4x4 (msif branch 3)": ((1, 2), (1, 2)),
+        "3x3 dilation 2 asymmetric pads": ((1, 3), (0, 3)),
+        "3x3 dilation 3 stride 2": ((1, 3), (1, 3)),
+        "2x2 dilation 2 no live tap": ((0, 0), (0, 0)),
+        "2x2 stride 4 negative window pad": ((0, 2), (0, 2)),
+    }
+
+    @staticmethod
+    def _dead(k, stride, dilation, pads, shape) -> np.ndarray:
+        """(k, k) mask of the taps that read no input pixel."""
+        rows = live_taps(shape[1], k, *pads[:2], stride, dilation)
+        cols = live_taps(shape[2], k, *pads[2:], stride, dilation)
+        dead = np.ones((k, k), dtype=bool)
+        dead[np.ix_(rows, cols)] = False
+        return dead
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_window(self, case):
+        k, stride, dilation, pads, shape = self.CASES[case]
+        kern = ConvKernel(tensor(np.zeros((k, k, 1, 1))), None, stride, dilation, pads)
+        rows, cols, _ = convops._live_window(shape[1], shape[2], kern)
+        assert (rows.indices(k)[:2], cols.indices(k)[:2]) == self.WINDOWS[case]
+
+    def test_window_is_the_hull_of_the_live_taps(self, rng):
+        # Against brute force: no live tap is left out, a trimmed window is
+        # the hull of the live taps, and its padding gives every kept tap
+        # the same input positions and the kernel's output extent.
+        trimmed = fallback = 0
+        for _ in range(400):
+            k, s, d = (int(v) for v in rng.integers(1, [5, 5, 7]))
+            pads = tuple(int(v) for v in rng.integers(0, 8, size=4))
+            h, w = (int(v) for v in rng.integers(1, 8, size=2))
+            kd = dilated_kernel_extent(k, d)
+            if h + pads[0] + pads[1] < kd or w + pads[2] + pads[3] < kd:
+                continue
+            kern = ConvKernel(tensor(np.zeros((k, k, 1, 1))), None, s, d, pads)
+            rows, cols, window_pads = convops._live_window(h, w, kern)
+            live = [live_taps(h, k, *pads[:2], s, d), live_taps(w, k, *pads[2:], s, d)]
+            if not live[0] or not live[1]:
+                assert (rows, cols, window_pads) == (slice(0, 0), slice(0, 0), pads)
+                continue
+            for n, taps, (a0, a1), lead, trail, lo, hi in zip(
+                (h, w), live, (rows.indices(k)[:2], cols.indices(k)[:2]),
+                pads[::2], pads[1::2], window_pads[::2], window_pads[1::2],
+            ):
+                assert a0 <= taps[0] and taps[-1] < a1 and lo >= 0 and hi >= 0
+                assert lead - lo == a0 * d
+                out = (n + lead + trail - kd) // s + 1
+                assert (n + lo + hi - dilated_kernel_extent(a1 - a0, d)) // s + 1 == out
+                if (a0, a1) == (0, k):
+                    fallback += (taps[0], taps[-1] + 1) != (0, k)
+                    assert (lo, hi) == (lead, trail)
+                else:
+                    trimmed += 1
+                    assert (a0, a1) == (taps[0], taps[-1] + 1)
+        assert trimmed >= 50 and fallback >= 5
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("deterministic", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", [conv2d, depthwise_conv2d])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_outputs_and_gradients(self, case, op, dtype, deterministic, with_bias, fused, rng):
+        # ``fused`` adds the ReLU and, for conv2d, a residual. The depthwise
+        # convolution is checked as conv2d with its diagonal weight, whose
+        # extra products are exact zeros.
+        k, stride, dilation, pads, shape = self.CASES[case]
+        n, h, w_, c = shape
+        depthwise = op is depthwise_conv2d
+        cout = c if depthwise else 2
+        ho = (h + pads[0] + pads[1] - dilated_kernel_extent(k, dilation)) // stride + 1
+        wo = (w_ + pads[2] + pads[3] - dilated_kernel_extent(k, dilation)) // stride + 1
+        with using_dtype(dtype), using_deterministic(deterministic):
+            x = tensor(rng.normal(size=shape), requires_grad=True)
+            w = tensor(rng.normal(size=(k, k, c, 1 if depthwise else cout)), requires_grad=True)
+            bias = tensor(rng.normal(size=(1, 1, 1, cout)), requires_grad=True) if with_bias else None
+            kern = ConvKernel(w, bias, stride, dilation, pads, relu=fused)
+            extra = ()
+            if fused and not depthwise:
+                extra = (tensor(rng.normal(size=(n, ho, wo, cout)), requires_grad=True),)
+            u = tensor(rng.normal(size=(n, ho, wo, cout)))
+
+            def loss():
+                return sum_all(multiply(op(x, kern, *extra), u))
+
+            with recording() as graph:
+                y = op(x, kern, *extra)
+                grads = backward(sum_all(multiply(y, u)), graph)
+            if dtype is np.float64 and deterministic:
+                fd = fd_full_grad(lambda: loss().item(), w)
+        wd = diagonal(w.data) if depthwise else w.data
+        b = None if bias is None else bias.data
+        want = conv2d_naive(x.data, wd, b, stride, dilation, pads)
+        scale = conv2d_naive(np.abs(x.data), np.abs(wd), None if b is None else np.abs(b),
+                             stride, dilation, pads)
+        if extra:
+            want = extra[0].data + want
+            scale = np.abs(extra[0].data) + scale
+        if fused:
+            want = np.maximum(want, 0)
+        tol = 100 * np.finfo(dtype).eps
+        assert y.dtype == dtype and y.shape == want.shape
+        if deterministic:
+            assert y.data.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(y.data - want) <= tol * scale)
+
+        g = u.data * (y.data > 0) if fused else u.data
+        expected = reference_conv2d_grads(x.data, wd, g, stride, dilation, pads)
+        bounds = reference_conv2d_grads(np.abs(x.data), np.abs(wd), np.abs(g), stride,
+                                        dilation, pads)
+        if depthwise:
+            expected, bounds = ((gx, gw[:, :, range(c), range(c)][..., None])
+                                for gx, gw in (expected, bounds))
+        for t, ref, bound in zip((x, w), expected, bounds):
+            assert grads[t].shape == ref.shape and grads[t].dtype == dtype
+            assert np.all(np.abs(grads[t] - ref) <= tol * bound)
+        if bias is not None:
+            assert np.allclose(grads[bias], g.sum(axis=(0, 1, 2)).reshape(bias.shape))
+        if extra:
+            assert np.array_equal(grads[extra[0]], g)
+        dead = self._dead(k, stride, dilation, pads, shape)
+        assert dead.any() and np.all(grads[w][dead] == 0)
+        if dtype is np.float64 and deterministic:
+            assert np.all(fd[dead] == 0)
+            assert max_rel_err(grads[w], fd) < 1e-4
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    @pytest.mark.parametrize("op", [conv2d, depthwise_conv2d])
+    def test_non_finite_weight_on_a_dead_tap(self, op, deterministic, rng):
+        # A tap that reads only padding contributes nothing, as conv2d's
+        # docstring states, even with a NaN or infinite weight: the output
+        # and gradients are those of the kernel with that tap zeroed, where
+        # a gather over all nine taps gives NaN (0 * inf). On the centre tap,
+        # which reads the 4x4 input, a NaN still reaches the output.
+        x = tensor(rng.normal(size=(2, 4, 4, 3)), requires_grad=True)
+        cout = 1 if op is depthwise_conv2d else 2
+        w = rng.normal(size=(3, 3, 3, cout)).astype(np.float32)
+        bias = tensor(rng.normal(size=(1, 1, 1, 3 if op is depthwise_conv2d else cout)))
+        zeroed = w.copy()
+        w[0, 0], w[2, 1] = np.nan, np.inf
+        zeroed[0, 0] = zeroed[2, 1] = 0.0
+        results = []
+        with using_deterministic(deterministic):
+            for weight in (w, zeroed):
+                wt = tensor(weight, requires_grad=True)
+                kern = ConvKernel(wt, bias, 1, 4, same_pads(3, 4), relu=True)
+                with recording() as graph:
+                    y = op(x, kern)
+                    grads = backward(sum_all(y), graph)
+                results.append((y.data, grads[x], grads[wt]))
+            assert np.isfinite(results[0][0]).all()
+            for got, want in zip(*results):
+                assert got.tobytes() == want.tobytes()
+            w[1, 1, 0] = np.nan
+            assert np.isnan(op(x, ConvKernel(tensor(w), bias, 1, 4, same_pads(3, 4))).data).any()
+
+    # name -> (kernel size, dilation) of the kernels a 64x64 crop trims to
+    # their centre tap: dilation 4 on the 4x4 map, and the MSIF rates 6 and 12.
+    TRIMMED_AT_64 = {
+        "block4.unit3.spatial.w": (3, 4), "block5.unit3.spatial.w": (3, 4),
+        "msif.branch2.dw.w": (3, 6), "msif.branch3.dw.w": (3, 12),
+    }
+
+    @pytest.mark.parametrize("size, scale", [(64, 0.125), (576, 0.0625)])
+    def test_model_forward_trims(self, size, scale, monkeypatch):
+        # At 576x576 the 1/16 map is 36x36, wider than any tap's reach.
+        net = DNet(DNetConfig(channels_scale=scale))
+        names = {id(t): name for name, t in net.parameters().items()}
+        windows = {}  # weight name -> (rows, cols) that ran, if trimmed
+        live_window = convops._live_window
+
+        def spy(h, w, kernel):
+            rows, cols, pads = live_window(h, w, kernel)
+            if kernel.weight.data[rows, cols].shape != kernel.weight.shape:
+                windows[names[id(kernel.weight)]] = (rows, cols)
+            return rows, cols, pads
+
+        monkeypatch.setattr(convops, "_live_window", spy)
+        with using_deterministic(False):
+            net(tensor(np.zeros((1, size, size, 3), dtype=np.float32)))
+        want = self.TRIMMED_AT_64 if size == 64 else {}
+        assert windows == {name: (slice(1, 2), slice(1, 2)) for name in want}
+        params = net.parameters()
+        assert all(params[name].shape[:2] == (k, k) for name, (k, _) in want.items())
