@@ -44,8 +44,14 @@ Times are medians in ms; a jump in one against an earlier run is a
 shape-level regression. ``gemm MB`` is the peak that ``tracemalloc`` sees
 during one GEMM forward: bounded bands on shifted slices, the whole column
 matrix on im2col, so a jump there is a shape-level memory regression;
-``max diff`` is the largest forward difference between the modes. Run from
-the repository root:
+``max diff`` is the largest forward difference between the modes.
+
+A second table times conv2d over a tuple of parts, which it reads in
+place, beside concatenating the parts first and running conv2d on the
+copy, in GEMM mode: ``parts`` and ``concat`` are median ms, the ``MB``
+columns ``tracemalloc``'s peak of each, the inputs excluded. The two must
+give the same bytes; the script exits 1 if they do not. Run from the
+repository root:
 
     PYTHONPATH=src python scripts/bench_conv.py
 """
@@ -92,6 +98,11 @@ CASES = [
     (4, 64, 64, 4, 1, 1, 1, 1),  # head
 ]
 
+PARTS_CASES = [
+    # (batch, height, width, channels per part, cout, k)
+    (1, 288, 288, (64, 64), 64, 3),  # full-width decoder fuse3 at 576x576: up3 and skip2
+]
+
 
 def median_ms(fn, budget_s: float = 0.5, min_repeats: int = 3) -> float:
     """Median wall time of fn() after one warm-up call."""
@@ -110,7 +121,7 @@ def helper_run(x, kern, helper) -> tuple[float, bytes]:
     with the unpadded and the padded input and a zero output, and the bytes
     of its output."""
     xp = convops._pad_input(x.data, kern.padding)
-    ho, wo = convops._gather_frame("conv2d", x, kern)
+    ho, wo = convops._gather_frame("conv2d", x.shape, kern)
     shape = (x.shape[0], ho, wo, kern.out_channels)
     ms = median_ms(lambda: helper(x.data, xp, kern, np.zeros(shape, x.dtype)))
     out = np.zeros(shape, x.dtype)
@@ -125,7 +136,7 @@ def exact_helper(exact):
 
 def shifted_gemm(x, xp, kern, out) -> None:
     """The stride-1 GEMM forward, which fills its padded rows from ``x``."""
-    convops._shifted_gemm(x, kern.weight.data, kern.dilation, kern.padding, out)
+    convops._shifted_gemm((x,), kern.weight.data, kern.dilation, kern.padding, out)
 
 
 def im2col_gemm(x, xp, kern, out) -> None:
@@ -169,15 +180,42 @@ def backward_runs(x, kern, upstream) -> tuple[float | None, float, bool]:
     return shifted, i2c, agree
 
 
-def gemm_peak_mb(x, kern) -> float:
+def gemm_peak_mb(forward) -> float:
     """Peak traced allocation of one GEMM forward, in MB."""
     with using_deterministic(False):
         tracemalloc.start()
         try:
-            conv2d(x, kern)
+            forward()
             return tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
+
+
+def parts_table(rng) -> list[str]:
+    """Print conv2d over parts beside concat + conv2d; return the labels of
+    the cases whose outputs differ."""
+    print(f"\n{'case':>34} {'parts':>8} {'concat':>8} {'parts MB':>9} {'concat MB':>10}")
+    differing = []
+    for n, h, w, widths, cout, k in PARTS_CASES:
+        parts = tuple(Tensor(rng.normal(size=(n, h, w, c)).astype(np.float32)) for c in widths)
+        kern = ConvKernel(
+            Tensor(rng.normal(size=(k, k, sum(widths), cout)).astype(np.float32)),
+            Tensor(rng.normal(size=(1, 1, 1, cout)).astype(np.float32)),
+            padding=same_pads(k), relu=True,
+        )
+
+        def concat_conv():
+            return conv2d(Tensor(np.concatenate([p.data for p in parts], axis=3)), kern)
+
+        with using_deterministic(False):
+            ms = median_ms(lambda: conv2d(parts, kern)), median_ms(concat_conv)
+            same = conv2d(parts, kern).data.tobytes() == concat_conv().data.tobytes()
+        peaks = gemm_peak_mb(lambda: conv2d(parts, kern)), gemm_peak_mb(concat_conv)
+        label = f"{n}x{h}x{w}x({'+'.join(map(str, widths))})->{cout} k{k}"
+        if not same:
+            differing.append(label)
+        print(f"{label:>34} {ms[0]:8.2f} {ms[1]:8.2f} {peaks[0]:9.1f} {peaks[1]:10.1f}")
+    return differing
 
 
 def main() -> int:
@@ -206,7 +244,7 @@ def main() -> int:
         sh_bwd, i2c_bwd, agree = backward_runs(x, kern, upstream)
         sh_bwd = f"{sh_bwd:8.2f}" if sh_bwd is not None else f"{'-':>8}"
         bwd = rule_ms(x, kern, upstream)
-        peak = gemm_peak_mb(x, kern)
+        peak = gemm_peak_mb(lambda: conv2d(x, kern))
         diff = float(np.abs(ref - fast).max())
         label = f"{n}x{h}x{w}x{cin}->{cout} k{k} d{d} s{s}"
         if stacked_bytes != cfirst_bytes:
@@ -218,11 +256,15 @@ def main() -> int:
             f"{i2c_fwd:8.2f} {gemm_fwd:9.2f} {det_fwd / gemm_fwd:8.1f} "
             f"{sh_bwd} {i2c_bwd:8.2f} {bwd:8.2f} {peak:8.1f} {diff:10.2e}"
         )
+    differing = parts_table(rng)
     for label in mismatched:
         print(f"error: the two exact forward helpers differ on {label}", file=sys.stderr)
     for label in disagreeing:
         print(f"error: the two backward helpers' gradients differ on {label}", file=sys.stderr)
-    return 1 if mismatched or disagreeing else 0
+    for label in differing:
+        print(f"error: conv2d over parts and over their concatenation differ on {label}",
+              file=sys.stderr)
+    return 1 if mismatched or disagreeing or differing else 0
 
 
 if __name__ == "__main__":

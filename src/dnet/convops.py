@@ -1,6 +1,6 @@
 """Convolution-family operators: standard/dilated and depthwise
-convolution, max pooling, transposed convolution, global average pooling,
-and bilinear upsampling of a pooled map, each with a reverse-mode rule.
+convolution, max pooling, transposed convolution and global average
+pooling, each with a reverse-mode rule.
 
 All operators use the (batch, height, width, channels) layout and zero
 padding; out-of-range taps contribute nothing. The strided operators share
@@ -51,22 +51,15 @@ per band on shifted slices and once over the map otherwise. The tap-ordered
 forward and the depthwise convolution start from the bias instead, so it
 is the first term of their sums, and skip the epilogue's bias.
 
-conv2d and the depthwise convolution run only the kernel taps that read
-the input. ``_live_window`` takes, along each axis, the kernel rows or
-columns from the first to the last tap that reads an input pixel at some
-output, with the per-side padding that keeps the output grid; the forward
-and both rules run on that window, and the weight gradient is written into
-zeros of the weight's shape. A tap outside it reads only padding, so its
-products are exact zeros: for finite weights, outputs and gradients keep
-their bytes (but for the sign of an all-zero sum that starts from a bias
-of -0.0). The window follows from the input shape alone. On a 64x64 crop,
-whose 1/16 map is 4x4, it cuts the dilation-4 spatial convolutions of
-blocks 4 and 5 (unit 3) and the MSIF depthwise convolutions at rates 6 and
-12 to their centre tap, an unpadded 1x1 kernel; at 576x576 the 36x36 map
-is wider than every tap's reach and nothing is cut. A NaN or infinite
-weight on a dropped tap contributes nothing, where a product with the
-zero padding would have made the output NaN, and a kernel with no live
-tap outputs its bias, then the residual, then the ReLU.
+conv2d and the depthwise convolution run only the window of kernel taps
+that read the input (``_live_window``), forward and backward; the weight
+gradient is written into zeros of the weight's shape. A dropped tap reads
+only padding, so for finite weights outputs and gradients keep their bytes
+(but for the sign of an all-zero sum from a bias of -0.0), and a NaN or
+infinite weight on it contributes nothing. On a 64x64 crop, whose 1/16 map
+is 4x4, that cuts the dilation-4 spatial convolutions of blocks 4 and 5
+(unit 3) and the MSIF depthwise convolutions at rates 6 and 12 to their
+centre tap, an unpadded 1x1 kernel; at 576x576 nothing is cut.
 
 The backward rules are GEMM-shaped and the same in both modes. conv2d's
 picks by the forward's shape rule. Where the forward's shifted row slices
@@ -78,8 +71,16 @@ grid, with one GEMM each. Any other conv2d runs ``_im2col_grads``: the
 weight gradient is one ``_im2col(...).T @ g`` product and the input
 gradient is ``_spread``. The rules of conv2d, the depthwise convolution
 and max pooling rebuild the padded input when they run, so the tape
-holds no padded copy. Bilinear upsampling serves only the pooled (n, 1,
-1, c) map, so it is a broadcast and its backward a sum.
+holds no padded copy.
+
+conv2d, the depthwise convolution and transposed_conv take their input as
+one tensor or as a tuple of parts whose channels they read in order: the
+bytes of the parts' concatenation, without its copy. ``_pad_input`` writes
+each part into its channel slice of the padded copy that the exact
+forward, the im2col GEMM and the rules make anyway, the shifted GEMM fills
+its band buffer from each part, and only the unpadded 1x1 GEMM and
+transposed_conv join the parts, for the call. A pooled (n, 1, 1, c) part
+is broadcast over the map, its bilinear upsample (``_split``).
 
 A kernel with ``relu`` set fuses its ReLU into the operator's one tape
 node: the output is rectified in place, so the pre-activation is never
@@ -93,6 +94,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -110,7 +113,6 @@ __all__ = [
     "max_pool",
     "transposed_conv",
     "global_avg_pool",
-    "bilinear_upsample",
 ]
 
 _deterministic = True
@@ -208,21 +210,39 @@ class ConvKernel:
         return self.weight.shape[3]
 
 
-def _pad_input(x: np.ndarray, padding, fill: float = 0.0) -> np.ndarray:
+def _frame(parts) -> tuple[int, int, int, int]:
+    """(n, h, w, c) map of a tuple of parts: their channels over the widest (h, w)."""
+    if len(parts) == 1:
+        return parts[0].shape
+    return (parts[0].shape[0], max(p.shape[1] for p in parts),
+            max(p.shape[2] for p in parts), sum(p.shape[3] for p in parts))
+
+
+def _slices(parts):
+    """(part, first channel, end channel) of each part in the map."""
+    ends = accumulate([p.shape[3] for p in parts])
+    return [(p, end - p.shape[3], end) for p, end in zip(parts, ends)]
+
+
+def _pad_input(x, padding, fill: float = 0.0) -> np.ndarray:
     """``x`` grown by (top, bottom, left, right) ``padding`` rows and columns
     of ``fill``: the bytes of ``np.pad``'s constant mode, from one allocation
-    whose every element is written once. ``x`` itself when no side is padded.
+    whose every element is written once. ``x`` is an array or a tuple of
+    parts (``_frame``), each written into its channel slice; one array is
+    returned itself when no side is padded.
     """
+    parts = x if isinstance(x, tuple) else (x,)
     pt, pb, pl, pr = padding
-    if pt == pb == pl == pr == 0:
-        return x
-    n, h, w, c = x.shape
-    xp = np.empty((n, h + pt + pb, w + pl + pr, c), dtype=x.dtype)
+    if len(parts) == 1 and pt == pb == pl == pr == 0:
+        return parts[0]
+    n, h, w, c = _frame(parts)
+    xp = np.empty((n, h + pt + pb, w + pl + pr, c), dtype=parts[0].dtype)
     xp[:, :pt] = fill
     xp[:, pt + h :] = fill
     xp[:, pt : pt + h, :pl] = fill
     xp[:, pt : pt + h, pl + w :] = fill
-    xp[:, pt : pt + h, pl : pl + w] = x
+    for p, c0, c1 in _slices(parts):
+        xp[:, pt : pt + h, pl : pl + w, c0:c1] = p
     return xp
 
 
@@ -389,16 +409,17 @@ def _shifts(s: int, padded, ho: int, wo: int) -> bool:
     return s == 1 and 4 * hp * wp <= 5 * ho * wo
 
 
-def _shifted_gemm(x: np.ndarray, w: np.ndarray, d: int, pads, out: np.ndarray,
+def _shifted_gemm(xs: tuple, w: np.ndarray, d: int, pads, out: np.ndarray,
                   bias=None, residual=None, relu: bool = False) -> None:
     """Stride-1 GEMM forward with no column copy and no padded copy: one GEMM
     per tap and band of output rows, then the band's ``_epilogue``.
 
     A band of output rows [i0, i1) of an image reads its padded rows [i0, i1
-    + (kh - 1)*d). They are filled from the unpadded ``x`` into one
-    zero-bordered buffer over the padded width, which every band reuses: its
-    padding columns stay zero, and a band at an image's top or bottom zeroes
-    the rows it takes from the padding. Flattened to a (pixels, channels)
+    + (kh - 1)*d). They are filled from the unpadded parts ``xs``, each into
+    its channels, in one zero-bordered buffer over the padded width, which
+    every band reuses: its padding columns stay zero, and a band at an
+    image's top or bottom zeroes the rows it takes from the padding; a
+    broadcast part fills all its rows. Flattened to a (pixels, channels)
     matrix, tap (a, b) reads its contiguous rows of the buffer from a*d*wp +
     b*d on, (i1 - i0 - 1)*wp + wo of them, so never past it: the products
     land in a band accumulator laid out over the padded width, whose first
@@ -408,13 +429,13 @@ def _shifted_gemm(x: np.ndarray, w: np.ndarray, d: int, pads, out: np.ndarray,
     ``_BAND_ELEMENTS`` together, but at least one output row.
     """
     kh, kw, cin, cout = w.shape
-    n, h, wd, _ = x.shape
+    n, h, wd, _ = _frame(xs)
     _, ho, wo, _ = out.shape
     pt, _, pl, _ = pads
     wp, halo = wo + (kw - 1) * d, (kh - 1) * d
     rows = (_BAND_ELEMENTS * 3 // 8 - halo * wp * cin) // (wp * (cin + 2 * cout))
     rows = min(ho, max(1, rows))
-    xb = np.zeros((rows + halo, wp, cin), dtype=x.dtype)
+    xb = np.zeros((rows + halo, wp, cin), dtype=out.dtype)
     flat = xb.reshape(-1, cin)
     acc = np.empty((rows * wp, cout), dtype=out.dtype)
     tmp = np.empty_like(acc)
@@ -425,7 +446,9 @@ def _shifted_gemm(x: np.ndarray, w: np.ndarray, d: int, pads, out: np.ndarray,
             lo = min(max(pt - i0, 0), nb)
             hi = min(max(pt + h - i0, lo), nb)
             xb[:lo] = 0.0
-            xb[lo:hi, pl : pl + wd] = x[k, i0 + lo - pt : i0 + hi - pt]
+            for p, c0, c1 in _slices(xs):
+                rows_in = p[k, i0 + lo - pt : i0 + hi - pt] if p.shape[1] == h else p[k]
+                xb[lo:hi, pl : pl + wd, c0:c1] = rows_in
             xb[hi:nb] = 0.0
             m = (i1 - i0 - 1) * wp + wo
             for t, (a, b) in enumerate(np.ndindex(kh, kw)):
@@ -498,37 +521,28 @@ def _im2col_grads(xp: np.ndarray, w: np.ndarray, d: int, s: int, g: np.ndarray, 
     return gx, (_im2col(xp, kh, kw, d, s, ho, wo).T @ g.reshape(-1, cout)).reshape(w.shape)
 
 
-def _dense(x: np.ndarray, w: np.ndarray, d: int, s: int, pads, out: np.ndarray,
+def _dense(xs: tuple, w: np.ndarray, d: int, s: int, pads, out: np.ndarray,
            bias=None, residual=None, relu: bool = False) -> None:
-    """Dense tap gather of the (kh, kw, cin, cout) weight ``w`` over the
-    unpadded input ``x`` grown by ``pads``, written into ``out`` through
-    ``_epilogue``: sum over taps (a, b) of tap(a, b) @ w[a, b], then the
-    bias, ``residual`` and the ReLU.
-
-    The output grid is ``out``'s spatial extent. A weight with no taps
-    gives the epilogue's terms alone. Deterministic mode starts from the
-    bias and adds one (kernel row, kernel col, input channel) tap at a time:
-    channel-first when the output row outruns the output channels, else by
-    stacking each tap's products and folding the stack with one sequential
-    reduce. Otherwise a 1x1 kernel whose one tap reads all of the padded
-    input is one GEMM on a reshape; a stride-1 kernel whose padded grid is
-    at most 1.25x its output grid (``_shifts``) runs ``_shifted_gemm``, one
-    GEMM per tap on shifted row slices of bands of padded rows; any other is
-    one GEMM over the whole im2col column matrix, the lowering its backward
-    uses. The GEMMs write ``out`` itself.
+    """Dense tap gather of the (kh, kw, cin, cout) weight ``w`` over the map
+    of the unpadded parts ``xs`` grown by ``pads``, written into ``out``
+    through ``_epilogue``: sum over taps (a, b) of tap(a, b) @ w[a, b], then
+    the bias, ``residual`` and the ReLU, by the route the module docstring
+    names for the mode and shape. The output grid is ``out``'s spatial
+    extent; a weight with no taps gives the epilogue's terms alone.
     """
     kh, kw, cin, cout = w.shape
     _, ho, wo, _ = out.shape
-    padded = (x.shape[1] + pads[0] + pads[1], x.shape[2] + pads[2] + pads[3])
+    _, h, wd, _ = _frame(xs)
+    padded = (h + pads[0] + pads[1], wd + pads[2] + pads[3])
     if not w.size:
         out[...] = 0.0
     elif _deterministic:
         # The bias first, then the taps; the epilogue adds no bias.
         out[...] = 0.0 if bias is None else bias
         bias = None
-        (_exact_channel_first if cout < wo else _exact_stacked)(_pad_input(x, pads), w, d, s, out)
+        (_exact_channel_first if cout < wo else _exact_stacked)(_pad_input(xs, pads), w, d, s, out)
     elif kh == kw == 1 and padded == (ho, wo):
-        np.matmul(_pad_input(x, pads).reshape(-1, cin), w.reshape(cin, cout),
+        np.matmul(_pad_input(xs, pads).reshape(-1, cin), w.reshape(cin, cout),
                   out=out.reshape(-1, cout))
     # The shifted GEMMs also compute the padded columns (and rows) that the
     # output discards, and add each later tap's product into the band, in
@@ -540,30 +554,42 @@ def _dense(x: np.ndarray, w: np.ndarray, d: int, s: int, pads, out: np.ndarray,
     # 4x8^2 64->64 0.31 -> 0.48 (1.56). Inside the bound, 36^2 256->256 d2
     # (10.48 -> 11.39) and 4x32^2 32->64 (2.30 -> 2.56) still lose a little.
     elif _shifts(s, padded, ho, wo):
-        _shifted_gemm(x, w, d, pads, out, bias, residual, relu)
+        _shifted_gemm(xs, w, d, pads, out, bias, residual, relu)
         return
     else:
-        np.matmul(_im2col(_pad_input(x, pads), kh, kw, d, s, ho, wo), w.reshape(-1, cout),
+        np.matmul(_im2col(_pad_input(xs, pads), kh, kw, d, s, ho, wo), w.reshape(-1, cout),
                   out=out.reshape(-1, cout))
     _epilogue(out, out, bias, residual, relu)
 
 
-def _check_channels(op: str, x: Tensor, kernel: ConvKernel, cin: int, bias_channels: int) -> None:
-    if x.channels != cin:
-        raise ShapeError(f"{op}: input has {x.channels} channels but kernel expects {cin}")
+def _parts(op: str, x, kernel: ConvKernel, cin: int, bias_channels: int):
+    """(parts, (n, h, w, c) map) of the input ``x``, a Tensor or a tuple of
+    parts (``_frame``), checked against the kernel. Parts share the batch
+    and dtype; each spans the map or is a broadcast (n, 1, 1, c) one."""
+    parts = (x,) if isinstance(x, Tensor) else tuple(x)
+    if not parts:
+        raise ShapeError(f"{op}: the input has no parts")
+    frame = _frame(parts)
+    if len(parts) > 1 and any([p.shape[0] != frame[0] or p.dtype != parts[0].dtype
+                               or p.shape[1:3] not in (frame[1:3], (1, 1)) for p in parts]):
+        raise ShapeError(f"{op}: parts {[(p.shape, str(p.dtype)) for p in parts]} "
+                         f"do not fit one map")
+    if frame[3] != cin:
+        raise ShapeError(f"{op}: input has {frame[3]} channels but kernel expects {cin}")
     if kernel.bias is not None and kernel.bias.channels != bias_channels:
         raise ShapeError(
             f"{op}: bias has {kernel.bias.channels} channels, expected {bias_channels}"
         )
+    return parts, frame
 
 
-def _gather_frame(op: str, x: Tensor, kernel: ConvKernel) -> tuple[int, int]:
-    """Output extent (ho, wo) of a strided, dilated tap gather."""
+def _gather_frame(op: str, shape, kernel: ConvKernel) -> tuple[int, int]:
+    """Output extent (ho, wo) of a strided, dilated tap gather on ``shape``."""
     kh, kw = kernel.weight.shape[:2]
     s, d = kernel.stride, kernel.dilation
     pt, pb, pl, pr = kernel.padding
-    ho = _out_extent(op, x.shape[1] + pt + pb, dilated_kernel_extent(kh, d), s)
-    wo = _out_extent(op, x.shape[2] + pl + pr, dilated_kernel_extent(kw, d), s)
+    ho = _out_extent(op, shape[1] + pt + pb, dilated_kernel_extent(kh, d), s)
+    wo = _out_extent(op, shape[2] + pl + pr, dilated_kernel_extent(kw, d), s)
     return ho, wo
 
 
@@ -581,17 +607,22 @@ def _live_window(h: int, w: int, kernel: ConvKernel) -> tuple[slice, slice, tupl
     Without padding every tap reads the input: tap a reads position a*d at
     output 0, inside the input, as the kernel's extent fits in it.
     """
-    if not any(kernel.padding):
-        return slice(None), slice(None), kernel.padding
-    s, d = kernel.stride, kernel.dilation
+    return _window(h, w, *kernel.weight.shape[:2], kernel.stride, kernel.dilation,
+                   tuple(kernel.padding))
+
+
+@lru_cache(maxsize=256)
+def _window(h: int, w: int, kh: int, kw: int, s: int, d: int, padding: tuple):
+    """``_live_window`` on plain ints, memoized: every conv asks for it."""
+    if not any(padding):
+        return slice(None), slice(None), padding
     window, pads = [], []
-    for n, k, lead, trail in ((h, kernel.weight.shape[0], *kernel.padding[:2]),
-                              (w, kernel.weight.shape[1], *kernel.padding[2:])):
+    for n, k, lead, trail in ((h, kh, *padding[:2]), (w, kw, *padding[2:])):
         out = (n + lead + trail - (k - 1) * d - 1) // s + 1
         live = [a for a in range(k)
                 if (i := max(0, -((a * d - lead) // s))) < out and i * s + a * d - lead < n]
         if not live:
-            return slice(0, 0), slice(0, 0), kernel.padding
+            return slice(0, 0), slice(0, 0), padding
         a0, a1 = live[0], live[-1] + 1
         lo = lead - a0 * d
         hi = (out - 1) * s + (a1 - a0 - 1) * d + 1 - n - lo
@@ -602,11 +633,26 @@ def _live_window(h: int, w: int, kernel: ConvKernel) -> tuple[slice, slice, tupl
     return window[0], window[1], tuple(pads)
 
 
-def _record(op: str, x: Tensor, kernel: ConvKernel, out: np.ndarray, grads,
+def _split(gx: np.ndarray | None, parts) -> tuple:
+    """Each part's gradient from ``gx``, the gradient of their map: a view
+    of its channels, or for a broadcast part those channels summed over the
+    map one position at a time in row-major order, from zero."""
+    if gx is None or len(parts) == 1:
+        return (gx,) * len(parts)
+    grads = [gx[..., c0:c1] for _, c0, c1 in _slices(parts)]
+    for k, (p, view) in enumerate(zip(parts, grads)):
+        if p.shape != view.shape:
+            grads[k] = np.zeros(p.shape, dtype=gx.dtype)
+            for i, j in np.ndindex(*view.shape[1:3]):
+                grads[k] += view[:, i : i + 1, j : j + 1]
+    return tuple(grads)
+
+
+def _record(op: str, parts: tuple, kernel: ConvKernel, out: np.ndarray, grads,
             residual: Tensor | None = None, window=(slice(None), slice(None))) -> Tensor:
-    """Record ``op`` over (x, weight[, bias][, residual]), whose ``out`` has
-    been through ``_epilogue``; ``grads(g)`` yields (gx, gw), gw over the
-    (rows, cols) ``window`` of the kernel's taps (``_live_window``).
+    """Record ``op`` over (*parts, weight[, bias][, residual]), whose ``out``
+    has been through ``_epilogue``; ``grads(g)`` yields gx over the parts'
+    map (``_split``) and gw over the (rows, cols) ``window`` of taps.
 
     A ``relu`` kernel's rule masks ``g`` by ``out > 0`` first. A ``gw``
     smaller than the weight is written into zeros of the weight's shape. The
@@ -625,12 +671,13 @@ def _record(op: str, x: Tensor, kernel: ConvKernel, out: np.ndarray, grads,
             gw = full
         gb = () if bias is None else (g.sum(axis=(0, 1, 2)).reshape(bias.shape),)
         gr = () if residual is None else (g,)
-        return (gx, gw, *gb, *gr)
+        return (*_split(gx, parts), gw, *gb, *gr)
 
-    return record_op(op, (x, weight, *extra), out, rule)
+    return record_op(op, (*parts, weight, *extra), out, rule)
 
 
-def conv2d(x: Tensor, kernel: ConvKernel, residual: Tensor | None = None) -> Tensor:
+def conv2d(x: Tensor | tuple[Tensor, ...], kernel: ConvKernel,
+           residual: Tensor | None = None) -> Tensor:
     """Dense 2-D convolution (cross-correlation), dilation-aware.
 
     out[n,i,j,c] = bias[c]
@@ -639,69 +686,70 @@ def conv2d(x: Tensor, kernel: ConvKernel, residual: Tensor | None = None) -> Ten
     with zero contribution from out-of-range positions: only the taps that
     read the input run (``_live_window``), so a non-finite weight on a tap
     that reads only padding contributes nothing either. A ``residual`` of
-    the output's shape is added to it before the kernel's ReLU.
+    the output's shape is added to it before the kernel's ReLU. ``x`` may be
+    a tuple of parts, their channels in order, (n, 1, 1, c) ones broadcast.
     """
     _, _, cin, cout = kernel.weight.shape
-    _check_channels("conv2d", x, kernel, cin, cout)
-    ho, wo = _gather_frame("conv2d", x, kernel)
-    shape = (x.shape[0], ho, wo, cout)
+    parts, frame = _parts("conv2d", x, kernel, cin, cout)
+    ho, wo = _gather_frame("conv2d", frame, kernel)
+    shape = (frame[0], ho, wo, cout)
     if residual is not None and residual.shape != shape:
         raise ShapeError(f"conv2d: residual shape {residual.shape} differs from "
                          f"the output's {shape}")
-    x_data, s, d = x.data, kernel.stride, kernel.dilation
-    rows, cols, pads = _live_window(x.shape[1], x.shape[2], kernel)
+    xs, s, d = tuple([p.data for p in parts]), kernel.stride, kernel.dilation
+    rows, cols, pads = _live_window(frame[1], frame[2], kernel)
     w = kernel.weight.data[rows, cols]
-    out = np.empty(shape, dtype=x.dtype)
-    _dense(x_data, w, d, s, pads, out, None if kernel.bias is None else kernel.bias.data,
+    out = np.empty(shape, dtype=xs[0].dtype)
+    _dense(xs, w, d, s, pads, out, None if kernel.bias is None else kernel.bias.data,
            None if residual is None else residual.data, kernel.relu)
     # No input gradient for a constant input, such as the network's image.
-    x_shape = x.shape if x.requires_grad else None
-    padded = (x.shape[1] + pads[0] + pads[1], x.shape[2] + pads[2] + pads[3])
+    x_shape = frame if any([p.requires_grad for p in parts]) else None
+    padded = (frame[1] + pads[0] + pads[1], frame[2] + pads[2] + pads[3])
     shifted = _shifts(s, padded, ho, wo)
 
     def grads(g: np.ndarray):
         if not w.size:  # no tap reads the input
             return None if x_shape is None else np.zeros(x_shape, g.dtype), np.zeros_like(w)
-        xp = _pad_input(x_data, pads)  # rebuilt here, not held from the forward
+        xp = _pad_input(xs, pads)  # rebuilt here, not held from the forward
         if shifted:
             return _shifted_grads(xp, w, d, g, x_shape, pads)
         return _im2col_grads(xp, w, d, s, g, x_shape, pads)
 
-    return _record("conv2d", x, kernel, out, grads, residual, (rows, cols))
+    return _record("conv2d", parts, kernel, out, grads, residual, (rows, cols))
 
 
-def depthwise_conv2d(x: Tensor, kernel: ConvKernel) -> Tensor:
+def depthwise_conv2d(x: Tensor | tuple[Tensor, ...], kernel: ConvKernel) -> Tensor:
     """Per-channel spatial convolution (channel multiplier 1).
 
     The kernel weight is (kh, kw, C, 1): one spatial filter per input
     channel, producing the same channel count. Like conv2d, it runs only
-    the taps that read the input.
+    the taps that read the input, and takes a tuple of parts as input.
     """
     _, _, cin, mult = kernel.weight.shape
     if mult != 1:
         raise ShapeError(f"depthwise_conv2d: channel multiplier must be 1, got {mult}")
-    _check_channels("depthwise_conv2d", x, kernel, cin, cin)
-    ho, wo = _gather_frame("depthwise_conv2d", x, kernel)
-    x_data, s, d = x.data, kernel.stride, kernel.dilation
-    rows, cols, pads = _live_window(x.shape[1], x.shape[2], kernel)
+    parts, frame = _parts("depthwise_conv2d", x, kernel, cin, cin)
+    ho, wo = _gather_frame("depthwise_conv2d", frame, kernel)
+    xs, s, d = tuple([p.data for p in parts]), kernel.stride, kernel.dilation
+    rows, cols, pads = _live_window(frame[1], frame[2], kernel)
     w = kernel.weight.data[rows, cols, :, 0]  # (kh, kw, C) over the window
     taps = w.shape[:2]
-    xp = _pad_input(x_data, pads)
-    out = np.empty((x.shape[0], ho, wo, cin), dtype=x.dtype)
+    xp = _pad_input(xs, pads)
+    out = np.empty((frame[0], ho, wo, cin), dtype=xp.dtype)
     out[...] = 0.0 if kernel.bias is None else kernel.bias.data  # the bias first
     for a, b in np.ndindex(*taps):
         out += _tap_view(xp, a, b, d, s, ho, wo) * w[a, b]
     _epilogue(out, out, relu=kernel.relu)
 
     def grads(g: np.ndarray):
-        gx = _scatter(x_data.shape, pads, taps, d, s, ho, wo, lambda a, b: g * w[a, b], g.dtype)
-        xp = _pad_input(x_data, pads)  # rebuilt here, not held from the forward
+        gx = _scatter(frame, pads, taps, d, s, ho, wo, lambda a, b: g * w[a, b], g.dtype)
+        xp = _pad_input(xs, pads)  # rebuilt here, not held from the forward
         gw = np.empty((*taps, cin, 1), dtype=g.dtype)
         for a, b in np.ndindex(*taps):
             gw[a, b, :, 0] = (_tap_view(xp, a, b, d, s, ho, wo) * g).sum(axis=(0, 1, 2))
         return gx, gw
 
-    return _record("depthwise_conv2d", x, kernel, out, grads, window=(rows, cols))
+    return _record("depthwise_conv2d", parts, kernel, out, grads, window=(rows, cols))
 
 
 def max_pool(
@@ -758,36 +806,37 @@ def max_pool(
     return record_op("max_pool", (x,), out, rule)
 
 
-def transposed_conv(x: Tensor, kernel: ConvKernel) -> Tensor:
+def transposed_conv(x: Tensor | tuple[Tensor, ...], kernel: ConvKernel) -> Tensor:
     """Transposed (fractionally strided) convolution; adjoint of conv2d.
 
     The forward is ``_spread``, conv2d's input gradient, for a kernel with
     its channel axes swapped: each input pixel scatters weight * value into a
     stride-spaced grid, which ``kernel.padding`` then crops. With kernel
     size 2, stride 2, no padding the spatial dims double exactly for every
-    input size, which is how the decoder uses it.
+    input size, which is how the decoder uses it. Parts are joined for the
+    forward and again in the rule, held joined by neither.
     """
     kh, kw, cin, cout = kernel.weight.shape
-    _check_channels("transposed_conv", x, kernel, cin, cout)
+    parts, (n, h, wdt, _) = _parts("transposed_conv", x, kernel, cin, cout)
     s, d = kernel.stride, kernel.dilation
     pt, pb, pl, pr = kernel.padding
-    n, h, wdt, _ = x.shape
     ho = (h - 1) * s + dilated_kernel_extent(kh, d) - pt - pb
     wo = (wdt - 1) * s + dilated_kernel_extent(kw, d) - pl - pr
     if ho < 1 or wo < 1:
         raise ShapeError(f"transposed_conv: non-positive output size {ho}x{wo}")
 
-    x_data, w = x.data, kernel.weight.data
-    out = _spread(x_data, w.swapaxes(2, 3), (n, ho, wo, cout), kernel.padding, d, s)
+    xs, w, unpadded = tuple([p.data for p in parts]), kernel.weight.data, (0, 0, 0, 0)
+    out = _spread(_pad_input(xs, unpadded), w.swapaxes(2, 3), (n, ho, wo, cout),
+                  kernel.padding, d, s)
     _epilogue(out, out, None if kernel.bias is None else kernel.bias.data, relu=kernel.relu)
 
     def grads(g: np.ndarray):
         cols = _im2col(_pad_input(g, kernel.padding), kh, kw, d, s, h, wdt)
-        gx = (cols @ w.swapaxes(2, 3).reshape(-1, cin)).reshape(x_data.shape)
-        gw = (cols.T @ x_data.reshape(-1, cin)).reshape(kh, kw, cout, cin)
+        gx = (cols @ w.swapaxes(2, 3).reshape(-1, cin)).reshape(n, h, wdt, cin)
+        gw = (cols.T @ _pad_input(xs, unpadded).reshape(-1, cin)).reshape(kh, kw, cout, cin)
         return gx, gw.swapaxes(2, 3)
 
-    return _record("transposed_conv", x, kernel, out, grads)
+    return _record("transposed_conv", parts, kernel, out, grads)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -801,28 +850,3 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
     return record_op("global_avg_pool", (x,), out, rule)
 
-
-def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Corner-aligned bilinear upsampling of a pooled (n, 1, 1, c) map to
-    (out_h, out_w).
-
-    Every output position interpolates the one input pixel with weight 1, so
-    the forward is a broadcast. The backward adds the upstream gradient over
-    the output positions one at a time in row-major order, starting from
-    zero: one sequential sum per element, as a four-corner scatter gives.
-    """
-    n, h, w, c = x.shape
-    if (h, w) != (1, 1):
-        raise ShapeError(f"bilinear_upsample: input must be a pooled (n, 1, 1, c) map, "
-                         f"got {x.shape}")
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(f"bilinear_upsample: bad target size {out_h}x{out_w}")
-    out = np.broadcast_to(x.data, (n, out_h, out_w, c)).copy()
-
-    def rule(g: np.ndarray):
-        gx = np.zeros((n, 1, 1, c), dtype=g.dtype)
-        for i, j in np.ndindex(out_h, out_w):
-            gx += g[:, i : i + 1, j : j + 1]
-        return (gx,)
-
-    return record_op("bilinear_upsample", (x,), out, rule)

@@ -4,8 +4,8 @@ The encoder is a residual backbone with a total downsampling factor of 16:
 a strided root block, then five stages of three bottleneck units each. The
 3x3 convolutions inside the last two stages are dilated with a per-unit
 rate triple (d1, d2, d3) so the receptive field grows without further
-striding; the outputs of stages 3, 4 and 5 (all at 1/16 resolution) are
-channel-concatenated into a single feature map. A multi-scale fusion module
+striding; the outputs of stages 3, 4 and 5 (all at 1/16 resolution) form
+one feature map, their channels concatenated. A multi-scale fusion module
 pools that map through five parallel branches (a 1x1 convolution, three
 dilated depthwise 3x3 convolutions each mixed by a 1x1 convolution, and a
 global-average branch broadcast back over the map), concatenates them, and
@@ -14,7 +14,8 @@ transposed convolutions, concatenating an encoder skip feature after each of
 the first three doublings, and ends in two 3x3 refinement convolutions and a
 1x1 head. The network returns that head's per-pixel logits: the training
 loss takes them as they are, and ``losses.sigmoid`` of them is the vessel
-probability.
+probability. Each concatenation is a tuple of parts that its convolutions
+read in place, and the forwards hold no map past its last reader.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, ShapeError
-from .tensor import Tensor, concat_channels, default_dtype
+from .tensor import Tensor, default_dtype
 from .convops import (
     ConvKernel,
-    bilinear_upsample,
     conv2d,
     depthwise_conv2d,
     global_avg_pool,
@@ -219,14 +219,14 @@ def _unit_geometry(cfg: DNetConfig, stage: int, unit: int) -> tuple[int, int]:
 
 @dataclass
 class EncoderFeatures:
-    """Deep stage outputs (all at 1/16) plus the decoder skip sources."""
+    """Deep stage outputs (all at 1/16) and decoder skips; None once handed on."""
 
-    b3: Tensor
-    b4: Tensor
-    b5: Tensor
-    skip2: Tensor  # root output before pooling, 1/2 resolution
-    skip4: Tensor  # pooled root output, 1/4 resolution
-    skip8: Tensor  # stage-2 output, 1/8 resolution
+    b3: Tensor | None
+    b4: Tensor | None
+    b5: Tensor | None
+    skip2: Tensor | None  # root output before pooling, 1/2 resolution
+    skip4: Tensor | None  # pooled root output, 1/4 resolution
+    skip8: Tensor | None  # stage-2 output, 1/8 resolution
 
 
 class Encoder:
@@ -283,14 +283,14 @@ class Encoder:
 class MSIF:
     """Multi-scale fusion: five parallel branches concatenated and fused.
 
-    Branches: a 1x1 convolution keeping the current scale, three dilated
-    3x3 depthwise convolutions at the configured rates, each mixed across
-    channels by a 1x1 convolution, and a global-average branch (spatial
-    mean, 1x1 convolution, then a broadcast of the pooled map back to the
-    input size, which is its corner-aligned bilinear upsample). Every
-    branch emits the same width; the stacked result is fused by a 1x1
-    convolution to that width again. Each 1x1 convolution's kernel carries
-    its ReLU (``relu=True``); the depthwise kernels have none.
+    The input is a Tensor or a tuple of parts (the deep stage outputs),
+    read in place. Branches: a 1x1 convolution keeping the current scale,
+    three dilated 3x3 depthwise convolutions at the configured rates, each
+    mixed across channels by a 1x1 convolution, and a global-average branch
+    (mean per part, then a 1x1 convolution to an (n, 1, 1, width) map). The
+    fuse, a 1x1 convolution back to that width, reads the branches as parts
+    and broadcasts the pooled one, its corner-aligned bilinear upsample.
+    Each 1x1 convolution's kernel carries its ReLU; the depthwise ones none.
     """
 
     def __init__(self, builder: _Builder, cfg: DNetConfig, cin: int):
@@ -305,16 +305,17 @@ class MSIF:
         self.fuse = builder.conv("msif.fuse", 1, 5 * width, width, relu=True)
         self.out_channels = width
 
-    def branch_outputs(self, g: Tensor) -> list[Tensor]:
-        outs = [conv2d(g, self.point)]
+    def branch_outputs(self, g: Tensor | tuple[Tensor, ...]) -> list[Tensor]:
+        """The five branch outputs; the last is the pooled (n, 1, 1, width) map."""
+        parts = (g,) if isinstance(g, Tensor) else tuple(g)
+        outs = [conv2d(parts, self.point)]
         for dw, pw in self.sep_branches:
-            outs.append(conv2d(depthwise_conv2d(g, dw), pw))
-        pooled = conv2d(global_avg_pool(g), self.gap_conv)
-        outs.append(bilinear_upsample(pooled, g.shape[1], g.shape[2]))
+            outs.append(conv2d(depthwise_conv2d(parts, dw), pw))
+        outs.append(conv2d(tuple(global_avg_pool(p) for p in parts), self.gap_conv))
         return outs
 
-    def forward(self, g: Tensor) -> Tensor:
-        return conv2d(concat_channels(self.branch_outputs(g)), self.fuse)
+    def forward(self, g: Tensor | tuple[Tensor, ...]) -> Tensor:
+        return conv2d(tuple(self.branch_outputs(g)), self.fuse)
 
     __call__ = forward
 
@@ -322,13 +323,13 @@ class MSIF:
 class Decoder:
     """Four transposed-conv doublings back to input resolution.
 
-    The first three doublings each concatenate the encoder skip of the
-    matching resolution (``skip8``, ``skip4``, ``skip2``) and fuse with a 3x3
-    convolution; the last is followed by two 3x3 refinement convolutions and
-    a 1x1 head producing single-channel logits. Each doubling's kernel is a
-    2x2 stride-2 convolution kernel, whose same-padding is zero. Every
-    kernel but the head's carries its ReLU. Without a tape, the last
-    doubling's map is freed before ``refine2`` runs.
+    The first three doublings each fuse the encoder skip of the matching
+    resolution (``skip8``, ``skip4``, ``skip2``), read as a second part, by
+    a 3x3 convolution; the last is followed by two 3x3 refinement
+    convolutions and a 1x1 head producing single-channel logits. Each
+    doubling's kernel is a 2x2 stride-2 convolution kernel, whose
+    same-padding is zero. Every kernel but the head's carries its ReLU.
+    Without a tape each map is freed once read; ``feats`` loses each skip.
     """
 
     def __init__(self, builder: _Builder, cfg: DNetConfig, cin: int,
@@ -346,12 +347,15 @@ class Decoder:
         self.refine2 = builder.conv("decoder.refine2", 3, w4, w4, relu=True)
         self.head = builder.conv("decoder.head", 1, w4, 1)
 
-    def forward(self, u: Tensor, feats: EncoderFeatures) -> Tensor:
-        h = u
-        for (up, fuse), skip in zip(self.stages, (feats.skip8, feats.skip4, feats.skip2)):
-            h = conv2d(concat_channels((transposed_conv(h, up), skip)), fuse)
-        h = conv2d(conv2d(transposed_conv(h, self.up4), self.refine1), self.refine2)
-        return conv2d(h, self.head)
+    def forward(self, h: Tensor | tuple[Tensor, ...], feats: EncoderFeatures) -> Tensor:
+        for (up, fuse), name in zip(self.stages, ("skip8", "skip4", "skip2")):
+            h = transposed_conv(h, up)
+            h = conv2d((h, getattr(feats, name)), fuse)
+            setattr(feats, name, None)
+        h = transposed_conv(h, self.up4)
+        for kernel in (self.refine1, self.refine2, self.head):
+            h = conv2d(h, kernel)
+        return h
 
     __call__ = forward
 
@@ -381,8 +385,10 @@ class DNet:
     def forward(self, image: Tensor) -> Tensor:
         """Per-pixel vessel logits, same spatial size as the input."""
         feats = self.encoder(image)
-        g = concat_channels((feats.b3, feats.b4, feats.b5))
-        u = self.msif(g) if self.msif is not None else g
+        u = (feats.b3, feats.b4, feats.b5)
+        feats.b3 = feats.b4 = feats.b5 = None
+        if self.msif is not None:
+            u = self.msif(u)
         return self.decoder(u, feats)
 
     __call__ = forward

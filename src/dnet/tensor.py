@@ -12,8 +12,8 @@ gradients across fan-out, and returns the gradients of the leaves only: the
 intermediate gradient is released as soon as the rule that consumes it has
 run.
 
-The one operator defined here is :func:`concat_channels`; the network's
-ReLUs and residual sums ride its convolution kernels (see ``convops``).
+No operator is defined here: the network's are its convolutions (see
+``convops``), which read concatenations in place and carry its ReLUs.
 
 Tensors are treated as immutable once produced by an operation; optimizers
 may rewrite leaf ``.data`` buffers between recorded forward passes. Nothing
@@ -38,7 +38,6 @@ __all__ = [
     "record_op",
     "default_dtype",
     "using_dtype",
-    "concat_channels",
     "backward",
 ]
 
@@ -167,35 +166,6 @@ def record_op(
         out.requires_grad = True
         _graph_stack[-1].record(Node(op, tuple(inputs), out, backward_rule))
     return out
-
-
-def concat_channels(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the channel axis, preserving argument order.
-
-    The backward rule splits the upstream gradient back into the original
-    channel ranges, so concat followed by the matching channel slices is an
-    exact round trip.
-    """
-    if len(parts) == 0:
-        raise ShapeError("concat_channels: need at least one part")
-    first = parts[0].shape[:3]
-    for p in parts[1:]:
-        if p.shape[:3] != first:
-            raise ShapeError(
-                f"concat_channels: batch/spatial mismatch {p.shape[:3]} vs {first}"
-            )
-    out = np.concatenate([p.data for p in parts], axis=3)
-    widths = [p.channels for p in parts]
-
-    def rule(g: np.ndarray):
-        grads = []
-        start = 0
-        for w in widths:
-            grads.append(g[:, :, :, start : start + w])
-            start += w
-        return grads
-
-    return record_op("concat", tuple(parts), out, rule)
 
 
 def _validate_graph(graph: Graph) -> dict[int, int]:

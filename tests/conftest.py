@@ -5,6 +5,10 @@ finite-difference gradients and reference oracles.
 operators that the package does not need; tests use them to turn any tensor
 into a scalar loss with a known upstream gradient, and as the separate-node
 references that the convolutions' fused ReLU and residual sum must match.
+``concat_channels`` and ``bilinear_upsample`` are the separate-node
+references for the convolutions' input parts: a tuple of parts must give
+the bytes of one concatenated input, a broadcast (n, 1, 1, c) part those of
+its upsample.
 The finite-difference helper perturbs raw parameter entries and re-runs the
 forward function, so it is independent of every backward rule it checks.
 The naive convolution oracle is a plain scalar loop accumulating in the same
@@ -78,6 +82,61 @@ def relu(x: Tensor) -> Tensor:
         return (g * (out > 0),)  # out > 0 exactly where x > 0, NaN included
 
     return record_op("relu", (x,), out, rule)
+
+
+def concat_channels(parts: Sequence[Tensor]) -> Tensor:
+    """Concatenate along the channel axis, preserving argument order.
+
+    The backward rule splits the upstream gradient back into the original
+    channel ranges, so concat followed by the matching channel slices is an
+    exact round trip.
+    """
+    if len(parts) == 0:
+        raise ShapeError("concat_channels: need at least one part")
+    first = parts[0].shape[:3]
+    for p in parts[1:]:
+        if p.shape[:3] != first:
+            raise ShapeError(
+                f"concat_channels: batch/spatial mismatch {p.shape[:3]} vs {first}"
+            )
+    out = np.concatenate([p.data for p in parts], axis=3)
+    widths = [p.channels for p in parts]
+
+    def rule(g: np.ndarray):
+        grads = []
+        start = 0
+        for w in widths:
+            grads.append(g[:, :, :, start : start + w])
+            start += w
+        return grads
+
+    return record_op("concat", tuple(parts), out, rule)
+
+
+def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
+    """Corner-aligned bilinear upsampling of a pooled (n, 1, 1, c) map to
+    (out_h, out_w).
+
+    Every output position interpolates the one input pixel with weight 1, so
+    the forward is a broadcast. The backward adds the upstream gradient over
+    the output positions one at a time in row-major order, starting from
+    zero: one sequential sum per element, as a four-corner scatter gives.
+    """
+    n, h, w, c = x.shape
+    if (h, w) != (1, 1):
+        raise ShapeError(f"bilinear_upsample: input must be a pooled (n, 1, 1, c) map, "
+                         f"got {x.shape}")
+    if out_h < 1 or out_w < 1:
+        raise ShapeError(f"bilinear_upsample: bad target size {out_h}x{out_w}")
+    out = np.broadcast_to(x.data, (n, out_h, out_w, c)).copy()
+
+    def rule(g: np.ndarray):
+        gx = np.zeros((n, 1, 1, c), dtype=g.dtype)
+        for i, j in np.ndindex(out_h, out_w):
+            gx += g[:, i : i + 1, j : j + 1]
+        return (gx,)
+
+    return record_op("bilinear_upsample", (x,), out, rule)
 
 
 def fd_grad_entries(loss_fn, t: Tensor, entries, eps: float = 1e-4) -> np.ndarray:

@@ -14,7 +14,6 @@ import pytest
 from dnet.cli import main as cli_main
 from dnet.convops import (
     ConvKernel,
-    bilinear_upsample,
     conv2d,
     depthwise_conv2d,
     global_avg_pool,
@@ -33,10 +32,13 @@ from dnet.model import (
 )
 from dnet.receptive import LayerSpec, coverage_map, rf_stack, rf_single
 from dnet.convops import dilated_kernel_extent
-from dnet.tensor import backward, concat_channels, recording, using_dtype
+from dnet.tensor import backward, recording, using_dtype
 from dnet.training import AdamState, TrainConfig, adam_step, evaluate, poly_lr, synth_vessels, train
 
-from conftest import fd_full_grad, max_rel_err, multiply, sum_all, tensor, zero_insert_kernel
+from conftest import (
+    bilinear_upsample, concat_channels, fd_full_grad, max_rel_err, multiply, sum_all, tensor,
+    zero_insert_kernel,
+)
 from test_metrics import pairwise_ranking_auc
 from test_receptive import coverage_oracle_numeric
 from test_training import reference_adam

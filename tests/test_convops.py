@@ -13,7 +13,6 @@ from dnet.errors import ShapeError
 from dnet.model import DNet, DNetConfig
 from dnet.convops import (
     ConvKernel,
-    bilinear_upsample,
     conv2d,
     depthwise_conv2d,
     dilated_kernel_extent,
@@ -26,7 +25,7 @@ from dnet.convops import (
 from dnet.tensor import Tensor, backward, recording, using_dtype
 
 from conftest import (
-    conv2d_naive, elementwise_add, fd_full_grad, max_rel_err, multiply, relu, sum_all, tensor,
+    bilinear_upsample, concat_channels, conv2d_naive, elementwise_add, fd_full_grad, max_rel_err, multiply, relu, sum_all, tensor,
     zero_insert_kernel,
 )
 
@@ -881,7 +880,7 @@ class TestShiftedGemmForward:
             lowered.clear()
             with monkeypatch.context() as m:
                 m.setattr(convops, "_row_bands", counting_bands)
-                convops._shifted_gemm(x.data, wk.data, d, pads, got, bias.data)
+                convops._shifted_gemm((x.data,), wk.data, d, pads, got, bias.data)
             assert len(lowered) == n * math.ceil(ho / band) and sum(lowered) == n * ho
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
             exact = conv2d(x, ConvKernel(wk, bias, 1, d, pads)).data
@@ -1608,3 +1607,121 @@ class TestDeadTaps:
         assert windows == {name: (slice(1, 2), slice(1, 2)) for name in want}
         params = net.parameters()
         assert all(params[name].shape[:2] == (k, k) for name, (k, _) in want.items())
+
+
+class TestConvOverParts:
+    """conv2d, depthwise_conv2d and transposed_conv over a tuple of parts,
+    one of them a broadcast (n, 1, 1, c) part, give the bytes of the same
+    operator over the parts' concatenation with that part upsampled, built
+    from the separate reference nodes: output and every gradient."""
+
+    # route -> (deterministic, map (n, h, w), kernel, dilation, stride, pads, cout)
+    ROUTES = {
+        "exact channel-first": (True, (2, 6, 7), 3, 1, 1, (1, 1, 1, 1), 2),
+        "exact stacked": (True, (2, 4, 3), 3, 1, 1, (1, 1, 1, 1), 5),
+        "1x1 reshape": (False, (2, 5, 6), 1, 1, 1, (0, 0, 0, 0), 3),
+        "shifted": (False, (2, 20, 20), 3, 1, 1, (1, 1, 1, 1), 3),
+        "im2col": (False, (2, 7, 6), 3, 1, 2, (1, 1, 1, 1), 3),
+        # dilation 4 on a 4x4 map keeps the centre tap, an unpadded 1x1
+        "trimmed exact": (True, (2, 4, 4), 3, 4, 1, same_pads(3, 4), 5),
+        "trimmed gemm": (False, (2, 4, 4), 3, 4, 1, same_pads(3, 4), 3),
+    }
+    # route -> the forward helpers that run
+    HELPERS = {
+        "exact channel-first": ["_exact_channel_first"],
+        "exact stacked": ["_exact_stacked"],
+        "1x1 reshape": [],
+        "shifted": ["_shifted_gemm"],
+        "im2col": ["_im2col"],
+        "trimmed exact": ["_exact_stacked"],
+        "trimmed gemm": [],
+    }
+    WIDTHS = (2, 3, 1)  # the middle part is the broadcast one
+
+    @classmethod
+    def _parts(cls, n, h, w, rng):
+        return tuple(tensor(rng.normal(size=(n, 1, 1, c) if i == 1 else (n, h, w, c)),
+                            requires_grad=True) for i, c in enumerate(cls.WIDTHS))
+
+    @staticmethod
+    def _run(op, x, kern, extra, u, leaves):
+        """Output and leaf gradients of op(x(), kern, *extra) weighed by u."""
+        with recording() as graph:
+            y = op(x(), kern, *extra)
+            grads = backward(sum_all(multiply(y, u)), graph)
+        return [y.data] + [grads[t] for t in leaves]
+
+    @staticmethod
+    def _reference(parts, h, w):
+        a, b, c = parts
+        return concat_channels((a, bilinear_upsample(b, h, w), c))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_conv2d_routes(self, route, dtype, rng, monkeypatch):
+        deterministic, (n, h, w), k, dilation, stride, pads, cout = self.ROUTES[route]
+        # A small band budget cuts the shifted forward into several bands.
+        monkeypatch.setattr(convops, "_BAND_ELEMENTS", 1 << 12)
+        ran = []
+        for name in ("_exact_channel_first", "_exact_stacked", "_shifted_gemm", "_im2col"):
+            helper = getattr(convops, name)
+            monkeypatch.setattr(convops, name,
+                                lambda *a, _h=helper, _n=name, **kw: ran.append(_n) or _h(*a, **kw))
+        with using_dtype(dtype), using_deterministic(deterministic):
+            parts = self._parts(n, h, w, rng)
+            kern = ConvKernel(tensor(rng.normal(size=(k, k, sum(self.WIDTHS), cout)),
+                                     requires_grad=True),
+                              tensor(rng.normal(size=(1, 1, 1, cout)), requires_grad=True),
+                              stride, dilation, pads, relu=True)
+            ho, wo = convops._gather_frame("conv2d", (n, h, w), kern)
+            residual = tensor(rng.normal(size=(n, ho, wo, cout)), requires_grad=True)
+            u = tensor(rng.normal(size=(n, ho, wo, cout)))
+            leaves = (*parts, kern.weight, kern.bias, residual)
+            want = self._run(conv2d, lambda: self._reference(parts, h, w), kern, (residual,), u,
+                             leaves)
+            ran.clear()
+            with recording():
+                conv2d(parts, kern, residual)
+            assert ran == self.HELPERS[route]
+            got = self._run(conv2d, lambda: parts, kern, (residual,), u, leaves)
+        trimmed = convops._live_window(h, w, kern)[0].indices(k) != (0, k, 1)
+        assert trimmed == route.startswith("trimmed")
+        for g, r, t in zip(got, want, (None, *leaves)):
+            assert g.dtype == dtype and g.shape == (r.shape if t is None else t.shape)
+            assert g.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", [transposed_conv, depthwise_conv2d])
+    def test_transposed_and_depthwise(self, op, dtype, rng):
+        n, h, w, cin = 2, 3, 4, sum(self.WIDTHS)
+        with using_dtype(dtype):
+            parts = self._parts(n, h, w, rng)
+            if op is transposed_conv:
+                kern = ConvKernel(tensor(rng.normal(size=(2, 2, cin, 3)), requires_grad=True),
+                                  tensor(rng.normal(size=(1, 1, 1, 3)), requires_grad=True),
+                                  2, relu=True)
+                shape = (n, 2 * h, 2 * w, 3)
+            else:
+                kern = ConvKernel(tensor(rng.normal(size=(3, 3, cin, 1)), requires_grad=True),
+                                  tensor(rng.normal(size=(1, 1, 1, cin)), requires_grad=True),
+                                  1, 2, same_pads(3, 2), relu=True)
+                shape = (n, h, w, cin)
+            u = tensor(rng.normal(size=shape))
+            leaves = (*parts, kern.weight, kern.bias)
+            want = self._run(op, lambda: self._reference(parts, h, w), kern, (), u, leaves)
+            got = self._run(op, lambda: parts, kern, (), u, leaves)
+        for g, r in zip(got, want):
+            assert g.dtype == dtype and g.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("op", [conv2d, depthwise_conv2d, transposed_conv])
+    def test_parts_must_fit_one_map(self, op, rng):
+        kern = ConvKernel(tensor(rng.normal(size=(1, 1, 4, 1 if op is depthwise_conv2d else 2))))
+        a = tensor(rng.normal(size=(1, 4, 4, 2)))
+        for other in (tensor(rng.normal(size=(1, 2, 2, 2))), tensor(rng.normal(size=(2, 4, 4, 2))),
+                      Tensor(rng.normal(size=(1, 4, 4, 2)))):  # float64 beside float32
+            with pytest.raises(ShapeError, match=r"do not fit one map"):
+                op((a, other), kern)
+        with pytest.raises(ShapeError, match=r"no parts"):
+            op((), kern)
+        with pytest.raises(ShapeError, match=r"input has 2 channels but kernel expects 4"):
+            op((a,), kern)

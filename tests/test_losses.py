@@ -244,7 +244,11 @@ def test_training_step_records_one_loss_node(rng):
     assert ops.count("total_loss") == 1
     assert g.nodes[-1].op == "total_loss"
     # Each conv or doubling that a ReLU follows carries it in its own node,
-    # and each residual unit's restore conv its shortcut sum.
-    assert len(g) == forward_nodes + 1 == 81
+    # and each residual unit's restore conv its shortcut sum. The convs read
+    # their concatenations, and MSIF's broadcast pooled map, as parts: no
+    # concat or upsample node, and one pooling node per deep stage output.
+    assert len(g) == forward_nodes + 1 == 77
     assert ops.count("relu") == ops.count("add") == 0
-    assert sum(node.output.data.nbytes for node in g.nodes) == 183_684
+    assert ops.count("concat") == ops.count("bilinear_upsample") == 0
+    assert ops.count("global_avg_pool") == 3
+    assert sum(node.output.data.nbytes for node in g.nodes) == 156_036

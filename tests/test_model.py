@@ -2,15 +2,18 @@ import dataclasses
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dnet.errors import CheckpointError, ConfigError, ShapeError
+from dnet import convops
 from dnet.convops import ConvKernel, conv2d, same_pads, using_deterministic
 from dnet.model import (
     BLOCK_WIDTHS,
     CHECKPOINT_MAGIC,
+    DECODER_WIDTHS,
     DNet,
     DNetConfig,
     ResidualBottleneck,
@@ -19,11 +22,11 @@ from dnet.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from dnet.tensor import Tensor, backward, concat_channels, recording, using_dtype
+from dnet.tensor import Tensor, backward, recording, using_dtype
 from dnet.losses import sigmoid, total_loss
 from dnet.training import predict_probs
 
-from conftest import conv2d_naive, fd_grad_entries, max_rel_err, tensor
+from conftest import concat_channels, conv2d_naive, fd_grad_entries, max_rel_err, tensor
 
 TINY = dict(channels_scale=0.125)
 
@@ -311,6 +314,30 @@ class TestDNetForward:
             assert np.array_equal(staged.data, model(x).data)
             probs = predict_probs(model, image)
         assert np.array_equal(probs, sigmoid(staged.data)[0, :, :, 0])
+
+    def test_full_width_predict_peak_is_two_maps(self):
+        # Without a tape the forward reads its concatenations in place and
+        # holds each map only until its last reader has run. So its traced
+        # peak is the last doubling's map and refine1's output beside it
+        # (full resolution, 32 channels), the shifted GEMM's band buffers,
+        # and an eighth of a map for the small maps: MSIF's output, which the
+        # forward holds across the decoder, is 1/32 of one. Holding the third
+        # fuse's map and skip2 until refine1, or the decoder's concat copies,
+        # would add a map and a half.
+        size = 256
+        net = DNet(DNetConfig(), seed=0)
+        image = np.random.default_rng(0).uniform(size=(size, size, 3)).astype(np.float32)
+        with using_deterministic(False):
+            tracemalloc.start()
+            try:
+                probs = predict_probs(net, image)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        largest = size * size * DECODER_WIDTHS[-1] * 4
+        bands = convops._BAND_ELEMENTS * 3 // 8 * 4
+        assert probs.shape == (size, size)
+        assert peak < 2 * largest + bands + largest // 8
 
 
 class TestEndToEndGradients:

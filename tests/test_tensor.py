@@ -16,14 +16,13 @@ from dnet.tensor import (
     Node,
     Tensor,
     backward,
-    concat_channels,
     record_op,
     recording,
     using_dtype,
 )
 
 from conftest import (
-    elementwise_add, fd_full_grad, max_rel_err, multiply, relu, sum_all, tensor, zeros,
+    concat_channels, elementwise_add, fd_full_grad, max_rel_err, multiply, relu, sum_all, tensor, zeros,
 )
 
 
