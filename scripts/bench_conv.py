@@ -50,8 +50,15 @@ A second table times conv2d over a tuple of parts, which it reads in
 place, beside concatenating the parts first and running conv2d on the
 copy, in GEMM mode: ``parts`` and ``concat`` are median ms, the ``MB``
 columns ``tracemalloc``'s peak of each, the inputs excluded. The two must
-give the same bytes; the script exits 1 if they do not. Run from the
-repository root:
+give the same bytes; the script exits 1 if they do not.
+
+A third table times the depthwise convolution on MSIF's shapes at
+576x576 (the three deep stage outputs as parts, at each branch's rate):
+``windowed``, the forward, which adds each tap's product over the window
+of the input it reads, in row bands and in place, beside ``padded``, the
+same sum over a whole padded copy of the input, with each one's
+``tracemalloc`` peak, the inputs excluded. The two must give the same
+bytes; the script exits 1 if they do not. Run from the repository root:
 
     PYTHONPATH=src python scripts/bench_conv.py
 """
@@ -63,7 +70,7 @@ import tracemalloc
 import numpy as np
 
 from dnet import convops
-from dnet.convops import ConvKernel, conv2d, same_pads, using_deterministic
+from dnet.convops import ConvKernel, conv2d, depthwise_conv2d, same_pads, using_deterministic
 from dnet.tensor import Tensor, recording
 
 CASES = [
@@ -101,6 +108,13 @@ CASES = [
 PARTS_CASES = [
     # (batch, height, width, channels per part, cout, k)
     (1, 288, 288, (64, 64), 64, 3),  # full-width decoder fuse3 at 576x576: up3 and skip2
+]
+
+DEPTHWISE_CASES = [
+    # (batch, height, width, channels per part, dilation)
+    (1, 36, 36, (256, 512, 256), 3),  # MSIF branches 1-3 at 576x576, over b3, b4, b5
+    (1, 36, 36, (256, 512, 256), 6),
+    (1, 36, 36, (256, 512, 256), 12),
 ]
 
 
@@ -218,6 +232,41 @@ def parts_table(rng) -> list[str]:
     return differing
 
 
+def padded_depthwise(parts, kern) -> np.ndarray:
+    """The depthwise forward over a whole padded copy of the joined parts:
+    the bias, then each tap's product with its view of the copy."""
+    xp = convops._pad_input(tuple(p.data for p in parts), kern.padding)
+    w, d = kern.weight.data[..., 0], kern.dilation
+    ho, wo = xp.shape[1] - 2 * d, xp.shape[2] - 2 * d
+    out = np.empty((xp.shape[0], ho, wo, xp.shape[3]), dtype=xp.dtype)
+    out[...] = kern.bias.data
+    for a, b in np.ndindex(*w.shape[:2]):
+        out += convops._tap_view(xp, a, b, d, 1, ho, wo) * w[a, b]
+    return out
+
+
+def depthwise_table(rng) -> list[str]:
+    """Print the windowed depthwise forward beside the padded one; return
+    the labels of the cases whose outputs differ."""
+    print(f"\n{'case':>34} {'windowed':>9} {'padded':>8} {'win MB':>7} {'pad MB':>7}")
+    differing = []
+    for n, h, w, widths, d in DEPTHWISE_CASES:
+        parts = tuple(Tensor(rng.normal(size=(n, h, w, c)).astype(np.float32)) for c in widths)
+        c = sum(widths)
+        kern = ConvKernel(Tensor(rng.normal(size=(3, 3, c, 1)).astype(np.float32)),
+                          Tensor(rng.normal(size=(1, 1, 1, c)).astype(np.float32)),
+                          1, d, same_pads(3, d))
+        ms = (median_ms(lambda: depthwise_conv2d(parts, kern)),
+              median_ms(lambda: padded_depthwise(parts, kern)))
+        peaks = (gemm_peak_mb(lambda: depthwise_conv2d(parts, kern)),
+                 gemm_peak_mb(lambda: padded_depthwise(parts, kern)))
+        label = f"{n}x{h}x{w}x({'+'.join(map(str, widths))}) dw k3 d{d}"
+        if depthwise_conv2d(parts, kern).data.tobytes() != padded_depthwise(parts, kern).tobytes():
+            differing.append(label)
+        print(f"{label:>34} {ms[0]:9.2f} {ms[1]:8.2f} {peaks[0]:7.1f} {peaks[1]:7.1f}")
+    return differing
+
+
 def main() -> int:
     rng = np.random.default_rng(0)
     mismatched, disagreeing = [], []
@@ -257,6 +306,7 @@ def main() -> int:
             f"{sh_bwd} {i2c_bwd:8.2f} {bwd:8.2f} {peak:8.1f} {diff:10.2e}"
         )
     differing = parts_table(rng)
+    dw_differing = depthwise_table(rng)
     for label in mismatched:
         print(f"error: the two exact forward helpers differ on {label}", file=sys.stderr)
     for label in disagreeing:
@@ -264,7 +314,10 @@ def main() -> int:
     for label in differing:
         print(f"error: conv2d over parts and over their concatenation differ on {label}",
               file=sys.stderr)
-    return 1 if mismatched or disagreeing or differing else 0
+    for label in dw_differing:
+        print(f"error: the windowed and padded depthwise forwards differ on {label}",
+              file=sys.stderr)
+    return 1 if mismatched or disagreeing or differing or dw_differing else 0
 
 
 if __name__ == "__main__":

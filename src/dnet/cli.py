@@ -94,11 +94,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    try:
-        with _conv_mode(args):
-            probs = predict_probs(model, as_rgb(read_pnm(args.image)))
-    except ShapeError as exc:
-        raise ShapeError(f"{args.image}: {exc}") from exc
+    with _conv_mode(args):
+        probs = predict_probs(model, as_rgb(read_pnm(args.image)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.image).stem

@@ -15,19 +15,22 @@ the first three doublings, and ends in two 3x3 refinement convolutions and a
 1x1 head. The network returns that head's per-pixel logits: the training
 loss takes them as they are, and ``losses.sigmoid`` of them is the vessel
 probability. Each concatenation is a tuple of parts that its convolutions
-read in place, and the forwards hold no map past its last reader.
+read in place, and the forwards hold no map past its last reader. Without
+a tape, the decoder runs its 1/2- and full-resolution stages one block of
+output rows at a time, with the same bytes, so none of those maps is ever
+whole.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, ShapeError
-from .tensor import Tensor, default_dtype
+from .tensor import Tensor, default_dtype, is_recording
 from .convops import (
     ConvKernel,
     conv2d,
@@ -219,11 +222,12 @@ def _unit_geometry(cfg: DNetConfig, stage: int, unit: int) -> tuple[int, int]:
 
 @dataclass
 class EncoderFeatures:
-    """Deep stage outputs (all at 1/16) and decoder skips; None once handed on."""
+    """What the decoder reads, each field None once handed on: ``deep``, the
+    1/16 map it starts from (the encoder's deep stage outputs as parts,
+    which ``DNet.forward`` replaces with MSIF's fusion of them), and the
+    skips."""
 
-    b3: Tensor | None
-    b4: Tensor | None
-    b5: Tensor | None
+    deep: Tensor | tuple[Tensor, ...] | None  # stage 3, 4 and 5 outputs, 1/16
     skip2: Tensor | None  # root output before pooling, 1/2 resolution
     skip4: Tensor | None  # pooled root output, 1/4 resolution
     skip8: Tensor | None  # stage-2 output, 1/8 resolution
@@ -273,7 +277,7 @@ class Encoder:
                 stage_out = unit(stage_out)
             outputs[stage] = stage_out
         return EncoderFeatures(
-            b3=outputs[3], b4=outputs[4], b5=outputs[5],
+            deep=(outputs[3], outputs[4], outputs[5]),
             skip2=h1, skip4=pooled, skip8=outputs[2],
         )
 
@@ -329,7 +333,17 @@ class Decoder:
     convolutions and a 1x1 head producing single-channel logits. Each
     doubling's kernel is a 2x2 stride-2 convolution kernel, whose
     same-padding is zero. Every kernel but the head's carries its ReLU.
-    Without a tape each map is freed once read; ``feats`` loses each skip.
+
+    The decoder takes its input and skips out of ``feats``, so each map is
+    freed once read. Without a tape, the stages from the third doubling on
+    run one block of ``_STREAM_ROWS`` output rows at a time (``_row_blocks``),
+    and each layer makes only the rows the next one reads: a 3x3
+    convolution reads one more row on each side, clipped to the map and
+    padded only at its edges, and a doubling half as many rows. The halo
+    rows are made again by the next block, and the head's rows are written
+    into one logits array, so no 1/2- or full-resolution map is ever whole.
+    Every output element sees the same products in the same order as over
+    the whole map. While a tape records, the block is the whole map.
     """
 
     def __init__(self, builder: _Builder, cfg: DNetConfig, cin: int,
@@ -347,17 +361,82 @@ class Decoder:
         self.refine2 = builder.conv("decoder.refine2", 3, w4, w4, relu=True)
         self.head = builder.conv("decoder.head", 1, w4, 1)
 
-    def forward(self, h: Tensor | tuple[Tensor, ...], feats: EncoderFeatures) -> Tensor:
-        for (up, fuse), name in zip(self.stages, ("skip8", "skip4", "skip2")):
+    def forward(self, feats: EncoderFeatures) -> Tensor:
+        h, feats.deep = feats.deep, None
+        for (up, fuse), name in zip(self.stages[:2], ("skip8", "skip4")):
             h = transposed_conv(h, up)
             h = conv2d((h, getattr(feats, name)), fuse)
             setattr(feats, name, None)
-        h = transposed_conv(h, self.up4)
-        for kernel in (self.refine1, self.refine2, self.head):
-            h = conv2d(h, kernel)
-        return h
+        (up3, fuse3), skip2 = self.stages[2], feats.skip2
+        feats.skip2 = None
+        height = 4 * h.shape[1]
+        blocks = _row_blocks(height, height if is_recording() else _STREAM_ROWS)
+        logits = None if len(blocks) == 1 else np.empty(
+            (h.shape[0], height, 4 * h.shape[2], self.head.out_channels), dtype=h.dtype)
+        for r0, r1 in blocks:
+            # The rows each layer makes, from the head back.
+            a = _reads(self.refine2, r0, r1, height)
+            b = _reads(self.refine1, *a, height)
+            c = b[0] // 2, -(-b[1] // 2)
+            d = _reads(fuse3, *c, height // 2)
+            e = d[0] // 2, -(-d[1] // 2)
+            x = transposed_conv(_rows(h, 0, *e), up3)
+            x = _conv_rows(((x, 2 * e[0]), (skip2, 0)), fuse3, *c, height // 2)
+            x = transposed_conv(x, self.up4)
+            x = _conv_rows(((x, 2 * c[0]),), self.refine1, *a, height)
+            x = _conv_rows(((x, a[0]),), self.refine2, r0, r1, height)
+            x = conv2d(x, self.head)
+            if logits is None:
+                return x
+            logits[:, r0:r1] = x.data
+        return Tensor(logits)
 
     __call__ = forward
+
+
+# Output rows per block of the decoder's streamed stages. At full width a
+# 64-row block's maps are 4.7 MB each at 576 columns, against 42.5 MB for a
+# whole 576x576 map.
+_STREAM_ROWS = 64
+
+
+def _row_blocks(height: int, rows: int) -> list[tuple[int, int]]:
+    """(first, end) of the fewest blocks of at most ``rows`` rows that cover
+    ``height`` rows, as even as can be: the later ones may be one row
+    shorter, and none is under half of ``rows`` tall. At 64 rows that keeps
+    every block's convolutions on the GEMM route they take over the whole
+    map (``convops._shifts``), so GEMM mode too keeps its bytes: checked on
+    the row arithmetic for every pair of sides that are multiples of 16 up
+    to 4096."""
+    count = -(-height // rows)
+    size, longer = divmod(height, count)
+    ends = [k * size + min(k, longer) for k in range(count + 1)]
+    return list(zip(ends, ends[1:]))
+
+
+def _reads(kernel: ConvKernel, r0: int, r1: int, height: int) -> tuple[int, int]:
+    """The input rows that output rows [r0, r1) of a stride-1, same-padded
+    ``kernel`` read in a map ``height`` rows tall."""
+    return max(r0 - kernel.padding[0], 0), min(r1 + kernel.padding[1], height)
+
+
+def _rows(t: Tensor, first: int, r0: int, r1: int) -> Tensor:
+    """Rows [r0, r1) of a map of which ``t`` holds the rows from ``first``
+    on: ``t`` itself when those are all its rows, else an untracked view."""
+    if r0 == first and r1 - first == t.shape[1]:
+        return t
+    return Tensor(t.data[:, r0 - first : r1 - first])
+
+
+def _conv_rows(parts, kernel: ConvKernel, r0: int, r1: int, height: int) -> Tensor:
+    """Output rows [r0, r1) of ``conv2d`` over a map ``height`` rows tall
+    whose parts are (tensor, first row) pairs (``_rows``): the rows they
+    read, with the kernel's top or bottom padding only at the map's edge."""
+    i0, i1 = _reads(kernel, r0, r1, height)
+    pt, pb, pl, pr = kernel.padding
+    if (i0, i1) != (r0, r1):
+        kernel = replace(kernel, padding=(pt - (r0 - i0), pb - (i1 - r1), pl, pr))
+    return conv2d(tuple([_rows(t, first, i0, i1) for t, first in parts]), kernel)
 
 
 class DNet:
@@ -385,11 +464,9 @@ class DNet:
     def forward(self, image: Tensor) -> Tensor:
         """Per-pixel vessel logits, same spatial size as the input."""
         feats = self.encoder(image)
-        u = (feats.b3, feats.b4, feats.b5)
-        feats.b3 = feats.b4 = feats.b5 = None
         if self.msif is not None:
-            u = self.msif(u)
-        return self.decoder(u, feats)
+            feats.deep = self.msif(feats.deep)
+        return self.decoder(feats)
 
     __call__ = forward
 

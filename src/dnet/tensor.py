@@ -35,6 +35,7 @@ __all__ = [
     "Graph",
     "Node",
     "recording",
+    "is_recording",
     "record_op",
     "default_dtype",
     "using_dtype",
@@ -148,6 +149,11 @@ def recording():
         yield g
     finally:
         _graph_stack.pop()
+
+
+def is_recording() -> bool:
+    """Whether a graph is active, so that operations may be recorded."""
+    return bool(_graph_stack)
 
 
 def record_op(

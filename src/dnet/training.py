@@ -19,6 +19,7 @@ from .errors import ConfigError, ShapeError
 from .tensor import Tensor, backward, default_dtype, recording
 from .losses import sigmoid, total_loss
 from .metrics import MASK_THRESHOLD, ConfusionCounts, MetricsReport, confusion, metrics
+from .model import DOWNSAMPLE_FACTOR
 
 __all__ = [
     "TrainConfig",
@@ -215,9 +216,17 @@ def train(
 
 
 def predict_probs(model, image: np.ndarray) -> np.ndarray:
-    """Probability map (H, W) for one (H, W, C) image, without recording."""
-    x = Tensor(np.asarray(image, dtype=default_dtype())[None])
-    return sigmoid(model.forward(x).data)[0, :, :, 0]
+    """Probability map (H, W) for one (H, W, C) image, without recording.
+
+    An image whose sides are not multiples of the network's downsampling
+    factor (16) is zero-padded at the bottom and right up to the next ones,
+    as dark as a fundus background, and its map is cropped back.
+    """
+    x = np.asarray(image, dtype=default_dtype())
+    h, w = x.shape[:2]
+    if h % DOWNSAMPLE_FACTOR or w % DOWNSAMPLE_FACTOR:
+        x = np.pad(x, ((0, -h % DOWNSAMPLE_FACTOR), (0, -w % DOWNSAMPLE_FACTOR), (0, 0)))
+    return sigmoid(model.forward(Tensor(x[None])).data)[0, :h, :w, 0]
 
 
 def evaluate(model, dataset) -> tuple[MetricsReport, ConfusionCounts]:

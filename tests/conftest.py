@@ -9,6 +9,9 @@ references that the convolutions' fused ReLU and residual sum must match.
 references for the convolutions' input parts: a tuple of parts must give
 the bytes of one concatenated input, a broadcast (n, 1, 1, c) part those of
 its upsample.
+``depthwise_padded`` and ``max_pool_padded`` are the depthwise and
+max-pool forwards over a whole padded copy of the input, the references
+for the forwards that read each tap's in-range window in place.
 The finite-difference helper perturbs raw parameter entries and re-runs the
 forward function, so it is independent of every backward rule it checks.
 The naive convolution oracle is a plain scalar loop accumulating in the same
@@ -137,6 +140,43 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
         return (gx,)
 
     return record_op("bilinear_upsample", (x,), out, rule)
+
+
+def depthwise_padded(x, w, bias, stride, dilation, pads):
+    """Depthwise forward over a zero-padded copy of ``x``: the bias, then
+    each tap's product with its strided view of the copy added in row-major
+    tap order. ``w`` is (kh, kw, c, 1) and runs whole."""
+    pt, pb, pl, pr = pads
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    kh, kw = w.shape[:2]
+    ho = (xp.shape[1] - (kh - 1) * dilation - 1) // stride + 1
+    wo = (xp.shape[2] - (kw - 1) * dilation - 1) // stride + 1
+    out = np.empty((x.shape[0], ho, wo, x.shape[3]), dtype=x.dtype)
+    out[...] = 0.0 if bias is None else bias
+    for a, b in np.ndindex(kh, kw):
+        i, j = a * dilation, b * dilation
+        out += xp[:, i : i + (ho - 1) * stride + 1 : stride,
+                  j : j + (wo - 1) * stride + 1 : stride] * w[a, b, :, 0]
+    return out
+
+
+def max_pool_padded(x, k, stride, pads):
+    """Max-pool forward over a -inf-padded copy of ``x``: the first tap's
+    view copied, then a running ``np.maximum(tap, out)`` over the others in
+    row-major order; windows clip to the padded extent."""
+    pt, pb, pl, pr = pads
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)), constant_values=-np.inf)
+    kh, kw = min(k, xp.shape[1]), min(k, xp.shape[2])
+    ho = (xp.shape[1] - kh) // stride + 1
+    wo = (xp.shape[2] - kw) // stride + 1
+
+    def tap(a, b):
+        return xp[:, a : a + (ho - 1) * stride + 1 : stride, b : b + (wo - 1) * stride + 1 : stride]
+
+    out = tap(0, 0).copy()
+    for a, b in list(np.ndindex(kh, kw))[1:]:
+        np.maximum(tap(a, b), out, out=out)
+    return out
 
 
 def fd_grad_entries(loss_fn, t: Tensor, entries, eps: float = 1e-4) -> np.ndarray:

@@ -228,12 +228,13 @@ def test_criterion_06_shape_contract():
     x = tensor(rng.uniform(size=(1, 64, 64, 3)))
     with using_deterministic(False):  # shape contract; tap order irrelevant
         feats = model.encoder(x)
-        g = concat_channels((feats.b3, feats.b4, feats.b5))
+        g = concat_channels(feats.deep)
         u = model.msif(g)
         probs = sigmoid(model(x).data)
-    assert feats.b3.shape == (1, 4, 4, 256)
-    assert feats.b4.shape == (1, 4, 4, 512)
-    assert feats.b5.shape == (1, 4, 4, 256)
+    b3, b4, b5 = feats.deep
+    assert b3.shape == (1, 4, 4, 256)
+    assert b4.shape == (1, 4, 4, 512)
+    assert b5.shape == (1, 4, 4, 256)
     assert g.shape == (1, 4, 4, 1024)
     assert u.shape == (1, 4, 4, 256)
     assert probs.shape == (1, 64, 64, 1)

@@ -25,8 +25,8 @@ from dnet.convops import (
 from dnet.tensor import Tensor, backward, recording, using_dtype
 
 from conftest import (
-    bilinear_upsample, concat_channels, conv2d_naive, elementwise_add, fd_full_grad, max_rel_err, multiply, relu, sum_all, tensor,
-    zero_insert_kernel,
+    bilinear_upsample, concat_channels, conv2d_naive, depthwise_padded, elementwise_add, fd_full_grad,
+    max_pool_padded, max_rel_err, multiply, relu, sum_all, tensor, zero_insert_kernel,
 )
 
 
@@ -356,6 +356,97 @@ class TestDepthwiseSeparable:
                 )
             for t in (x, dw_w, dw_b, pw_w):
                 assert max_rel_err(grads[t], fd_full_grad(loss_fn, t)) < 1e-4
+
+
+class TestWindowedForwards:
+    """The depthwise and max-pool forwards read each tap's in-range window
+    of the unpadded input in place: the same bytes as their forwards over a
+    whole padded copy (conftest's references), on random geometries with
+    NaN and infinite inputs, over several row bands and over parts."""
+
+    @staticmethod
+    def _input(rng, shape, dtype):
+        x = rng.normal(size=shape).astype(dtype)
+        flat = x.reshape(-1)
+        picks = rng.choice(flat.size, size=min(3, flat.size), replace=False)
+        flat[picks] = rng.choice([np.nan, np.inf, -np.inf], size=picks.size)
+        return x
+
+    def test_depthwise_matches_padded_reference(self, rng, monkeypatch):
+        checked = 0
+        for trial in range(200):
+            if trial == 100:  # bands of one row
+                monkeypatch.setattr(convops, "_BAND_ELEMENTS", 1)
+            dtype = (np.float32, np.float64)[trial % 2]
+            k, d, s = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            extent = dilated_kernel_extent(k, d)
+            pads = tuple(int(v) for v in rng.integers(0, extent, size=4))
+            n, h, w, c = (int(v) for v in rng.integers(1, [3, 9, 9, 5]))
+            if h + pads[0] + pads[1] < extent or w + pads[2] + pads[3] < extent:
+                continue
+            x = self._input(rng, (n, h, w, c), dtype)
+            wt = rng.normal(size=(k, k, c, 1)).astype(dtype)
+            bias = None if trial % 3 == 0 else rng.normal(size=(1, 1, 1, c)).astype(dtype)
+            kernel = ConvKernel(Tensor(wt), None if bias is None else Tensor(bias), s, d, pads)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                want = depthwise_padded(x, wt, bias, s, d, pads).tobytes()
+                assert depthwise_conv2d(Tensor(x), kernel).data.tobytes() == want
+                if c > 1:
+                    cut = int(rng.integers(1, c))
+                    parts = (Tensor(x[..., :cut]), Tensor(x[..., cut:]))
+                    assert depthwise_conv2d(parts, kernel).data.tobytes() == want
+            checked += 1
+        assert checked > 100
+
+    def test_max_pool_matches_padded_reference(self, rng):
+        checked = 0
+        for trial in range(300):
+            dtype = (np.float32, np.float64)[trial % 2]
+            k, stride = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            pads = tuple(int(v) for v in rng.integers(0, 4, size=4))
+            n, h, w, c = (int(v) for v in rng.integers(1, [3, 8, 8, 4]))
+            # Small integers make ties common.
+            x = self._input(rng, (n, h, w, c), dtype).round()
+            try:
+                got = max_pool(Tensor(x), k, stride, pads).data
+            except ShapeError:  # a window holds no input position
+                continue
+            assert got.tobytes() == max_pool_padded(x, k, stride, pads).tobytes()
+            checked += 1
+        assert checked > 60
+
+    def test_non_finite_weight_on_partly_padded_tap_spares_the_border(self):
+        # Tap (0, 0) of a same-padded 3x3 kernel reads padding at the top row
+        # and left column of outputs: there its NaN contributes nothing.
+        w = np.ones((3, 3, 1, 1), dtype=np.float32)
+        w[0, 0] = np.nan
+        kernel = ConvKernel(tensor(w), None, 1, 1, same_pads(3))
+        out = depthwise_conv2d(tensor(np.ones((1, 5, 5, 1))), kernel).data[0, :, :, 0]
+        assert np.isnan(out[1:, 1:]).all()
+        assert np.isfinite(out[0]).all() and np.isfinite(out[:, 0]).all()
+
+    @pytest.mark.parametrize("op", ["depthwise", "max_pool"])
+    def test_peak_holds_no_padded_copy(self, op, rng):
+        # A padded copy of the 36x36 input at dilation 12 is 2.8 outputs, of
+        # the 64x64 one 4.1; the depthwise forward holds its output and one
+        # band of products, the max-pool forward its output alone, each
+        # beside numpy's buffers for strided operands (under 128 KB).
+        if op == "depthwise":
+            x = tensor(rng.normal(size=(1, 36, 36, 64)))
+            kernel = ConvKernel(tensor(rng.normal(size=(3, 3, 64, 1))), None, 1, 12,
+                                same_pads(3, 12))
+            run, held = (lambda: depthwise_conv2d(x, kernel)), 2
+        else:
+            x = tensor(rng.normal(size=(1, 64, 64, 64)))
+            run, held = (lambda: max_pool(x, 3, 2, same_pads(3, 1, 2))), 1
+        out_bytes = run().data.nbytes
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < held * out_bytes + (1 << 17)
 
 
 class TestMaxPool:
@@ -1009,12 +1100,22 @@ class TestGemmForwardRoute:
     two dilation-4 kernels on 44x44 padded grids (1.49x), at 64x64 every
     layer from 1/4 resolution down but the two dilation-4 kernels on 4x4
     maps, which run their centre tap as unpadded 1x1 kernels. The column
-    matrix, which grows with the image area, is pinned in bytes."""
+    matrix, which grows with the image area, is pinned in bytes.
+
+    Without a tape the decoder runs its third fuse, refine1, refine2 and
+    head in nine blocks of 64 output rows at 576x576, each conv over the
+    rows the next one reads, so those convs are counted per block: 64 rows
+    of refine2, 64 plus a halo row on each side inside the map of refine1,
+    and 32 plus one halo row at 1/2 resolution of fuse3. At 64x64 one block
+    is the whole map."""
 
     # (ho, k, stride, dilation, cin, cout) -> conv2d calls
     SHIFTED_576 = {
-        (576, 3, 1, 1, 32, 32): 2,  # decoder.refine1, refine2
-        (288, 3, 1, 1, 32, 32): 1, (288, 3, 1, 1, 32, 64): 1, (288, 3, 1, 1, 128, 64): 1,
+        # decoder.refine2, then refine1 in the first and last blocks and the
+        # seven inner ones, then fuse3 likewise
+        (64, 3, 1, 1, 32, 32): 9, (65, 3, 1, 1, 32, 32): 2, (66, 3, 1, 1, 32, 32): 7,
+        (33, 3, 1, 1, 128, 64): 2, (34, 3, 1, 1, 128, 64): 7,
+        (288, 3, 1, 1, 32, 32): 1, (288, 3, 1, 1, 32, 64): 1,
         (144, 3, 1, 1, 64, 64): 3, (144, 3, 1, 1, 128, 64): 1,
         (72, 3, 1, 1, 64, 64): 2, (72, 3, 1, 1, 256, 128): 1,
         (36, 3, 1, 1, 128, 128): 3, (36, 3, 1, 1, 256, 256): 1,
@@ -1027,7 +1128,8 @@ class TestGemmForwardRoute:
 
     @pytest.mark.parametrize(
         "size, batch, shifted, im2col, im2col_max_bytes, reshape",
-        [(576, 1, SHIFTED_576, 7, 11_943_936, 40), (64, 4, SHIFTED_64, 18, 4_718_592, 42)],
+        # 576x576: 39 unpadded 1x1 convs and the decoder head once per block
+        [(576, 1, SHIFTED_576, 7, 11_943_936, 39 + 9), (64, 4, SHIFTED_64, 18, 4_718_592, 42)],
     )
     def test_full_width_forwards(self, size, batch, shifted, im2col, im2col_max_bytes, reshape,
                                  monkeypatch):

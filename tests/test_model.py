@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dnet.errors import CheckpointError, ConfigError, ShapeError
-from dnet import convops
+from dnet import model as model_module
 from dnet.convops import ConvKernel, conv2d, same_pads, using_deterministic
 from dnet.model import (
     BLOCK_WIDTHS,
@@ -16,6 +16,7 @@ from dnet.model import (
     DECODER_WIDTHS,
     DNet,
     DNetConfig,
+    EncoderFeatures,
     ResidualBottleneck,
     _Builder,
     encoder_layer_specs,
@@ -115,9 +116,10 @@ class TestEncoder:
         enc = DNet(DNetConfig(), seed=0).encoder
         x = tensor(rng.uniform(size=(1, 64, 64, 3)))
         feats = enc(x)
-        assert feats.b3.shape == (1, 4, 4, 256)
-        assert feats.b4.shape == (1, 4, 4, 512)
-        assert feats.b5.shape == (1, 4, 4, 256)
+        b3, b4, b5 = feats.deep
+        assert b3.shape == (1, 4, 4, 256)
+        assert b4.shape == (1, 4, 4, 512)
+        assert b5.shape == (1, 4, 4, 256)
         assert feats.skip2.shape[1:3] == (32, 32)
         assert feats.skip4.shape[1:3] == (16, 16)
         assert feats.skip8.shape[1:3] == (8, 8)
@@ -266,14 +268,24 @@ class TestDecoder:
         logits = model(x)
         assert np.all(logits.data == 0.0)  # everything collapses to the head bias
 
+    @pytest.mark.parametrize("msif", [True, False])
+    def test_decoder_takes_its_input_and_skips_out_of_feats(self, msif, rng):
+        # The decoder empties the container, so no caller holds MSIF's output
+        # or, without MSIF, the deep stage outputs past their last reader.
+        model = DNet(DNetConfig(msif_enabled=msif, **TINY), seed=0)
+        feats = model.encoder(tensor(rng.uniform(size=(1, 32, 32, 3))))
+        if msif:
+            feats.deep = model.msif(feats.deep)
+        assert model.decoder(feats).shape == (1, 32, 32, 1)
+        assert feats == EncoderFeatures(None, None, None, None)
+
     def test_permuted_skips_rejected(self, rng):
         model = DNet(DNetConfig(**TINY), seed=0)
         x = tensor(rng.uniform(size=(1, 64, 64, 3)))
         feats = model.encoder(x)
-        g = concat_channels((feats.b3, feats.b4, feats.b5))
-        u = model.msif(g)
+        u = model.msif(concat_channels(feats.deep))
         with pytest.raises(ShapeError):
-            model.decoder(u, dataclasses.replace(feats, skip8=feats.skip4, skip4=feats.skip8))
+            model.decoder(dataclasses.replace(feats, deep=u, skip8=feats.skip4, skip4=feats.skip8))
 
 
 class TestDNetForward:
@@ -310,20 +322,18 @@ class TestDNetForward:
         x = tensor(image[None])
         with using_deterministic(True):
             f = model.encoder(x)
-            staged = model.decoder(model.msif(concat_channels((f.b3, f.b4, f.b5))), f)
+            f.deep = model.msif(concat_channels(f.deep))
+            staged = model.decoder(f)
             assert np.array_equal(staged.data, model(x).data)
             probs = predict_probs(model, image)
         assert np.array_equal(probs, sigmoid(staged.data)[0, :, :, 0])
 
-    def test_full_width_predict_peak_is_two_maps(self):
-        # Without a tape the forward reads its concatenations in place and
-        # holds each map only until its last reader has run. So its traced
-        # peak is the last doubling's map and refine1's output beside it
-        # (full resolution, 32 channels), the shifted GEMM's band buffers,
-        # and an eighth of a map for the small maps: MSIF's output, which the
-        # forward holds across the decoder, is 1/32 of one. Holding the third
-        # fuse's map and skip2 until refine1, or the decoder's concat copies,
-        # would add a map and a half.
+    def test_full_width_predict_holds_no_full_resolution_map(self):
+        # The whole-map decoder holds the last doubling's map and refine1's
+        # output, two full-resolution 32-channel maps, at once: 18.6 MB at
+        # 256x256. The streamed decoder's blocks hold under a quarter of one
+        # each, beside skip2 (half of one), so the peak is set by the encoder
+        # and MSIF, under one and a half such maps.
         size = 256
         net = DNet(DNetConfig(), seed=0)
         image = np.random.default_rng(0).uniform(size=(size, size, 3)).astype(np.float32)
@@ -335,9 +345,58 @@ class TestDNetForward:
             finally:
                 tracemalloc.stop()
         largest = size * size * DECODER_WIDTHS[-1] * 4
-        bands = convops._BAND_ELEMENTS * 3 // 8 * 4
         assert probs.shape == (size, size)
-        assert peak < 2 * largest + bands + largest // 8
+        assert peak < largest + largest // 2
+
+
+class TestStreamedDecoder:
+    """Without a tape the decoder runs its 1/2- and full-resolution stages in
+    blocks of output rows (``_STREAM_ROWS``, made small here); with one it
+    runs them over the whole map. Both give the same bytes, in both modes."""
+
+    @pytest.mark.parametrize("deterministic, shape, rows, scale, msif", [
+        (True, (2, 64, 64), 24, 0.125, True),  # blocks of 22, 21 and 21 rows
+        (True, (1, 48, 80), 16, 0.25, False),
+        (True, (1, 96, 32), 40, 0.125, True),
+        (False, (2, 64, 64), 24, 0.125, True),
+        (False, (1, 128, 96), 48, 0.125, False),  # 43, 43 and 42 rows
+        (False, (1, 128, 64), 56, 1.0, True),
+    ])
+    def test_blocks_give_the_whole_map_bytes(self, deterministic, shape, rows, scale, msif,
+                                             rng, monkeypatch):
+        monkeypatch.setattr(model_module, "_STREAM_ROWS", rows)
+        net = DNet(DNetConfig(channels_scale=scale, msif_enabled=msif), seed=0)
+        x = tensor(rng.uniform(size=(*shape, 3)))
+        blocks = model_module._row_blocks(shape[1], rows)
+        assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] <= rows
+        heads = []
+        conv = model_module.conv2d
+
+        def spy(x, kernel, *args):
+            y = conv(x, kernel, *args)
+            if kernel is net.decoder.head:
+                heads.append(y.shape[1])
+            return y
+
+        monkeypatch.setattr(model_module, "conv2d", spy)
+        with using_deterministic(deterministic):
+            with recording() as tape:
+                whole = net(x).data
+            assert heads == [shape[1]]
+            streamed = net(x).data
+        assert heads[1:] == [r1 - r0 for r0, r1 in blocks]
+        assert streamed.tobytes() == whole.tobytes()
+        assert len(tape) == (76 if msif else 64)  # MSIF: 9 convs and 3 pools
+
+    def test_row_blocks_are_few_and_even(self):
+        for height in range(1, 200):
+            for rows in (1, 7, 16, 64):
+                blocks = model_module._row_blocks(height, rows)
+                sizes = [r1 - r0 for r0, r1 in blocks]
+                assert blocks[0][0] == 0 and blocks[-1][1] == height
+                assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+                assert len(blocks) == -(-height // rows) and max(sizes) <= rows
+                assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
 
 
 class TestEndToEndGradients:

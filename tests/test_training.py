@@ -16,6 +16,7 @@ from dnet.training import (
     adam_step,
     evaluate,
     poly_lr,
+    predict_probs,
     synth_vessels,
     train,
 )
@@ -320,3 +321,15 @@ class TestTrainLoop:
         report, counts = evaluate(model, ds)
         assert counts.total == 2 * 32 * 32
         assert 0.0 <= report.accuracy <= 1.0
+
+
+class TestPredictProbs:
+    def test_any_size_is_padded_to_sixteen_and_cropped_back(self):
+        # DRIVE's 584x565 runs as 592x576, zero-padded at the bottom and right.
+        image = np.random.default_rng(0).uniform(size=(584, 565, 3)).astype(np.float32)
+        model = DNet(DNetConfig(channels_scale=0.125), seed=0)
+        probs = predict_probs(model, image)
+        padded = predict_probs(model, np.pad(image, ((0, 8), (0, 11), (0, 0))))
+        assert probs.shape == (584, 565)
+        assert probs.tobytes() == padded[:584, :565].tobytes()
+        assert 0.0 < probs.min() and probs.max() < 1.0
