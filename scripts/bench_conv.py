@@ -7,11 +7,14 @@ BLAS throughput. Each forward has two helpers, timed on their own so that
 conv2d's shape rule can be checked on every case; all but ``shifted`` read
 the padded input, made once before the timing:
 
-* ``stacked`` and ``c-first`` are the tap-ordered helpers; ``det fwd`` is
-  the one conv2d picks (channel-first when ``cout < wo``) and should track
-  the smaller of the two. They must give the same bytes on every case; the
-  script exits 1 if they do not, so it doubles as a smoke check of the
-  exact forward.
+* ``stacked`` and ``c-first`` are the tap-ordered helpers (``stacked``
+  folds each tap's products for all input channels in a bounded stack;
+  ``c-first`` adds one (tap, input channel) product at a time as one flat
+  slice over the whole batch of a channel-first copy of the padded input
+  split into its stride phases); ``det fwd`` is the one conv2d picks
+  (channel-first when ``cout < wo``) and should track the smaller of the
+  two. They must give the same bytes on every case; the script exits 1
+  if they do not, so it doubles as a smoke check of the exact forward.
 * ``shifted`` (one GEMM per tap on shifted row slices of bands of padded
   rows that it fills from the unpadded input, stride 1 only; ``-``
   otherwise) and ``i2c fwd`` (one GEMM over the whole im2col column

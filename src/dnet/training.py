@@ -316,7 +316,7 @@ def synth_vessels(
             width = int(rng.integers(1, 5))
             _raster_bezier(mask, p0, p1, p2, width)
             for _ in range(int(rng.integers(0, 3))):
-                if mask.mean() > 0.18:
+                if np.count_nonzero(mask) / area > 0.18:
                     break
                 t0 = rng.uniform(0.2, 0.8)
                 start = _bezier_point(p0, p1, p2, t0)
@@ -324,9 +324,9 @@ def synth_vessels(
                 ctrl = (start + end) / 2 + rng.uniform(-0.2, 0.2, 2) * [h, w]
                 _raster_bezier(mask, start, ctrl, end, max(1, width - int(rng.integers(0, 2))))
             curves += 1
-            if curves >= base_curves and mask.mean() > 0.06:
+            if curves >= base_curves and np.count_nonzero(mask) / area > 0.06:
                 break
-            if mask.mean() > 0.20:
+            if np.count_nonzero(mask) / area > 0.20:
                 break
 
         level = np.where(mask, FOREGROUND, BACKGROUND)

@@ -234,6 +234,45 @@ class TestExactLayouts:
         for exact in self.LAYOUTS:
             self.assert_naive_bits(exact, x, wk, bias, 1, 1, (0, 0, 0, 0))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape, k, d, s, pads",
+        [
+            # padded 11x12 onto 3x4: stride 3, phase rows 4, 4 and 3
+            ((2, 9, 10, 3), 3, 1, 3, (1, 1, 1, 1)),
+            # padded 10x10 onto 2x2: stride 3, the taps read phases 0, 2, 1
+            ((2, 7, 8, 4), 3, 2, 3, (2, 1, 0, 2)),
+            # padded 15x14 onto 5x4: s=2, d=3, the taps read phases 0, 1, 0
+            ((3, 9, 8, 5), 3, 3, 2, (3, 3, 3, 3)),
+            # padded 9x9 onto 4x4: unequal stride-2 phases on both axes
+            ((2, 8, 7, 3), 3, 1, 2, (1, 0, 1, 1)),
+            # one output row per image, each tap's slice crossing into the next
+            ((2, 1, 12, 6), 3, 1, 1, (1, 1, 1, 1)),
+            # one output column over three images, s=2, d=3
+            ((3, 12, 6, 6), 3, 3, 2, (2, 2, 1, 0)),
+            # one output row, stride 3 on a padded 5x10 grid
+            ((2, 5, 9, 4), 2, 3, 3, (0, 0, 1, 0)),
+        ],
+    )
+    def test_stride_phase_geometries(self, shape, k, d, s, pads, dtype, rng):
+        # The channel-first helper reads each tap from one flat run of an
+        # s x s stride phase of the padded batch; these are the geometries
+        # where phases differ in size, taps alternate between phases, and
+        # a run crosses a row end or an image boundary.
+        for cout in (2, 5):
+            x = rng.normal(size=shape).astype(dtype)
+            wk = rng.normal(size=(k, k, shape[3], cout)).astype(dtype)
+            bias = rng.normal(size=(1, 1, 1, cout)).astype(dtype)
+            x[tuple(rng.integers(0, shape))] = np.nan
+            x[tuple(rng.integers(0, shape))] = np.inf
+            for exact in self.LAYOUTS:
+                self.assert_naive_bits(exact, x, wk, bias, s, d, pads)
+            # every sum of an all-zero window is -0.0
+            x[x < 1.0] = 0.0
+            wk, bias[...] = -np.abs(wk), -0.0
+            for exact in self.LAYOUTS:
+                self.assert_naive_bits(exact, x, wk, bias, s, d, pads)
+
     @pytest.mark.parametrize("budget", [60, 150, 3300])
     def test_bands_and_folds_keep_the_bits(self, budget, rng, monkeypatch):
         # The (2, 5, 5, 3) output has 30 elements per row and 54 products
