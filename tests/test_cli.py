@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import struct
 
 import numpy as np
@@ -298,6 +299,19 @@ class TestRFAnalyze:
         assert lines[0] == "layer,k_eff,jump,rf"
         assert lines[-1] == "coverage=dense"
         assert len(lines) == 1 + 49 + 1  # header + layers + verdict
+
+    @pytest.mark.parametrize("dilations, digest", [
+        ((1, 2, 4), "9b7b40954cc6dbd3f7fae0c83421d7fcfc35e98d8143a426da2c6915548531ab"),
+        ((1, 1, 1), "eee152e07fe0ad3465a2356e03b48af70bc630500cc37d672d2a22f6a8f96484"),
+        ((1, 2, 3), "b7f5fd96dbddd17dfe82de5622b1a0e1e26cf3f398d3854770537c39706357a3"),
+    ])
+    def test_config_table_bytes_are_pinned(self, tmp_path, capsys, dilations, digest):
+        # The whole printed table, byte for byte: a change in how the path
+        # is derived must not change what the command prints.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"d{i} = {d}\n" for i, d in enumerate(dilations, start=1)))
+        assert run_cli("rf-analyze", "--config", cfg) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("line, reason", [
         ("conv three 1 1", "k, s, r must be integers"),
