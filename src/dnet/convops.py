@@ -182,7 +182,8 @@ class ConvKernel:
     optional (1, 1, 1, out_channels) tensor. ``padding`` is explicit
     per-side (top, bottom, left, right). With ``relu`` set, the operator
     that applies the kernel returns max(0, op(x)), and conv2d with a
-    residual r max(0, r + conv2d(x)), from one tape node.
+    residual r max(0, r + conv2d(x)), from one tape node. ``name`` is the
+    layer's checkpoint prefix, if any, which shape errors then name.
     """
 
     weight: Tensor
@@ -191,6 +192,7 @@ class ConvKernel:
     dilation: int = 1
     padding: tuple[int, int, int, int] = (0, 0, 0, 0)
     relu: bool = False
+    name: str = ""
 
     def __post_init__(self) -> None:
         kh, kw, cin, cout = self.weight.shape
@@ -681,8 +683,8 @@ def _live_window(h: int, w: int, kernel: ConvKernel) -> tuple[slice, slice, tupl
 
     A tap outside the window reads only padding, so its products are exact
     zeros and the window's gather is the kernel's. Along each axis, tap a
-    reads input position i*s + a*d - lead at output i; the first output at
-    or past position 0 settles whether any reads the input. An axis keeps
+    is live when some output reads the input through it (``_reach``, the
+    arithmetic of the depthwise and max-pool forwards). An axis keeps
     all its taps and its padding when its window would need a negative pad;
     the slices are empty, with the kernel's padding, when no tap is live.
     Without padding every tap reads the input: tap a reads position a*d at
@@ -700,8 +702,7 @@ def _window(h: int, w: int, kh: int, kw: int, s: int, d: int, padding: tuple):
     window, pads = [], []
     for n, k, lead, trail in ((h, kh, *padding[:2]), (w, kw, *padding[2:])):
         out = (n + lead + trail - (k - 1) * d - 1) // s + 1
-        live = [a for a in range(k)
-                if (i := max(0, -((a * d - lead) // s))) < out and i * s + a * d - lead < n]
+        live = [a for a in range(k) if _reach(a, d, s, lead, n, 0, out)[0] != slice(0, 0)]
         if not live:
             return slice(0, 0), slice(0, 0), padding
         a0, a1 = live[0], live[-1] + 1
@@ -771,11 +772,12 @@ def conv2d(x: Tensor | tuple[Tensor, ...], kernel: ConvKernel,
     a tuple of parts, their channels in order, (n, 1, 1, c) ones broadcast.
     """
     _, _, cin, cout = kernel.weight.shape
-    parts, frame = _parts("conv2d", x, kernel, cin, cout)
-    ho, wo = _gather_frame("conv2d", frame, kernel)
+    op = f"conv2d {kernel.name}".rstrip()  # for errors
+    parts, frame = _parts(op, x, kernel, cin, cout)
+    ho, wo = _gather_frame(op, frame, kernel)
     shape = (frame[0], ho, wo, cout)
     if residual is not None and residual.shape != shape:
-        raise ShapeError(f"conv2d: residual shape {residual.shape} differs from "
+        raise ShapeError(f"{op}: residual shape {residual.shape} differs from "
                          f"the output's {shape}")
     xs, s, d = tuple([p.data for p in parts]), kernel.stride, kernel.dilation
     rows, cols, pads = _live_window(frame[1], frame[2], kernel)
@@ -807,10 +809,11 @@ def depthwise_conv2d(x: Tensor | tuple[Tensor, ...], kernel: ConvKernel) -> Tens
     the taps that read the input, and takes a tuple of parts as input.
     """
     _, _, cin, mult = kernel.weight.shape
+    op = f"depthwise_conv2d {kernel.name}".rstrip()
     if mult != 1:
-        raise ShapeError(f"depthwise_conv2d: channel multiplier must be 1, got {mult}")
-    parts, frame = _parts("depthwise_conv2d", x, kernel, cin, cin)
-    ho, wo = _gather_frame("depthwise_conv2d", frame, kernel)
+        raise ShapeError(f"{op}: channel multiplier must be 1, got {mult}")
+    parts, frame = _parts(op, x, kernel, cin, cin)
+    ho, wo = _gather_frame(op, frame, kernel)
     xs, s, d = tuple([p.data for p in parts]), kernel.stride, kernel.dilation
     rows, cols, pads = _live_window(frame[1], frame[2], kernel)
     w = kernel.weight.data[rows, cols, :, 0]  # (kh, kw, C) over the window
@@ -900,7 +903,8 @@ def transposed_conv(x: Tensor | tuple[Tensor, ...], kernel: ConvKernel) -> Tenso
     forward and again in the rule, held joined by neither.
     """
     kh, kw, cin, cout = kernel.weight.shape
-    parts, (n, h, wdt, _) = _parts("transposed_conv", x, kernel, cin, cout)
+    op = f"transposed_conv {kernel.name}".rstrip()
+    parts, (n, h, wdt, _) = _parts(op, x, kernel, cin, cout)
     s, d = kernel.stride, kernel.dilation
     pt, pb, pl, pr = kernel.padding
     ho = (h - 1) * s + dilated_kernel_extent(kh, d) - pt - pb

@@ -71,6 +71,7 @@ BLOCK_WIDTHS = {
     5: (128, 128, 256),
 }
 BLOCK_ENTRY_STRIDE = {1: 1, 2: 2, 3: 2, 4: 1, 5: 1}
+ROOT_POOL = (3, 2)  # (k, stride) of the max pool that ends the root block
 MSIF_WIDTH = 256
 DECODER_WIDTHS = (128, 64, 64, 32)
 
@@ -161,12 +162,12 @@ class _Builder:
     ) -> ConvKernel:
         w = self._weight(f"{name}.w", (k, k, cin, cout), fan_in=k * k * cin)
         b = self._bias(f"{name}.b", cout)
-        return ConvKernel(w, b, stride, dilation, same_pads(k, dilation, stride), relu)
+        return ConvKernel(w, b, stride, dilation, same_pads(k, dilation, stride), relu, name)
 
     def depthwise(self, name: str, k: int, c: int, dilation: int) -> ConvKernel:
         w = self._weight(f"{name}.w", (k, k, c, 1), fan_in=k * k)
         b = self._bias(f"{name}.b", c)
-        return ConvKernel(w, b, 1, dilation, same_pads(k, dilation, 1))
+        return ConvKernel(w, b, 1, dilation, same_pads(k, dilation, 1), name=name)
 
 
 class ResidualBottleneck:
@@ -211,15 +212,6 @@ class ResidualBottleneck:
     __call__ = forward
 
 
-def _unit_geometry(cfg: DNetConfig, stage: int, unit: int) -> tuple[int, int]:
-    """(stride, dilation) of a residual unit's spatial convolution: a stage
-    strides in its first unit, and stages 4 and 5 dilate by the rate triple.
-    """
-    stride = BLOCK_ENTRY_STRIDE[stage] if unit == 0 else 1
-    dilation = cfg.dilations[unit] if stage in (4, 5) else 1
-    return stride, dilation
-
-
 @dataclass
 class EncoderFeatures:
     """What the decoder reads, each field None once handed on: ``deep``, the
@@ -249,10 +241,10 @@ class Encoder:
             widths = tuple(w(c) for c in BLOCK_WIDTHS[stage])
             units = []
             for unit in range(3):
-                stride, dilation = _unit_geometry(cfg, stage, unit)
                 block = ResidualBottleneck(
                     builder, f"block{stage}.unit{unit + 1}", cin, widths,
-                    stride=stride, dilation=dilation,
+                    stride=BLOCK_ENTRY_STRIDE[stage] if unit == 0 else 1,
+                    dilation=cfg.dilations[unit] if stage in (4, 5) else 1,
                 )
                 units.append(block)
                 cin = block.out_channels
@@ -269,7 +261,8 @@ class Encoder:
                 f"got {h}x{w}"
             )
         h1 = conv2d(conv2d(conv2d(x, self.root1), self.root2), self.root3)  # 1/2
-        pooled = max_pool(h1, 3, 2, same_pads(3, 1, 2))  # 1/4
+        k, s = ROOT_POOL
+        pooled = max_pool(h1, k, s, same_pads(k, 1, s))  # 1/4
         stage_out = pooled
         outputs = {}
         for stage, units in enumerate(self.blocks, start=1):
@@ -480,21 +473,15 @@ class DNet:
 
 
 def encoder_layer_specs(cfg: DNetConfig) -> list[LayerSpec]:
-    """The deepest serial path through the encoder, for RF analysis."""
-    layers = [
-        LayerSpec("conv", 3, 2, 1, "root.conv1"),
-        LayerSpec("conv", 3, 1, 1, "root.conv2"),
-        LayerSpec("conv", 3, 1, 1, "root.conv3"),
-        LayerSpec("pool", 3, 2, 1, "root.pool"),
-    ]
-    for stage in range(1, 6):
-        for unit in range(3):
-            stride, dilation = _unit_geometry(cfg, stage, unit)
-            base = f"block{stage}.unit{unit + 1}"
-            layers.append(LayerSpec("conv", 1, 1, 1, f"{base}.reduce"))
-            layers.append(LayerSpec("conv", 3, stride, dilation, f"{base}.spatial"))
-            layers.append(LayerSpec("conv", 1, 1, 1, f"{base}.restore"))
-    return layers
+    """The deepest serial path through the encoder, for RF analysis: the
+    root convs, the root pool, then each unit's reduce, spatial and restore
+    conv, read off the kernels of an encoder built with no weights drawn."""
+    enc = Encoder(_Builder(None), cfg)
+    units = [u for stage in enc.blocks for u in stage]
+    convs = [enc.root1, enc.root2, enc.root3,
+             *(k for u in units for k in (u.reduce, u.spatial, u.restore))]
+    specs = [LayerSpec("conv", k.weight.shape[0], k.stride, k.dilation, k.name) for k in convs]
+    return [*specs[:3], LayerSpec("pool", *ROOT_POOL, 1, "root.pool"), *specs[3:]]
 
 
 CHECKPOINT_MAGIC = b"DNET1"

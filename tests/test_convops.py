@@ -1866,3 +1866,32 @@ class TestConvOverParts:
             op((), kern)
         with pytest.raises(ShapeError, match=r"input has 2 channels but kernel expects 4"):
             op((a,), kern)
+
+
+class TestErrorsNameTheLayer:
+    """A named kernel's shape errors read ``<op> <name>: ...``; an unnamed
+    kernel's read ``<op>: ...``, word for word as before names existed."""
+
+    @pytest.mark.parametrize("name, label", [("", "conv2d"),
+                                             ("block4.unit2.spatial", "conv2d block4.unit2.spatial")])
+    def test_conv2d(self, rng, name, label):
+        kern = ConvKernel(tensor(rng.normal(size=(3, 3, 4, 2))), name=name)
+        with pytest.raises(ShapeError, match=rf"^{label}: input has 2 channels but kernel "
+                                             r"expects 4$"):
+            conv2d(tensor(rng.normal(size=(1, 4, 4, 2))), kern)
+        with pytest.raises(ShapeError, match=rf"^{label}: non-positive output size "):
+            conv2d(tensor(rng.normal(size=(1, 2, 2, 4))), kern)
+        with pytest.raises(ShapeError, match=rf"^{label}: residual shape \(1, 4, 4, 4\) "
+                                             r"differs from the output's \(1, 2, 2, 2\)$"):
+            conv2d(tensor(rng.normal(size=(1, 4, 4, 4))), kern,
+                   tensor(rng.normal(size=(1, 4, 4, 4))))
+
+    @pytest.mark.parametrize("name, label", [("", "depthwise_conv2d"),
+                                             ("msif.branch1.dw", "depthwise_conv2d msif.branch1.dw")])
+    def test_depthwise(self, rng, name, label):
+        kern = ConvKernel(tensor(rng.normal(size=(3, 3, 4, 2))), name=name)
+        with pytest.raises(ShapeError, match=rf"^{label}: channel multiplier must be 1, got 2$"):
+            depthwise_conv2d(tensor(rng.normal(size=(1, 4, 4, 4))), kern)
+        kern = replace(kern, weight=tensor(rng.normal(size=(3, 3, 4, 1))))
+        with pytest.raises(ShapeError, match=rf"^{label}: input has 3 channels"):
+            depthwise_conv2d(tensor(rng.normal(size=(1, 4, 4, 3))), kern)

@@ -615,25 +615,19 @@ class TestEncoderLayerSpecs:
         ]
         assert spatial_rates == [1, 2, 4]
 
-    @pytest.mark.parametrize("dilations", [(1, 2, 4), (1, 1, 1)])
-    def test_specs_match_the_built_encoder(self, dilations):
-        # The RF table that `dnet rf-analyze --config` prints must describe
-        # the network that DNet builds: the same convs, in order, with the
-        # same kernel size, stride and dilation.
-        cfg = DNetConfig(dilations=dilations)
-        model = DNet(cfg, seed=0)
-        names = {id(t): name for name, t in model.parameters().items()}
-        enc = model.encoder
-        convs = [enc.root1, enc.root2, enc.root3]
-        for stage in enc.blocks:
-            for block in stage:
-                convs += [block.reduce, block.spatial, block.restore]
-        built = [
-            (names[id(k.weight)], k.weight.shape[0], k.weight.shape[1], k.stride, k.dilation)
-            for k in convs
-        ]
-        layers = encoder_layer_specs(cfg)
-        assert [(l.kind, l.name) for l in layers if l.kind != "conv"] == [("pool", "root.pool")]
-        assert layers[3].kind == "pool"
-        specs = [(f"{l.name}.w", l.k, l.k, l.s, l.r) for l in layers if l.kind == "conv"]
-        assert specs == built
+    def test_kernel_names_are_checkpoint_prefixes(self):
+        model = DNet(DNetConfig(channels_scale=0.0625), seed=0)
+        params = model.parameters()
+        kernels = _collect_kernels(model)
+        assert sorted(f"{k.name}.{p}" for k in kernels for p in "wb") == sorted(params)
+        for k in kernels:
+            assert params[f"{k.name}.w"] is k.weight and params[f"{k.name}.b"] is k.bias
+        convs = [l.name for l in encoder_layer_specs(model.cfg) if l.kind == "conv"]
+        assert set(convs) <= {k.name for k in kernels} and len(set(convs)) == len(convs) == 48
+
+    def test_a_shape_error_names_the_layer(self):
+        model = DNet(DNetConfig(channels_scale=0.0625), seed=0)
+        image = Tensor(np.zeros((1, 16, 16, 4), dtype=np.float32))
+        with pytest.raises(ShapeError, match=r"^conv2d root\.conv1: input has 4 channels but "
+                                             r"kernel expects 3$"):
+            model.forward(image)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnet.convops import dilated_kernel_extent
+from dnet.convops import ConvKernel, conv2d, dilated_kernel_extent, same_pads
 from dnet.errors import ShapeError
-from dnet.model import DNetConfig, encoder_layer_specs
-from dnet.receptive import LayerSpec, coverage_map, rf_single, rf_stack
+from dnet.model import DOWNSAMPLE_FACTOR, DNet, DNetConfig, encoder_layer_specs
+from dnet.tensor import Tensor
+from dnet.receptive import CoverageReport, LayerSpec, coverage_map, rf_single, rf_stack
 
 
 def conv_layers(*specs):
@@ -138,6 +139,27 @@ class TestCoverage:
         assert report.dense == dense
         assert report.holes == holes
 
+    @pytest.mark.parametrize("dilations, dense", [
+        ((2, 4, 8), False), ((2, 2, 2), False), ((1, 2, 3), True), ((1, 2, 5), True),
+    ])
+    def test_nan_reach_through_conv2d_cascade(self, dilations, dense):
+        # One NaN pixel at the centre of a 1x128 row, through three 3x3
+        # conv2d kernels: the outputs it turns NaN, as offsets from the
+        # pixel, are the positions one output reads, holes and all.
+        rng = np.random.default_rng(0)
+        x = np.zeros((1, 1, 128, 1), dtype=np.float32)
+        x[0, 0, 64, 0] = np.nan
+        h = Tensor(x)
+        for d in dilations:
+            w = rng.uniform(0.5, 1.0, size=(3, 3, 1, 1)).astype(np.float32)
+            h = conv2d(h, ConvKernel(Tensor(w), None, 1, d, same_pads(3, d)))
+        offsets = {64 - int(o) for o in np.flatnonzero(np.isnan(h.data[0, 0, :, 0]))}
+        lo, hi = min(offsets), max(offsets)
+        holes = tuple(q - lo for q in range(lo, hi + 1) if q not in offsets)
+        assert coverage_map(dilations) == CoverageReport(dense=not holes, holes=holes)
+        assert dense == (not holes)
+        assert hi - lo + 1 == rf_stack(conv_layers(*((3, 1, d) for d in dilations))).final_rf
+
     def test_sufficient_condition_for_density(self):
         # d1 = 1 and d_{i+1} <= d_i * (k - 1) + 1 guarantees no holes (k = 3).
         k = 3
@@ -161,7 +183,35 @@ class TestCoverage:
         assert more.final_rf >= base.final_rf
 
 
+def nan_probe_extent(cfg: DNetConfig) -> int:
+    """The encoder's receptive field, measured on the network itself: one
+    NaN input row per offset over one output period, the NaN rows of stage
+    5's output collected as row - 16 * output row, and the extent of that
+    set returned. max_pool and every conv (ReLU included) carry a NaN from
+    any input they read."""
+    encoder = DNet(cfg, seed=0).encoder
+    x = np.random.default_rng(1).uniform(size=(1, 1280, 16, 3)).astype(np.float32)
+    offsets = set()
+    for j in range(DOWNSAMPLE_FACTOR):
+        probe = x.copy()
+        probe[0, 640 + j] = np.nan
+        stage5 = encoder(Tensor(probe)).deep[2].data
+        assert stage5.shape[1] == 1280 // DOWNSAMPLE_FACTOR
+        rows = np.flatnonzero(np.isnan(stage5).any(axis=(0, 2, 3)))
+        offsets |= {640 + j - DOWNSAMPLE_FACTOR * int(o) for o in rows}
+    return max(offsets) - min(offsets) + 1
+
+
 class TestNetworkRF:
+    @pytest.mark.parametrize("dilations, field", [
+        ((1, 1, 1), 351), ((1, 2, 3), 543), ((1, 2, 4), 607),
+    ])
+    def test_nan_propagation_measures_the_derived_field(self, dilations, field):
+        cfg = DNetConfig(dilations=dilations, channels_scale=0.0625)
+        report = rf_stack(encoder_layer_specs(cfg))
+        assert nan_probe_extent(cfg) == report.final_rf == field
+        assert report.final_jump == DOWNSAMPLE_FACTOR
+
     def test_single_root_conv(self):
         report = rf_stack([LayerSpec("conv", 3, 2, 1, "root")])
         assert report.final_rf == 3
