@@ -4,8 +4,9 @@
 The deterministic (tap-ordered) forward is the correctness reference,
 bit-identical to the naive loop; the GEMM forward trades that guarantee for
 BLAS throughput. Each forward has two helpers, timed on their own so that
-conv2d's shape rule can be checked on every case; all but ``shifted`` read
-the padded input, made once before the timing:
+conv2d's shape rule can be checked on every case; the tap-ordered ones
+read the padded input, made once before the timing, the GEMM ones the
+unpadded input:
 
 * ``stacked`` and ``c-first`` are the tap-ordered helpers (``stacked``
   folds each tap's products for all input channels in a bounded stack;
@@ -18,21 +19,22 @@ the padded input, made once before the timing:
 * ``shifted`` (one GEMM per tap on shifted row slices of bands of padded
   rows that it fills from the unpadded input, stride 1 only; ``-``
   otherwise) and ``i2c fwd`` (one GEMM over the whole im2col column
-  matrix) are the GEMM lowerings; ``gemm fwd`` is the one conv2d picks
-  (shifted when the stride is 1 and the padded grid is at most 1.25x the
-  output grid, and one GEMM without either lowering for an unpadded
-  unit-stride 1x1 kernel) and should track the smaller of the two.
+  matrix, filled from each tap's window of the unpadded input) are the
+  GEMM lowerings; ``gemm fwd`` is the one conv2d picks (shifted when the
+  stride is 1 and the padded grid is at most 1.25x the output grid, and
+  one GEMM without either lowering for an unpadded unit-stride 1x1
+  kernel) and should track the smaller of the two.
 
 The backward rule is the same GEMM-shaped code in both modes, with two
 helpers of its own, also timed on their own:
 
 * ``sh bwd`` (one GEMM pair per tap on shifted row slices of the flat
   padded input, stride 1 only; ``-`` otherwise) and ``i2c bwd`` (the
-  input gradient scattered tap by tap, the weight gradient one GEMM over
-  the whole im2col column matrix); ``bwd`` is conv2d's recorded rule,
-  which picks by the forward's shape rule (shifted when the stride is 1
-  and the padded grid is at most 1.25x the output grid) and should track
-  the smaller of the two. Both helpers must give the same gradients to
+  input gradient added tap by tap over each tap's window, the weight
+  gradient one GEMM over the whole im2col column matrix); ``bwd`` is
+  conv2d's recorded rule, which picks by the forward's shape rule
+  (shifted when the stride is 1 and the padded grid is at most 1.25x the
+  output grid) and should track the smaller of the two. Both helpers must give the same gradients to
   ``100 * eps`` of the sum of absolute products each element adds up, the
   tolerance of the per-tap oracle in the tests; the script exits 1 if they
   do not.
@@ -161,7 +163,7 @@ def im2col_gemm(x, xp, kern, out) -> None:
     w = kern.weight.data
     kh, kw, _, cout = w.shape
     _, ho, wo, _ = out.shape
-    cols = convops._im2col(xp, kh, kw, kern.dilation, kern.stride, ho, wo)
+    cols = convops._im2col((x,), kh, kw, kern.dilation, kern.stride, kern.padding, ho, wo)
     np.matmul(cols, w.reshape(-1, cout), out=out.reshape(-1, cout))
 
 
@@ -184,14 +186,16 @@ def backward_runs(x, kern, upstream) -> tuple[float | None, float, bool]:
     and of the im2col one, and whether their input and weight gradients
     agree to the per-tap oracle's tolerance."""
     w, d, s, pads = kern.weight.data, kern.dilation, kern.stride, kern.padding
-    xp = convops._pad_input(x.data, pads)
-    i2c = median_ms(lambda: convops._im2col_grads(xp, w, d, s, upstream, x.shape, pads))
+    xs = (x.data,)
+    i2c = median_ms(lambda: convops._im2col_grads(xs, w, d, s, upstream, x.shape, pads))
     if s != 1:
         return None, i2c, True
+    xp = convops._pad_input(x.data, pads)
     shifted = median_ms(lambda: convops._shifted_grads(xp, w, d, upstream, x.shape, pads))
     got = convops._shifted_grads(xp, w, d, upstream, x.shape, pads)
-    want = convops._im2col_grads(xp, w, d, s, upstream, x.shape, pads)
-    scale = convops._im2col_grads(np.abs(xp), np.abs(w), d, s, np.abs(upstream), x.shape, pads)
+    want = convops._im2col_grads(xs, w, d, s, upstream, x.shape, pads)
+    scale = convops._im2col_grads((np.abs(x.data),), np.abs(w), d, s, np.abs(upstream),
+                                  x.shape, pads)
     tol = 100 * np.finfo(x.dtype).eps
     agree = all(np.all(np.abs(a - b) <= tol * c) for a, b, c in zip(got, want, scale))
     return shifted, i2c, agree
@@ -244,7 +248,7 @@ def padded_depthwise(parts, kern) -> np.ndarray:
     out = np.empty((xp.shape[0], ho, wo, xp.shape[3]), dtype=xp.dtype)
     out[...] = kern.bias.data
     for a, b in np.ndindex(*w.shape[:2]):
-        out += convops._tap_view(xp, a, b, d, 1, ho, wo) * w[a, b]
+        out += xp[:, a * d : a * d + ho, b * d : b * d + wo] * w[a, b]
     return out
 
 

@@ -4,14 +4,15 @@ pooling, each with a reverse-mode rule.
 
 All operators use the (batch, height, width, channels) layout and zero
 padding; out-of-range taps contribute nothing. The strided operators share
-one tap engine over ``_tap_view``, the view of the padded input that kernel
-tap (a, b) reads: ``_scatter`` is its adjoint and yields every strided
-input gradient; ``_spread`` sends one 2-D ``g @ w[a, b].T`` product per
-tap through it, which is the input gradient of a conv2d that does not run
-on shifted row slices (below) and, for a kernel with its channel axes
-swapped, the whole transposed-convolution forward; ``_im2col`` lays the
-taps side by side as one column matrix; ``_dense`` is the dense
-convolution forward. Only that forward has two execution strategies:
+one tap engine, ``_windows``: kernel tap (a, b) reads the unpadded input in
+place over the rectangle of outputs at which it reaches it (``_reach``),
+so no product with the padding is formed. ``_im2col`` lays the taps'
+windows side by side in a zero column matrix; ``_spread`` adds one 2-D
+``g @ w[a, b].T`` product per tap into zeros of the input's shape, which
+is the input gradient of a conv2d that does not run on shifted row slices
+(below) and, for a kernel with its channel axes swapped, the whole
+transposed-convolution forward; ``_dense`` is the dense convolution
+forward. Only that forward has two execution strategies:
 
 * tap-ordered accumulation (default, ``deterministic`` mode): the output is
   built by adding one (kernel row, kernel col, input channel) tap at a time,
@@ -70,24 +71,23 @@ The backward rules are GEMM-shaped and the same in both modes. conv2d's
 picks by the forward's shape rule. Where the forward's shifted row slices
 serve, ``_shifted_grads`` reads the same slices, with the padded inputs
 of the whole batch as one flat matrix, and runs one weight-gradient and
-one input-gradient GEMM per tap: no column copy, no strided scatter. That
-covers every unit-stride 1x1 kernel, whose padded grid is its output
-grid, with one GEMM each. Any other conv2d runs ``_im2col_grads``: the
+one input-gradient GEMM per tap: no column copy. That covers every
+unit-stride 1x1 kernel, whose padded grid is its output grid, with one
+GEMM each. Any other conv2d runs ``_im2col_grads``: the
 weight gradient is one ``_im2col(...).T @ g`` product and the input
-gradient is ``_spread``. The rules of conv2d, the depthwise convolution
-and max pooling rebuild the padded input when they run, so the tape
-holds no padded copy. The depthwise and max-pool forwards make none at
-all: each tap reads, in place, the window of the unpadded input that it
-reaches (``_reach``), so its products with the padding are never formed.
+gradient is ``_spread``. Only the shifted rule pads the input again, when
+it runs, so the tape holds no padded copy; every other rule, and every
+forward but the exact one, reads the unpadded input in place through its
+tap windows.
 
 conv2d, the depthwise convolution and transposed_conv take their input as
 one tensor or as a tuple of parts whose channels they read in order: the
 bytes of the parts' concatenation, without its copy. ``_pad_input`` writes
 each part into its channel slice of the padded copy that the exact
-forward, the im2col GEMM and the rules make anyway, the shifted GEMM fills
-its band buffer from each part, and only the unpadded 1x1 GEMM and
-transposed_conv join the parts, for the call. A pooled (n, 1, 1, c) part
-is broadcast over the map, its bilinear upsample (``_split``).
+forward and the shifted rule make anyway, the tap windows and the shifted
+GEMM's band buffer are filled from each part, and only the unpadded 1x1
+GEMM and transposed_conv join the parts, for the call. A pooled (n, 1, 1,
+c) part is broadcast over the map, its bilinear upsample (``_split``).
 
 A kernel with ``relu`` set fuses its ReLU into the operator's one tape
 node: the output is rectified in place, so the pre-activation is never
@@ -233,9 +233,9 @@ def _slices(parts):
     return [(p, end - p.shape[3], end) for p, end in zip(parts, ends)]
 
 
-def _pad_input(x, padding, fill: float = 0.0) -> np.ndarray:
+def _pad_input(x, padding) -> np.ndarray:
     """``x`` grown by (top, bottom, left, right) ``padding`` rows and columns
-    of ``fill``: the bytes of ``np.pad``'s constant mode, from one allocation
+    of zeros: the bytes of ``np.pad``'s constant mode, from one allocation
     whose every element is written once. ``x`` is an array or a tuple of
     parts (``_frame``), each written into its channel slice; one array is
     returned itself when no side is padded.
@@ -246,10 +246,10 @@ def _pad_input(x, padding, fill: float = 0.0) -> np.ndarray:
         return parts[0]
     n, h, w, c = _frame(parts)
     xp = np.empty((n, h + pt + pb, w + pl + pr, c), dtype=parts[0].dtype)
-    xp[:, :pt] = fill
-    xp[:, pt + h :] = fill
-    xp[:, pt : pt + h, :pl] = fill
-    xp[:, pt : pt + h, pl + w :] = fill
+    xp[:, :pt] = 0.0
+    xp[:, pt + h :] = 0.0
+    xp[:, pt : pt + h, :pl] = 0.0
+    xp[:, pt : pt + h, pl + w :] = 0.0
     for p, c0, c1 in _slices(parts):
         xp[:, pt : pt + h, pl : pl + w, c0:c1] = p
     return xp
@@ -283,55 +283,40 @@ def _out_extent(op: str, padded: int, k_eff: int, stride: int) -> int:
     return out
 
 
-def _tap_view(xp: np.ndarray, a: int, b: int, d: int, s: int, ho: int, wo: int) -> np.ndarray:
-    """Strided view of the padded input aligned with kernel tap (a, b)."""
-    return xp[:, a * d : a * d + (ho - 1) * s + 1 : s, b * d : b * d + (wo - 1) * s + 1 : s, :]
-
-
-def _scatter(shape, pads, taps, d: int, s: int, ho: int, wo: int, contrib, dtype) -> np.ndarray:
-    """Adjoint of the tap gather: buf[tap (a, b)] += contrib(a, b), then crop.
-
-    ``buf`` is the (n, h, w, c) ``shape`` grown by ``pads``; the taps of a
-    (kh, kw) = ``taps`` kernel accumulate in row-major order, each over an
-    ho x wo grid. Returns the (h, w) window of ``buf`` inside the padding.
-    """
-    n, h, w, c = shape
-    pt, pb, pl, pr = pads
-    buf = np.zeros((n, h + pt + pb, w + pl + pr, c), dtype=dtype)
-    for a, b in np.ndindex(*taps):
-        _tap_view(buf, a, b, d, s, ho, wo)[...] += contrib(a, b)
-    return buf[:, pt : pt + h, pl : pl + w, :]
-
-
 def _spread(g: np.ndarray, w: np.ndarray, shape, pads, d: int, s: int) -> np.ndarray:
     """Input gradient of a dense tap gather with weight ``w`` whose output
-    gradient is ``g``: tap (a, b) sends the 2-D product g @ w[a, b].T back
-    through ``_scatter`` onto the (n, h, w, cin) ``shape``.
+    gradient is ``g``: tap (a, b) computes the 2-D product g @ w[a, b].T
+    over the whole output grid and adds it, at the outputs of its window
+    (``_windows``), into zeros of the (n, h, w, cin) ``shape`` at the input
+    positions they read.
     """
     kh, kw, cin, cout = w.shape
     _, ho, wo, _ = g.shape
     g2 = g.reshape(-1, cout)
-    return _scatter(shape, pads, (kh, kw), d, s, ho, wo,
-                    lambda a, b: (g2 @ w[a, b].T).reshape(-1, ho, wo, cin), g.dtype)
+    gx = np.zeros(shape, dtype=g.dtype)
+    for a, b, o, i in _windows(shape, pads, (kh, kw), d, s, 0, ho, wo):
+        gx[i] += (g2 @ w[a, b].T).reshape(-1, ho, wo, cin)[o]
+    return gx
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, d: int, s: int, ho: int, wo: int) -> np.ndarray:
-    """Column matrix of the tap gather: row (n, i, j), column (a, b, channel)."""
-    n, _, _, c = xp.shape
-    k = kh * kw * c
-    cols = np.empty((n, ho, wo, k), dtype=xp.dtype)
-    for a, b in np.ndindex(kh, kw):
-        base = (a * kw + b) * c
-        cols[..., base : base + c] = _tap_view(xp, a, b, d, s, ho, wo)
-    return cols.reshape(-1, k)
+def _im2col(xs: tuple, kh: int, kw: int, d: int, s: int, pads, ho: int, wo: int) -> np.ndarray:
+    """Column matrix of the tap gather over the map of the unpadded parts
+    ``xs`` grown by ``pads``: row (n, i, j), column (a, b, channel), zero
+    where the tap reads padding."""
+    n, h, w, c = shape = _frame(xs)
+    cols = np.zeros((n, ho, wo, kh, kw, c), dtype=xs[0].dtype)
+    for a, b, o, i in _windows(shape, pads, (kh, kw), d, s, 0, ho, wo):
+        for p, c0, c1 in _slices(xs):
+            cols[o][..., a, b, c0:c1] = p[i] if p.shape[1:3] == (h, w) else p
+    return cols.reshape(n * ho * wo, -1)
 
 
 def _exact_stacked(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
     """Tap-ordered forward in O(taps) numpy calls per band of output rows.
 
-    The output is cut into evenly sized bands of whole rows across the
-    batch, each as tall as lets its product stack hold every product at
-    once within ``_BAND_ELEMENTS`` elements, but at least one row. numpy's
+    The output is cut into the fewest even bands of whole rows across the
+    batch (``_row_blocks``) that let each band's product stack hold every
+    product at once within ``_BAND_ELEMENTS`` elements, but one row. numpy's
     reduce over a few long stack rows costs more than in-place adds, so a
     stack over the whole of a large output ran full-width forwards slower
     than a loop of one multiply and one add per input channel.
@@ -339,10 +324,7 @@ def _exact_stacked(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarra
     kh, kw, cin, _ = w.shape
     n, ho, wo, cout = out.shape
     band = max(1, _BAND_ELEMENTS // ((1 + kh * kw * cin) * n * wo * cout))
-    bands = -(-ho // band)
-    band = -(-ho // bands)  # the same number of bands, evenly sized
-    for i0 in range(0, ho, band):
-        i1 = min(i0 + band, ho)
+    for i0, i1 in _row_blocks(ho, band):
         _stack_band(xp[:, i0 * s : (i1 - 1) * s + (kh - 1) * d + 1], w, d, s, out[:, i0:i1])
 
 
@@ -370,7 +352,8 @@ def _stack_band(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) 
     stack[0] = out
     r = 1
     for a, b in np.ndindex(kh, kw):
-        xs = _tap_view(xp, a, b, d, s, *out.shape[1:3]).transpose(3, 0, 1, 2)[..., None]
+        tap = xp[:, a * d :: s, b * d :: s][:, : out.shape[1], : out.shape[2]]
+        xs = tap.transpose(3, 0, 1, 2)[..., None]
         ws = w[a, b, :, None, None, None, :]  # w[a, b, m] broadcast over (n, ho, wo)
         m = 0
         while m < cin:
@@ -429,10 +412,14 @@ def _exact_channel_first(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.
     out[...] = acc[:, :, :ho, :wo].transpose(1, 2, 3, 0)
 
 
-def _row_bands(ho: int, rows: int):
-    """(first, end) of each band of ``rows`` output rows; the last may be short."""
-    for i0 in range(0, ho, rows):
-        yield i0, min(i0 + rows, ho)
+def _row_blocks(height: int, rows: int) -> list[tuple[int, int]]:
+    """(first, end) of the fewest blocks of at most ``rows`` rows that cover
+    ``height`` rows, as even as can be: the later ones may be one row
+    shorter, and none is under half of ``rows`` tall."""
+    count = -(-height // rows)
+    size, longer = divmod(height, count)
+    ends = [k * size + min(k, longer) for k in range(count + 1)]
+    return list(zip(ends, ends[1:]))
 
 
 def _shifts(s: int, padded, ho: int, wo: int) -> bool:
@@ -476,7 +463,7 @@ def _shifted_gemm(xs: tuple, w: np.ndarray, d: int, pads, out: np.ndarray,
     acc = np.empty((rows * wp, cout), dtype=out.dtype)
     tmp = np.empty_like(acc)
     for k in range(n):
-        for i0, i1 in _row_bands(ho, rows):
+        for i0, i1 in _row_blocks(ho, rows):
             # Buffer row r is padded row i0 + r, which is input row i0 + r - pt.
             nb = i1 - i0 + halo
             lo = min(max(pt - i0, 0), nb)
@@ -546,7 +533,7 @@ def _shifted_grads(xp: np.ndarray, w: np.ndarray, d: int, g: np.ndarray, shape, 
     return gxp[:, pt : pt + shape[1], pl : pl + shape[2]], gw
 
 
-def _im2col_grads(xp: np.ndarray, w: np.ndarray, d: int, s: int, g: np.ndarray, shape, pads):
+def _im2col_grads(xs: tuple, w: np.ndarray, d: int, s: int, g: np.ndarray, shape, pads):
     """Input and weight gradients of any dense tap gather: ``_spread``, and
     one GEMM over the whole im2col column matrix. The input gradient is None
     when ``shape`` is.
@@ -554,7 +541,7 @@ def _im2col_grads(xp: np.ndarray, w: np.ndarray, d: int, s: int, g: np.ndarray, 
     kh, kw, _, cout = w.shape
     _, ho, wo, _ = g.shape
     gx = None if shape is None else _spread(g, w, shape, pads, d, s)
-    return gx, (_im2col(xp, kh, kw, d, s, ho, wo).T @ g.reshape(-1, cout)).reshape(w.shape)
+    return gx, (_im2col(xs, kh, kw, d, s, pads, ho, wo).T @ g.reshape(-1, cout)).reshape(w.shape)
 
 
 def _dense(xs: tuple, w: np.ndarray, d: int, s: int, pads, out: np.ndarray,
@@ -593,7 +580,7 @@ def _dense(xs: tuple, w: np.ndarray, d: int, s: int, pads, out: np.ndarray,
         _shifted_gemm(xs, w, d, pads, out, bias, residual, relu)
         return
     else:
-        np.matmul(_im2col(_pad_input(xs, pads), kh, kw, d, s, ho, wo), w.reshape(-1, cout),
+        np.matmul(_im2col(xs, kh, kw, d, s, pads, ho, wo), w.reshape(-1, cout),
                   out=out.reshape(-1, cout))
     _epilogue(out, out, bias, residual, relu)
 
@@ -610,12 +597,27 @@ def _reach(a: int, d: int, s: int, lead: int, n: int, lo: int, hi: int) -> tuple
     return slice(i0, i1), slice(i0 * s + off, (i1 - 1) * s + off + 1, s)
 
 
+def _windows(shape, pads, taps, d: int, s: int, lo: int, hi: int, wo: int):
+    """(a, b, outputs, inputs) of each tap (a, b) of a (kh, kw) = ``taps``
+    kernel in row-major order, over the (n, h, w, c) ``shape`` grown by
+    ``pads``: the outputs in rows [lo, hi) of a ``wo`` wide grid at which
+    the tap reads the input (``_reach`` along each axis; empty if none) and
+    the input positions they read, as indices over the whole batch."""
+    _, h, w, _ = shape
+    pt, _, pl, _ = pads
+    cols = [_reach(b, d, s, pl, w, 0, wo) for b in range(taps[1])]
+    for a in range(taps[0]):
+        oi, xi = _reach(a, d, s, pt, h, lo, hi)
+        for b, (oj, xj) in enumerate(cols):
+            yield a, b, (slice(None), oi, oj), (slice(None), xi, xj)
+
+
 def _depthwise(xs: tuple, w: np.ndarray, d: int, s: int, pads, out: np.ndarray) -> None:
     """Add each tap's products, ``w[a, b]`` times the input window it reads,
     into ``out`` in (kernel row, kernel col) order, with no padded copy.
 
     Each tap takes only the rectangle of outputs at which it reads the
-    unpadded parts (``_reach``): a product with the padding is a zero, so
+    unpadded parts (``_windows``): a product with the padding is a zero, so
     leaving it out keeps the bytes for finite weights, and a NaN or
     infinite weight on a partly padded tap contributes nothing at the
     outputs where it reads padding. The output is run in bands of whole
@@ -626,23 +628,18 @@ def _depthwise(xs: tuple, w: np.ndarray, d: int, s: int, pads, out: np.ndarray) 
     at an eighth, 9.9, 8.9 and 7.4 at the whole budget, and 10.4, 10.4 and
     10.8 over a padded copy.
     """
-    kh, kw, _ = w.shape
     n, ho, wo, c = out.shape
-    _, h, wd, _ = _frame(xs)
-    pt, _, pl, _ = pads
+    shape, slices = _frame(xs), _slices(xs)
     rows = min(ho, max(1, _BAND_ELEMENTS // 8 // (n * wo * c)))
     tmp = np.empty((n, rows, wo, c), dtype=out.dtype)
-    cols, slices = [_reach(b, d, s, pl, wd, 0, wo) for b in range(kw)], _slices(xs)
-    for i0, i1 in _row_bands(ho, rows):
-        for a in range(kh):
-            oi, xi = _reach(a, d, s, pt, h, i0, i1)
-            for b, (oj, xj) in enumerate(cols):
-                t = tmp[:, : oi.stop - oi.start, : oj.stop - oj.start]
-                for p, c0, c1 in slices:
-                    window = p[:, xi, xj] if p.shape[1:3] == (h, wd) else p  # else broadcast
-                    np.multiply(window, w[a, b, c0:c1], out=t[..., c0:c1])
-                o = out[:, oi, oj]
-                np.add(o, t, out=o)
+    for i0, i1 in _row_blocks(ho, rows):
+        for a, b, o, i in _windows(shape, pads, w.shape[:2], d, s, i0, i1, wo):
+            view = out[o]
+            t = tmp[:, : view.shape[1], : view.shape[2]]
+            for p, c0, c1 in slices:
+                window = p[i] if p.shape[1:3] == shape[1:3] else p  # else broadcast
+                np.multiply(window, w[a, b, c0:c1], out=t[..., c0:c1])
+            np.add(view, t, out=view)
 
 
 def _parts(op: str, x, kernel: ConvKernel, cin: int, bias_channels: int):
@@ -684,7 +681,7 @@ def _live_window(h: int, w: int, kernel: ConvKernel) -> tuple[slice, slice, tupl
     A tap outside the window reads only padding, so its products are exact
     zeros and the window's gather is the kernel's. Along each axis, tap a
     is live when some output reads the input through it (``_reach``, the
-    arithmetic of the depthwise and max-pool forwards). An axis keeps
+    arithmetic of ``_windows``). An axis keeps
     all its taps and its padding when its window would need a negative pad;
     the slices are empty, with the kernel's padding, when no tap is live.
     Without padding every tap reads the input: tap a reads position a*d at
@@ -793,10 +790,9 @@ def conv2d(x: Tensor | tuple[Tensor, ...], kernel: ConvKernel,
     def grads(g: np.ndarray):
         if not w.size:  # no tap reads the input
             return None if x_shape is None else np.zeros(x_shape, g.dtype), np.zeros_like(w)
-        xp = _pad_input(xs, pads)  # rebuilt here, not held from the forward
-        if shifted:
-            return _shifted_grads(xp, w, d, g, x_shape, pads)
-        return _im2col_grads(xp, w, d, s, g, x_shape, pads)
+        if shifted:  # the padded input is rebuilt here, not held from the forward
+            return _shifted_grads(_pad_input(xs, pads), w, d, g, x_shape, pads)
+        return _im2col_grads(xs, w, d, s, g, x_shape, pads)
 
     return _record("conv2d", parts, kernel, out, grads, residual, (rows, cols))
 
@@ -824,11 +820,15 @@ def depthwise_conv2d(x: Tensor | tuple[Tensor, ...], kernel: ConvKernel) -> Tens
     _epilogue(out, out, relu=kernel.relu)
 
     def grads(g: np.ndarray):
-        gx = _scatter(frame, pads, taps, d, s, ho, wo, lambda a, b: g * w[a, b], g.dtype)
-        xp = _pad_input(xs, pads)  # rebuilt here, not held from the forward
+        gx = np.zeros(frame, dtype=g.dtype)
         gw = np.empty((*taps, cin, 1), dtype=g.dtype)
-        for a, b in np.ndindex(*taps):
-            gw[a, b, :, 0] = (_tap_view(xp, a, b, d, s, ho, wo) * g).sum(axis=(0, 1, 2))
+        for a, b, o, i in _windows(frame, pads, taps, d, s, 0, ho, wo):
+            gx[i] += g[o] * w[a, b]
+            prod = np.zeros_like(g)  # summed over the whole grid: the padded sum's order
+            for p, c0, c1 in _slices(xs):
+                window = p[i] if p.shape[1:3] == frame[1:3] else p  # else broadcast
+                np.multiply(window, g[o][..., c0:c1], out=prod[o][..., c0:c1])
+            gw[a, b, :, 0] = prod.sum(axis=(0, 1, 2))
         return gx, gw
 
     return _record("depthwise_conv2d", parts, kernel, out, grads, window=(rows, cols))
@@ -862,32 +862,29 @@ def max_pool(
         raise ShapeError("max_pool: window contains no valid input positions")
 
     # Each tap is taken over the outputs at which it reads the input
-    # (``_reach``), into an output that starts at -inf, which the padding
+    # (``_windows``), into an output that starts at -inf, which the padding
     # would have given. np.maximum returns its second operand on a tie, so
     # the earlier tap is kept: the same bits as taking the first maximum in
     # row-major order.
     out = np.full((n, ho, wo, c), -np.inf, dtype=x_data.dtype)
-    cols = [_reach(b, 1, stride, pl, w, 0, wo) for b in range(kw)]
-    for a in range(kh):
-        oi, xi = _reach(a, 1, stride, pt, h, 0, ho)
-        for oj, xj in cols:
-            o = out[:, oi, oj]
-            np.maximum(x_data[:, xi, xj], o, out=o)
+    windows = list(_windows(x.shape, padding, (kh, kw), 1, stride, 0, ho, wo))
+    for _, _, o, i in windows:
+        view = out[o]
+        np.maximum(x_data[i], view, out=view)
 
     def rule(g: np.ndarray):
         # Taps claim windows in row-major order: a tap equal to the window's
         # maximum (or NaN where it is NaN) takes ``g`` unless an earlier tap
-        # did, which routes it as the first argmax of the stacked taps would.
-        xp = _pad_input(x_data, padding, fill=-np.inf)
+        # did, which routes it as the first argmax of the window's input
+        # positions would. Padding never claims.
         free, nan = np.ones(out.shape, dtype=bool), np.isnan(out)
-
-        def claim(a: int, b: int) -> np.ndarray:
-            tap = _tap_view(xp, a, b, 1, stride, ho, wo)
-            hit = free & ((tap == out) | (nan & np.isnan(tap)))
-            np.logical_xor(free, hit, out=free)
-            return g * hit
-
-        return (_scatter(x_data.shape, padding, (kh, kw), 1, stride, ho, wo, claim, g.dtype),)
+        gx = np.zeros(x_data.shape, dtype=g.dtype)
+        for _, _, o, i in windows:
+            tap, unclaimed = x_data[i], free[o]
+            hit = unclaimed & ((tap == out[o]) | (nan[o] & np.isnan(tap)))
+            np.logical_xor(unclaimed, hit, out=unclaimed)
+            gx[i] += g[o] * hit
+        return (gx,)
 
     return record_op("max_pool", (x,), out, rule)
 
@@ -918,7 +915,7 @@ def transposed_conv(x: Tensor | tuple[Tensor, ...], kernel: ConvKernel) -> Tenso
     _epilogue(out, out, None if kernel.bias is None else kernel.bias.data, relu=kernel.relu)
 
     def grads(g: np.ndarray):
-        cols = _im2col(_pad_input(g, kernel.padding), kh, kw, d, s, h, wdt)
+        cols = _im2col((g,), kh, kw, d, s, kernel.padding, h, wdt)
         gx = (cols @ w.swapaxes(2, 3).reshape(-1, cin)).reshape(n, h, wdt, cin)
         gw = (cols.T @ _pad_input(xs, unpadded).reshape(-1, cin)).reshape(kh, kw, cout, cin)
         return gx, gw.swapaxes(2, 3)

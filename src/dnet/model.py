@@ -33,6 +33,7 @@ from .errors import CheckpointError, ConfigError, ShapeError
 from .tensor import Tensor, default_dtype, is_recording
 from .convops import (
     ConvKernel,
+    _row_blocks,
     conv2d,
     depthwise_conv2d,
     global_avg_pool,
@@ -389,22 +390,12 @@ class Decoder:
 
 # Output rows per block of the decoder's streamed stages. At full width a
 # 64-row block's maps are 4.7 MB each at 576 columns, against 42.5 MB for a
-# whole 576x576 map.
+# whole 576x576 map. ``_row_blocks`` cuts no block under half of 64 rows
+# tall, which keeps every block's convolutions on the GEMM route they take
+# over the whole map (``convops._shifts``), so GEMM mode too keeps its
+# bytes: checked on the row arithmetic for every pair of sides that are
+# multiples of 16 up to 4096.
 _STREAM_ROWS = 64
-
-
-def _row_blocks(height: int, rows: int) -> list[tuple[int, int]]:
-    """(first, end) of the fewest blocks of at most ``rows`` rows that cover
-    ``height`` rows, as even as can be: the later ones may be one row
-    shorter, and none is under half of ``rows`` tall. At 64 rows that keeps
-    every block's convolutions on the GEMM route they take over the whole
-    map (``convops._shifts``), so GEMM mode too keeps its bytes: checked on
-    the row arithmetic for every pair of sides that are multiples of 16 up
-    to 4096."""
-    count = -(-height // rows)
-    size, longer = divmod(height, count)
-    ends = [k * size + min(k, longer) for k in range(count + 1)]
-    return list(zip(ends, ends[1:]))
 
 
 def _reads(kernel: ConvKernel, r0: int, r1: int, height: int) -> tuple[int, int]:

@@ -507,6 +507,15 @@ class TestMaxPool:
             grads = backward(sum_all(max_pool(x, 3, 1)), g)
         assert grads[x].ravel().tolist() == [1.0, 0.0, 0.0]
 
+    def test_all_minus_inf_window_keeps_its_gradient(self):
+        # Padding never claims a window, even one whose inputs are all -inf.
+        x = tensor(np.full((1, 2, 2, 1), -np.inf), requires_grad=True)
+        with recording() as graph:
+            y = max_pool(x, 3, 2, (1, 1, 1, 1))
+        g = np.ones(y.shape, y.dtype)
+        (gx,) = graph.nodes[-1].backward(g)
+        assert gx.sum() == g.sum()
+
     def test_empty_window_rejected(self, rng):
         for shape, stride in (((1, 1, 1, 1), 1), ((1, 4, 4, 2), 1), ((1, 4, 4, 2), 2)):
             with pytest.raises(ShapeError):
@@ -564,9 +573,10 @@ class TestMaxPool:
 
     def test_forward_matches_stack_reference(self, rng):
         # The running maximum equals taking the first maximum of the stacked
-        # window taps, and the gradient goes to that tap; small integer
-        # values make ties common, and NaN and -inf entries make NaN and
-        # all -inf windows, whose first NaN or first tap takes the gradient.
+        # window taps, and the gradient goes to that tap of the window's
+        # input positions; small integer values make ties common, and NaN
+        # and -inf entries make NaN and all -inf windows, whose first NaN or
+        # first input position takes the gradient, never a padding tap.
         non_finite = 0  # trials with a NaN or -inf entry
         for trial in range(60):
             k, stride = (int(v) for v in rng.integers(1, [5, 4]))
@@ -584,8 +594,12 @@ class TestMaxPool:
             ho = (xp.shape[1] - kh) // stride + 1
             wo = (xp.shape[2] - kw) // stride + 1
             stack = np.stack([t for _, _, t in _taps(xp, kh, kw, 1, stride, ho, wo)], axis=-1)
+            inputs = _pad(np.ones(data.shape, dtype=bool), pads)
+            valid = np.stack([t for _, _, t in _taps(inputs, kh, kw, 1, stride, ho, wo)], axis=-1)
             argmax = stack.argmax(axis=-1)
             want = np.take_along_axis(stack, argmax[..., None], axis=-1)[..., 0]
+            # Padding is -inf, so only an all -inf window can pick it.
+            argmax = np.where(np.isneginf(want), valid.argmax(axis=-1), argmax)
             x = tensor(data, requires_grad=True)
             try:
                 with recording() as graph:
@@ -913,17 +927,17 @@ def reference_im2col_conv2d(x, w, bias, stride, dilation, pads):
     ) + bias
 
 
-def counting_row_bands(lowered: list):
-    """``convops._row_bands`` that also appends each band's row count to
+def counting_row_blocks(lowered: list):
+    """``convops._row_blocks`` that also appends each block's row count to
     ``lowered``."""
-    row_bands = convops._row_bands
+    row_blocks = convops._row_blocks
 
-    def bands(ho, rows):
-        for i0, i1 in row_bands(ho, rows):
-            lowered.append(i1 - i0)
-            yield i0, i1
+    def blocks(height, rows):
+        cuts = row_blocks(height, rows)
+        lowered.extend(i1 - i0 for i0, i1 in cuts)
+        return cuts
 
-    return bands
+    return blocks
 
 
 class TestIm2colGemmForward:
@@ -958,13 +972,27 @@ class TestIm2colGemmForward:
         # A budget of band_rows output rows (0: below one row) bands no route.
         monkeypatch.setattr(convops, "_BAND_ELEMENTS", band_rows * n * wo * k * k * cin)
         lowered = []  # output rows of each band, if any helper cut bands
-        monkeypatch.setattr(convops, "_row_bands", counting_row_bands(lowered))
+        monkeypatch.setattr(convops, "_row_blocks", counting_row_blocks(lowered))
         with using_deterministic(False):
             fast = conv2d(x, kern).data
-        exact = conv2d(x, kern).data
         assert lowered == []
+        exact = conv2d(x, kern).data
         assert np.all(np.abs(fast - want) <= 1e-12 * np.abs(want).max())
         assert np.abs(exact - fast).max() < 1e-12
+
+    def test_peak_below_columns_output_and_a_quarter_of_the_input(self, rng):
+        # The column matrix is filled from the unpadded input: no padded copy.
+        x = tensor(rng.normal(size=(1, 128, 128, 16)))
+        kern = ConvKernel(tensor(rng.normal(size=(3, 3, 16, 16))), None, 2, 1, same_pads(3, 1, 2))
+        columns = 64 * 64 * 9 * 16 * x.data.itemsize
+        with using_deterministic(False):
+            tracemalloc.start()
+            try:
+                y = conv2d(x, kern)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < columns + y.data.nbytes + x.data.nbytes / 4
 
 
 def shifted_budget(rows: int, wp: int, halo: int, cin: int, cout: int) -> int:
@@ -981,9 +1009,9 @@ class TestShiftedGemmForward:
     matches the whole-matrix GEMM."""
 
     def test_matches_whole_matrix_reference(self, rng, monkeypatch):
-        one_row = partial = 0  # trials with one-row bands, with a short last band
+        one_row = partial = 0  # trials with one-row bands, with bands a row short
         lowered = []  # output rows of each band of the trial
-        counting_bands = counting_row_bands(lowered)
+        counting_bands = counting_row_blocks(lowered)
         for trial in range(60):
             n = int(rng.integers(1, 4))
             k, d = int(rng.integers(1, 4)), int(rng.integers(1, 5))
@@ -1009,7 +1037,7 @@ class TestShiftedGemmForward:
             got = np.empty_like(want)
             lowered.clear()
             with monkeypatch.context() as m:
-                m.setattr(convops, "_row_bands", counting_bands)
+                m.setattr(convops, "_row_blocks", counting_bands)
                 convops._shifted_gemm((x.data,), wk.data, d, pads, got, bias.data)
             assert len(lowered) == n * math.ceil(ho / band) and sum(lowered) == n * ho
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
@@ -1027,7 +1055,7 @@ class TestShiftedGemmForward:
     @pytest.mark.parametrize("fused", [False, True])
     @pytest.mark.parametrize("case", sorted(BANDED))
     def test_band_cuts_keep_the_bytes(self, case, fused, rng, monkeypatch):
-        # One-row bands, and 3-row bands whose last band is short, give the
+        # One-row bands, and bands of at most 3 rows, some a row short, give the
         # bytes of one band over the whole output, with and without a
         # residual and a ReLU in the band's epilogue.
         shape, cout, d, pads = self.BANDED[case]
@@ -1040,7 +1068,7 @@ class TestShiftedGemmForward:
         assert ho % 3 != 0
         outputs = {}
         lowered = []  # output rows of each band of the run
-        monkeypatch.setattr(convops, "_row_bands", counting_row_bands(lowered))
+        monkeypatch.setattr(convops, "_row_blocks", counting_row_blocks(lowered))
         for rows in (ho, 1, 3):
             lowered.clear()
             monkeypatch.setattr(convops, "_BAND_ELEMENTS",
@@ -1082,7 +1110,8 @@ class TestShiftedGemmForward:
 
 class TestRecordedConvHoldsNoPaddedCopy:
     """A recorded conv2d or depthwise conv holds its output and nothing the
-    size of its input: the rule rebuilds the padded input when it runs."""
+    size of its input: only the shifted rule pads the input again, when it
+    runs; the others read the unpadded input through its tap windows."""
 
     # name -> (op, kernel, stride, dilation); the input is 1x64x64x16
     CASES = {
@@ -1112,21 +1141,35 @@ class TestRecordedConvHoldsNoPaddedCopy:
         gx, gw, _ = graph.nodes[-1].backward(np.ones(y.shape, y.dtype))
         assert gx.shape == x.shape and gw.shape == kern.weight.shape
 
+    @pytest.mark.parametrize("case", ["conv2d im2col", "depthwise_conv2d", "max_pool"])
+    def test_input_gradient_owns_its_data(self, case, rng):
+        # Written into an array of the input's shape, not a view into a
+        # padded buffer that it would keep alive.
+        x = tensor(rng.normal(size=(1, 16, 16, 4)), requires_grad=True)
+        with recording() as graph:
+            if case == "max_pool":
+                y = max_pool(x, 3, 2, same_pads(3, 1, 2))
+            else:
+                op, k, stride, dilation = self.CASES[case]
+                cout = 1 if op is depthwise_conv2d else 4
+                y = op(x, ConvKernel(tensor(rng.normal(size=(k, k, 4, cout))), None, stride,
+                                     dilation, same_pads(k, dilation, stride)))
+        gx = graph.nodes[-1].backward(np.ones(y.shape, y.dtype))[0]
+        assert gx.shape == x.shape and gx.flags.c_contiguous and gx.flags.owndata
+
 
 class TestPadInput:
     def test_bytes_of_np_pad(self, rng):
         for trial in range(60):
             dtype = (np.float32, np.float64, np.float16, np.int32)[trial % 4]
-            fills = (0.0, 2.5, -3.0) + (() if dtype is np.int32 else (-np.inf,))
-            fill = fills[trial // 4 % len(fills)]
             shape = tuple(int(v) for v in rng.integers(1, 5, size=4))
             pads = tuple(int(v) for v in rng.integers(0, 4, size=4))
             x = (rng.normal(size=shape) * 10).astype(dtype)
-            got = convops._pad_input(x, pads, fill)
-            want = np.pad(x, ((0, 0), pads[:2], pads[2:], (0, 0)), constant_values=fill)
+            got = convops._pad_input(x, pads)
+            want = np.pad(x, ((0, 0), pads[:2], pads[2:], (0, 0)))
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        assert convops._pad_input(x, (0, 0, 0, 0), -np.inf) is x
+        assert convops._pad_input(x, (0, 0, 0, 0)) is x
 
 
 class TestGemmForwardRoute:
