@@ -4,18 +4,19 @@
 The deterministic (tap-ordered) forward is the correctness reference,
 bit-identical to the naive loop; the GEMM forward trades that guarantee for
 BLAS throughput. Each forward has two helpers, timed on their own so that
-conv2d's shape rule can be checked on every case; the tap-ordered ones
-read the padded input, made once before the timing, the GEMM ones the
-unpadded input:
+conv2d's shape rule can be checked on every case, from the unpadded
+input:
 
 * ``stacked`` and ``c-first`` are the tap-ordered helpers (``stacked``
   folds each tap's products for all input channels in a bounded stack;
   ``c-first`` adds one (tap, input channel) product at a time as one flat
-  slice over the whole batch of a channel-first copy of the padded input
-  split into its stride phases); ``det fwd`` is the one conv2d picks
-  (channel-first when ``cout < wo``) and should track the smaller of the
-  two. They must give the same bytes on every case; the script exits 1
-  if they do not, so it doubles as a smoke check of the exact forward.
+  slice over the whole batch of a channel-first copy of the input split
+  into the stride phases of its padded grid); ``det fwd`` is conv2d's
+  forward, which runs the helper named by ``det pick`` (channel-first
+  from ``convops._CHANNEL_FIRST_PIXELS`` output pixels, n * ho * wo, on)
+  and should track the smaller of the two. They must give the same bytes
+  on every case; the script exits 1 if they do not, so it doubles as a
+  smoke check of the exact forward.
 * ``shifted`` (one GEMM per tap on shifted row slices of bands of padded
   rows that it fills from the unpadded input, stride 1 only; ``-``
   otherwise) and ``i2c fwd`` (one GEMM over the whole im2col column
@@ -136,29 +137,45 @@ def median_ms(fn, budget_s: float = 0.5, min_repeats: int = 3) -> float:
 
 
 def helper_run(x, kern, helper) -> tuple[float, bytes]:
-    """Median ms of one forward helper, called as helper(x, xp, kern, out)
-    with the unpadded and the padded input and a zero output, and the bytes
-    of its output."""
-    xp = convops._pad_input(x.data, kern.padding)
+    """Median ms of one forward helper, called as helper(x, kern, out) with
+    the unpadded input and a zero output, and the bytes of its output."""
     ho, wo = convops._gather_frame("conv2d", x.shape, kern)
     shape = (x.shape[0], ho, wo, kern.out_channels)
-    ms = median_ms(lambda: helper(x.data, xp, kern, np.zeros(shape, x.dtype)))
+    ms = median_ms(lambda: helper(x.data, kern, np.zeros(shape, x.dtype)))
     out = np.zeros(shape, x.dtype)
-    helper(x.data, xp, kern, out)
+    helper(x.data, kern, out)
     return ms, out.tobytes()
 
 
 def exact_helper(exact):
-    """A tap-ordered helper, which adds the taps into ``out`` from the padded input."""
-    return lambda x, xp, kern, out: exact(xp, kern.weight.data, kern.dilation, kern.stride, out)
+    """A tap-ordered helper, which adds the taps into ``out``."""
+    return lambda x, kern, out: exact((x,), kern.weight.data, kern.dilation, kern.stride,
+                                      kern.padding, out)
 
 
-def shifted_gemm(x, xp, kern, out) -> None:
+def exact_pick(x, kern) -> str:
+    """The column label of the tap-ordered helper that conv2d runs on the
+    case, ``-`` when it runs neither (no kernel tap reads the input)."""
+    helpers = {"stacked": convops._exact_stacked, "c-first": convops._exact_channel_first}
+    taken = []
+    for label, helper in helpers.items():
+        setattr(convops, helper.__name__,
+                lambda *args, _h=helper, _l=label: taken.append(_l) or _h(*args))
+    try:
+        with using_deterministic(True):
+            conv2d(x, kern)
+    finally:
+        for helper in helpers.values():
+            setattr(convops, helper.__name__, helper)
+    return taken[0] if taken else "-"
+
+
+def shifted_gemm(x, kern, out) -> None:
     """The stride-1 GEMM forward, which fills its padded rows from ``x``."""
     convops._shifted_gemm((x,), kern.weight.data, kern.dilation, kern.padding, out)
 
 
-def im2col_gemm(x, xp, kern, out) -> None:
+def im2col_gemm(x, kern, out) -> None:
     """The GEMM forward's whole-matrix branch in ``convops._dense``."""
     w = kern.weight.data
     kh, kw, _, cout = w.shape
@@ -278,8 +295,8 @@ def main() -> int:
     rng = np.random.default_rng(0)
     mismatched, disagreeing = [], []
     print(
-        f"{'case':>34} {'stacked':>8} {'c-first':>8} {'det fwd':>9} {'shifted':>8} "
-        f"{'i2c fwd':>8} {'gemm fwd':>9} {'speedup':>8} "
+        f"{'case':>34} {'stacked':>8} {'c-first':>8} {'det pick':>8} {'det fwd':>9} "
+        f"{'shifted':>8} {'i2c fwd':>8} {'gemm fwd':>9} {'speedup':>8} "
         f"{'sh bwd':>8} {'i2c bwd':>8} {'bwd':>8} {'gemm MB':>8} {'max diff':>10}"
     )
     for n, h, w, cin, cout, k, d, s in CASES:
@@ -295,6 +312,7 @@ def main() -> int:
         i2c_fwd = helper_run(x, kern, im2col_gemm)[0]
         ho, wo = conv2d(x, kern).shape[1:3]
         upstream = rng.normal(size=(n, ho, wo, cout)).astype(x.dtype)
+        pick = exact_pick(x, kern)
         det_fwd, ref = time_case(x, kern, True)
         gemm_fwd, fast = time_case(x, kern, False)
         sh_bwd, i2c_bwd, agree = backward_runs(x, kern, upstream)
@@ -308,7 +326,7 @@ def main() -> int:
         if not agree:
             disagreeing.append(label)
         print(
-            f"{label:>34} {stacked:8.2f} {cfirst:8.2f} {det_fwd:9.2f} {shifted} "
+            f"{label:>34} {stacked:8.2f} {cfirst:8.2f} {pick:>8} {det_fwd:9.2f} {shifted} "
             f"{i2c_fwd:8.2f} {gemm_fwd:9.2f} {det_fwd / gemm_fwd:8.1f} "
             f"{sh_bwd} {i2c_bwd:8.2f} {bwd:8.2f} {peak:8.1f} {diff:10.2e}"
         )

@@ -19,20 +19,20 @@ forward. Only that forward has two execution strategies:
   which reproduces, element for element, the arithmetic of a naive
   sliding-window loop. Inserting explicit zeros between kernel taps then
   changes nothing, so dilation equals zero-insertion exactly, not just to
-  tolerance. One of two helpers is picked by shape. When the output row is
-  longer than the output channel count, ``_exact_channel_first`` copies the
-  padded input once, channel first, into its s x s stride phases
-  (polyphase, as in sub-pixel convolution), each (phase, channel) plane of
-  the whole batch one flat contiguous run. Every tap then reads one phase
-  at one offset, so each (tap, channel) product is one contiguous multiply
-  and add over the whole batch, the shifted-slice idea of the stride-1 GEMM
-  below carried over to any stride; the products that land past a row's
-  end or between images are discarded. Otherwise, which covers the small
-  low-resolution layers where Python dispatch is the cost,
-  ``_exact_stacked`` writes each tap's products for all input channels
-  with one multiply into a bounded stack and folds it with one reduce over
-  its leading axis, which numpy performs row by row: O(taps) numpy calls
-  per band of output rows instead of O(taps x channels).
+  tolerance. One of two helpers is picked by the output's pixel count
+  over the batch (``_CHANNEL_FIRST_PIXELS``). On large outputs,
+  ``_exact_channel_first`` copies the unpadded input once, channel first,
+  into the s x s stride phases of its padded grid (polyphase, as in
+  sub-pixel convolution), each (phase, channel) plane of the whole batch
+  one flat contiguous run. Every tap then reads one phase at one offset,
+  so each (tap, channel) product is one contiguous multiply and add over
+  the whole batch, the shifted-slice idea of the stride-1 GEMM below
+  carried over to any stride; the products that land past a row's end or
+  between images are discarded. On small ones, where Python dispatch is
+  the cost, ``_exact_stacked`` pads the input and writes each tap's
+  products for all input channels with one multiply into a bounded stack
+  that one reduce over its leading axis folds, row by row as numpy runs
+  it: O(taps) numpy calls instead of O(taps x channels).
   Either way each output element sees the same multiplies and adds in the
   same order, so the result stays bit-identical to the naive loop.
 * GEMM fast path (``using_deterministic(False)``): same math, BLAS
@@ -77,17 +77,17 @@ GEMM each. Any other conv2d runs ``_im2col_grads``: the
 weight gradient is one ``_im2col(...).T @ g`` product and the input
 gradient is ``_spread``. Only the shifted rule pads the input again, when
 it runs, so the tape holds no padded copy; every other rule, and every
-forward but the exact one, reads the unpadded input in place through its
-tap windows.
+forward but the small outputs' stacked exact pass, reads the unpadded
+input in place through its tap windows.
 
 conv2d, the depthwise convolution and transposed_conv take their input as
 one tensor or as a tuple of parts whose channels they read in order: the
 bytes of the parts' concatenation, without its copy. ``_pad_input`` writes
-each part into its channel slice of the padded copy that the exact
-forward and the shifted rule make anyway, the tap windows and the shifted
-GEMM's band buffer are filled from each part, and only the unpadded 1x1
-GEMM and transposed_conv join the parts, for the call. A pooled (n, 1, 1,
-c) part is broadcast over the map, its bilinear upsample (``_split``).
+each part into its channel slice of the stacked exact pass's and the
+shifted rule's padded copy; the tap windows, the exact stride phases and
+the shifted GEMM's band buffer are filled from each part; only the 1x1
+GEMM on an unpadded map and transposed_conv join the parts, for the call.
+A pooled (n, 1, 1, c) part is broadcast, its bilinear upsample (``_split``).
 
 A kernel with ``relu`` set fuses its ReLU into the operator's one tape
 node: the output is rectified in place, so the pre-activation is never
@@ -131,11 +131,19 @@ _deterministic = True
 # OpenBLAS, against 150.5 and 143.3 ms when the accumulator and temporary
 # got a quarter each over a whole padded copy of the input: at 576x576
 # 32->32, totals of 1, 1.5 and 2 MB ran 142.0, 136.4 and 132.9 ms; at
-# 288x288 128->64, 136.7, 126.8 and 128.0 ms. The exact forward's product
-# stack shares the budget: stacks of 2^16 to 2^20 elements ran the
-# desk-scale shapes at about the same speed, 2^12 up to 4x slower. The
+# 288x288 128->64, 136.7, 126.8 and 128.0 ms. The stacked exact pass's
+# product stack gets a quarter: stacks of 2^16 to 2^20 elements ran the
+# desk-scale shapes at about the same speed, 2^12 up to 4x slower, and the
+# whole budget raised a desk step's traced peak from 6.25 to 7.08 MB. The
 # im2col GEMM forward has no budget: it holds its whole column matrix.
 _BAND_ELEMENTS = 1 << 20
+
+# Output pixels (n * ho * wo) from which the exact forward runs
+# ``_exact_channel_first``, not ``_exact_stacked``. Any value in (256, 1024]
+# picks the faster on each desk shape of scripts/bench_conv.py; against
+# ``cout < wo``, 2-core host, OpenBLAS, a full-width 4x64x64 exact forward
+# went 1.07-1.48 -> 0.80-0.86 s and the desk one 18.6-19.2 -> 17.4-18.3 ms.
+_CHANNEL_FIRST_PIXELS = 1024
 
 
 def deterministic_mode() -> bool:
@@ -311,41 +319,26 @@ def _im2col(xs: tuple, kh: int, kw: int, d: int, s: int, pads, ho: int, wo: int)
     return cols.reshape(n * ho * wo, -1)
 
 
-def _exact_stacked(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
-    """Tap-ordered forward in O(taps) numpy calls per band of output rows.
-
-    The output is cut into the fewest even bands of whole rows across the
-    batch (``_row_blocks``) that let each band's product stack hold every
-    product at once within ``_BAND_ELEMENTS`` elements, but one row. numpy's
-    reduce over a few long stack rows costs more than in-place adds, so a
-    stack over the whole of a large output ran full-width forwards slower
-    than a loop of one multiply and one add per input channel.
-    """
-    kh, kw, cin, _ = w.shape
-    n, ho, wo, cout = out.shape
-    band = max(1, _BAND_ELEMENTS // ((1 + kh * kw * cin) * n * wo * cout))
-    for i0, i1 in _row_blocks(ho, band):
-        _stack_band(xp[:, i0 * s : (i1 - 1) * s + (kh - 1) * d + 1], w, d, s, out[:, i0:i1])
-
-
-def _stack_band(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
-    """One multiply writes a tap's ``cin`` product planes into rows of a
-    stack whose row 0 is the running output; one reduce over the leading
-    axis folds the stack.
+def _exact_stacked(xs: tuple, w: np.ndarray, d: int, s: int, pads, out: np.ndarray) -> None:
+    """Tap-ordered forward in O(taps) numpy calls over a padded copy of
+    the map of the unpadded parts ``xs`` grown by ``pads``: one multiply
+    writes a tap's ``cin`` product planes into rows of a stack whose row 0
+    is the running output; one reduce over the leading axis folds it.
 
     numpy reduces a leading axis row by row, so every output element gets
     ``((out + p0) + p1) + ...`` in (kernel row, kernel col, input channel)
     order; ``initial=-0.0`` is the exact additive identity, so even a
     negative zero keeps its sign. A one-element row would be reduced along a
     contiguous axis, which numpy sums pairwise, so rows hold at least two
-    elements (the second one a zero). The stack holds at most
+    elements (the second one a zero). The stack holds at most a quarter of
     ``_BAND_ELEMENTS`` elements, but at least two rows: when it is full it
-    is folded into row 0 and filling resumes.
+    is folded into row 0 and filling resumes (a few long rows fold slowly,
+    so ``_dense`` runs it on small outputs only).
     """
     kh, kw, cin, _ = w.shape
-    size = out.size
+    xp, size = _pad_input(xs, pads), out.size
     width = max(size, 2)
-    rows = max(2, min(1 + kh * kw * cin, _BAND_ELEMENTS // width))
+    rows = max(2, min(1 + kh * kw * cin, _BAND_ELEMENTS // 4 // width))
     buf = np.empty((rows, width), dtype=out.dtype)
     buf[:, size:] = 0.0
     stack = buf[:, :size].reshape(rows, *out.shape)
@@ -353,12 +346,12 @@ def _stack_band(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) 
     r = 1
     for a, b in np.ndindex(kh, kw):
         tap = xp[:, a * d :: s, b * d :: s][:, : out.shape[1], : out.shape[2]]
-        xs = tap.transpose(3, 0, 1, 2)[..., None]
+        xt = tap.transpose(3, 0, 1, 2)[..., None]
         ws = w[a, b, :, None, None, None, :]  # w[a, b, m] broadcast over (n, ho, wo)
         m = 0
         while m < cin:
             k = min(cin - m, rows - r)
-            np.multiply(xs[m : m + k], ws[m : m + k], out=stack[r : r + k])
+            np.multiply(xt[m : m + k], ws[m : m + k], out=stack[r : r + k])
             m, r = m + k, r + k
             if r == rows:
                 np.add.reduce(buf, axis=0, out=buf[0], initial=-0.0)
@@ -367,40 +360,43 @@ def _stack_band(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) 
     out[...] = stack[0]
 
 
-def _exact_channel_first(xp: np.ndarray, w: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
+def _exact_channel_first(xs: tuple, w: np.ndarray, d: int, s: int, pads,
+                         out: np.ndarray) -> None:
     """The naive loop's multiplies and adds, one (kernel row, kernel col,
     input channel) tap at a time in that order, each one contiguous loop
     over the whole batch; ``out`` is written once.
 
-    The padded input is copied once, channel first, into its s x s stride
-    phases: ``planes[pa, pb, c]`` is ``xp[:, pa::s, pb::s, c]`` on a
-    zero-filled (n, hq, wq) grid, hq and wq the padded extents over ``s``
-    rounded up, one flat contiguous run per (phase, channel). The
-    accumulator, seeded with ``out``, is one contiguous (cout, n*hq*wq)
-    matrix on the same grid. Tap (a, b) reads phase (pa, pb) from qa*wq +
-    qb on, where (qa, pa) = divmod(a*d, s) and (qb, pb) = divmod(b*d, s),
-    so accumulator pixel (k, i, j) meets the input pixel the naive loop
-    reads for output (k, i, j). Each run ends in a zero tail as long as the
-    largest such offset, so every tap's products with one channel are one
-    multiply over the whole accumulator and one add into it; the grid's
-    columns past an output row, its rows below an image's output and any
-    NaN formed there are discarded. Both must be contiguous: an add into a
-    column slice of the accumulator ran ≈ 3x slower (8 x 1122 elements, 3.9
-    against 1.2 us), and a transposed reshape of ``xp`` is a view whose
-    elements lie a pixel's channels apart, which multiplies no faster than
-    the strided tap view.
+    The map ``xp`` of the unpadded parts ``xs`` grown by ``pads`` is copied
+    once, channel first, into its s x s stride phases: ``planes[pa, pb, c]``
+    is ``xp[:, pa::s, pb::s, c]`` on a zero-filled (n, hq, wq) grid, hq and
+    wq the padded extents over ``s`` rounded up, one flat contiguous run per
+    (phase, channel). Phase (pa, pb) is tap (pa, pb) of an s x s, stride-s
+    gather, so each part fills its window (``_windows``), a broadcast part
+    all of it, and no padding is copied. The accumulator, seeded with
+    ``out``, is one contiguous (cout, n*hq*wq) matrix on the same grid. Tap
+    (a, b) reads phase (pa, pb) from qa*wq + qb on, where (qa, pa) =
+    divmod(a*d, s) and (qb, pb) = divmod(b*d, s), so accumulator pixel (k,
+    i, j) meets the input pixel the naive loop reads for output (k, i, j).
+    Each run ends in a zero tail as long as the largest such offset, so
+    every tap's products with one channel are one multiply over the whole
+    accumulator and one add into it; the grid's columns past an output row,
+    its rows below an image's output and any NaN formed there are discarded.
+    Both must be contiguous: an add into a column slice of the accumulator
+    ran ≈ 3x slower (8 x 1122 elements, 3.9 against 1.2 us), and a
+    transposed reshape of ``xp`` is a view whose elements lie a pixel's
+    channels apart, which multiplies no faster than the strided tap view.
     """
     kh, kw, cin, cout = w.shape
-    n, ho, wo, _ = out.shape
-    _, hp, wp, _ = xp.shape
-    hq, wq = -(-hp // s), -(-wp // s)
+    _, ho, wo, _ = out.shape
+    n, h, wd, _ = shape = _frame(xs)
+    hq, wq = -(-(h + pads[0] + pads[1]) // s), -(-(wd + pads[2] + pads[3]) // s)
     size = n * hq * wq
     tail = (kh - 1) * d // s * wq + (kw - 1) * d // s
     planes = np.zeros((s, s, cin, size + tail), dtype=out.dtype)
-    grid = planes[..., :size].reshape(s, s, cin, n, hq, wq)
-    for pa, pb in np.ndindex(s, s):
-        phase = xp[:, pa::s, pb::s].transpose(3, 0, 1, 2)
-        grid[pa, pb, :, :, : phase.shape[2], : phase.shape[3]] = phase
+    grid = planes[..., :size].reshape(s, s, cin, n, hq, wq).transpose(0, 1, 3, 4, 5, 2)
+    for pa, pb, o, i in _windows(shape, pads, (s, s), 1, s, 0, hq, wq):
+        for p, c0, c1 in _slices(xs):
+            grid[pa, pb][o][..., c0:c1] = p[i] if p.shape[1:3] == (h, wd) else p
     acc = np.zeros((cout, n, hq, wq), dtype=out.dtype)
     acc[:, :, :ho, :wo] = out.transpose(3, 0, 1, 2)
     flat = acc.reshape(cout, size)
@@ -554,7 +550,7 @@ def _dense(xs: tuple, w: np.ndarray, d: int, s: int, pads, out: np.ndarray,
     extent; a weight with no taps gives the epilogue's terms alone.
     """
     kh, kw, cin, cout = w.shape
-    _, ho, wo, _ = out.shape
+    n, ho, wo, _ = out.shape
     _, h, wd, _ = _frame(xs)
     padded = (h + pads[0] + pads[1], wd + pads[2] + pads[3])
     if not w.size:
@@ -563,7 +559,8 @@ def _dense(xs: tuple, w: np.ndarray, d: int, s: int, pads, out: np.ndarray,
         # The bias first, then the taps; the epilogue adds no bias.
         out[...] = 0.0 if bias is None else bias
         bias = None
-        (_exact_channel_first if cout < wo else _exact_stacked)(_pad_input(xs, pads), w, d, s, out)
+        exact = _exact_channel_first if n * ho * wo >= _CHANNEL_FIRST_PIXELS else _exact_stacked
+        exact(xs, w, d, s, pads, out)
     elif kh == kw == 1 and padded == (ho, wo):
         np.matmul(_pad_input(xs, pads).reshape(-1, cin), w.reshape(cin, cout),
                   out=out.reshape(-1, cout))

@@ -177,7 +177,7 @@ class TestExactLayouts:
         want = conv2d_naive(x, wk, bias, s, d, pads)
         got = np.empty_like(want)
         got[...] = bias
-        exact(convops._pad_input(x, pads), wk, d, s, got)
+        exact((x,), wk, d, s, pads, got)
         assert got.dtype == want.dtype
         # Bits, not values: a negative zero must keep its sign.
         assert np.array_equal(got, want, equal_nan=True), exact.__name__
@@ -185,7 +185,7 @@ class TestExactLayouts:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_naive_loop(self, dtype, rng):
-        sides = set()  # whether cout < wo, over the trials
+        sides = set()  # which helper conv2d would pick, over the trials
         long_sums = 0  # trials whose output elements sum more than 8 products
         for trial in range(60):
             n = int(rng.integers(1, 4))
@@ -193,15 +193,18 @@ class TestExactLayouts:
             pads = tuple(int(v) for v in rng.integers(0, 3, size=4))
             kd = dilated_kernel_extent(k, d)
             h, w = (int(v) for v in rng.integers(max(kd - 4, 1), kd + 5, size=2))
+            big = trial % 10 == 9  # 3 images of at least 21 x 21 output pixels
+            if big:
+                n, h, w = 3, kd + 20 * s, kd + 20 * s
             ho = (h + pads[0] + pads[1] - kd) // s + 1
             wo = (w + pads[2] + pads[3] - kd) // s + 1
             if ho < 1 or wo < 1:
                 continue
             # numpy sums a contiguous run of more than 8 pairwise, so an
             # order slip shows only past 8 products per output element.
-            cin = int(rng.integers(1, 17))
-            cout = int(rng.integers(max(wo - 3, 1), wo + 3))
-            sides.add(cout < wo)
+            cin = int(rng.integers(1, 4 if big else 17))
+            cout = int(rng.integers(1, 4) if big else rng.integers(max(wo - 3, 1), wo + 3))
+            sides.add(n * ho * wo >= convops._CHANNEL_FIRST_PIXELS)
             long_sums += k * k * cin > 8
             x = rng.normal(size=(n, h, w, cin)).astype(dtype)
             if trial % 4 == 0:
@@ -273,15 +276,15 @@ class TestExactLayouts:
             for exact in self.LAYOUTS:
                 self.assert_naive_bits(exact, x, wk, bias, s, d, pads)
 
-    @pytest.mark.parametrize("budget", [60, 150, 3300])
-    def test_bands_and_folds_keep_the_bits(self, budget, rng, monkeypatch):
-        # The (2, 5, 5, 3) output has 30 elements per row and 54 products
-        # (3x3 taps x 6 channels) per element, so a stack holding every
-        # product needs 55 rows. A 60-element budget makes one-row bands
-        # whose 2-row stacks fold after every product; 150 makes 5-row
-        # stacks that fold in the middle of a tap's channels; 3300 makes
-        # bands of 2, 2 and 1 rows that each fold once. The strided, dilated
-        # geometry checks the input window of each band.
+    @pytest.mark.parametrize("budget", [240, 600, 3000])
+    def test_stack_folds_keep_the_bits(self, budget, rng, monkeypatch):
+        # The stack gets a quarter of the budget. The (2, 5, 5, 3) output
+        # has 150 elements and 54 products (3x3 taps x 6 channels) per
+        # element, so a stack holding every product needs 55 rows. Budgets
+        # of 240 and 600 make 2-row stacks that fold after every product;
+        # 3000 makes 5-row stacks that fold in the middle of a tap's
+        # channels. The strided, dilated geometry's (2, 3, 2, 3) output
+        # gets 2-, 4- and 20-row stacks.
         x = rng.normal(size=(2, 5, 5, 6)).astype(np.float32)
         wk = rng.normal(size=(3, 3, 6, 3)).astype(np.float32)
         bias = rng.normal(size=(1, 1, 1, 3)).astype(np.float32)
@@ -297,6 +300,9 @@ class TestExactLayouts:
             ((4, 8, 8, 32), 16, 1, "_exact_stacked"),  # decoder, 1/8 resolution
             ((4, 4, 4, 32), 32, 4, "_exact_stacked"),  # block 5 spatial, its centre tap
             ((4, 8, 8, 32), 32, 4, "_exact_stacked"),  # the same, every tap reading the input
+            ((4, 32, 32, 128), 64, 1, "_exact_channel_first"),  # full width, 1/2 resolution
+            ((4, 32, 32, 32), 64, 1, "_exact_channel_first"),  # the same, second conv
+            ((4, 8, 8, 64), 64, 1, "_exact_stacked"),  # full width, 1/8 resolution
         ],
     )
     def test_conv2d_picks_layout_by_shape(self, shape, cout, dilation, layout, rng, monkeypatch):
@@ -1158,6 +1164,25 @@ class TestRecordedConvHoldsNoPaddedCopy:
         assert gx.shape == x.shape and gx.flags.c_contiguous and gx.flags.owndata
 
 
+class TestExactForwardHoldsNoPaddedCopy:
+    """The channel-first exact forward fills its stride phases from the
+    unpadded input: 1 MB in, out and per phase grid, with no padded copy of
+    the input (another 1.08 MB at stride 1) beside them."""
+
+    @pytest.mark.parametrize("stride, limit_mb", [(1, 4.5), (2, 2.3)])
+    def test_peak(self, stride, limit_mb, rng):
+        x = Tensor(rng.normal(size=(1, 128, 128, 16)).astype(np.float32))
+        kern = ConvKernel(Tensor(rng.normal(size=(3, 3, 16, 16)).astype(np.float32)), None,
+                          stride, 1, same_pads(3, 1, stride))
+        tracemalloc.start()
+        try:
+            conv2d(x, kern)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2**20
+
+
 class TestPadInput:
     def test_bytes_of_np_pad(self, rng):
         for trial in range(60):
@@ -1801,7 +1826,8 @@ class TestConvOverParts:
 
     # route -> (deterministic, map (n, h, w), kernel, dilation, stride, pads, cout)
     ROUTES = {
-        "exact channel-first": (True, (2, 6, 7), 3, 1, 1, (1, 1, 1, 1), 2),
+        "exact channel-first": (True, (2, 24, 24), 3, 1, 1, (1, 1, 1, 1), 2),
+        "exact channel-first s2": (True, (2, 48, 48), 3, 1, 2, (1, 1, 1, 1), 2),
         "exact stacked": (True, (2, 4, 3), 3, 1, 1, (1, 1, 1, 1), 5),
         "1x1 reshape": (False, (2, 5, 6), 1, 1, 1, (0, 0, 0, 0), 3),
         "shifted": (False, (2, 20, 20), 3, 1, 1, (1, 1, 1, 1), 3),
@@ -1813,6 +1839,7 @@ class TestConvOverParts:
     # route -> the forward helpers that run
     HELPERS = {
         "exact channel-first": ["_exact_channel_first"],
+        "exact channel-first s2": ["_exact_channel_first"],
         "exact stacked": ["_exact_stacked"],
         "1x1 reshape": [],
         "shifted": ["_shifted_gemm"],
