@@ -9,6 +9,12 @@ where mean_ce is the binary cross entropy of sigmoid(z) against the {0,1}
 target, computed as max(z, 0) - t*z + log1p(exp(-|z|)) and averaged over
 all pixels; its gradient sigmoid(z) - t does not vanish when z saturates.
 The objective is one tape node, differentiable in z and in every weight.
+Its rule returns each weight's L2 term, 2 * lambda * W, deferred (see
+``tensor``): the term is formed only when the sweep first sums it with the
+weight's convolution gradient or yields it, and it reads the weight's buffer
+before anything updates it. So the loss node, which runs first in the
+backward, does not hold every weight's gradient at once, and each sum is
+still the L2 term plus the convolution gradient, in that order.
 """
 
 from __future__ import annotations
@@ -71,6 +77,6 @@ def total_loss(
         if beta != 0.0:
             gz = (g * beta).reshape(()) * 2.0 * diff * (p * (1.0 - p)) / m + gz
         g_lam = (g * lam).reshape(())
-        return (gz, None, *(g_lam * 2.0 * d for d in data))
+        return (gz, None, *(lambda d=d: g_lam * 2.0 * d for d in data))
 
     return record_op("total_loss", (logits, target, *weights), out, rule)

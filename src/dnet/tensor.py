@@ -12,11 +12,27 @@ gradients across fan-out, and returns the gradients of the leaves only: the
 intermediate gradient is released as soon as the rule that consumes it has
 run.
 
+:func:`leaf_gradients` is that sweep, as a stream: it yields
+``(leaf, gradient)`` as soon as the earliest node that reads the leaf has
+run its rule, since no rule still to run reads the leaf or adds to its
+gradient. The consumer may update the leaf in place before resuming the
+stream, so that an optimizer holds one leaf gradient at a time rather than
+all of them. :func:`backward` is the same stream collected into a map.
+
+A rule may return an input's gradient deferred, as a zero-argument function
+instead of an array. The sweep calls it when it first sums or yields that
+gradient, so sums keep their operands in arrival order, and a deferred
+gradient is formed no earlier than the first gradient it is summed with.
+It runs no later than the yield of the leaf it belongs to, so it may read
+that leaf's buffer even when the consumer updates leaves in place, but it
+must not read a leaf that may be yielded, and so updated, before it runs.
+
 No operator is defined here: the network's are its convolutions (see
 ``convops``), which read concatenations in place and carry its ReLUs.
 
 Tensors are treated as immutable once produced by an operation; optimizers
-may rewrite leaf ``.data`` buffers between recorded forward passes. Nothing
+may rewrite a leaf's ``.data`` buffer once :func:`leaf_gradients` has
+yielded it, or between recorded forward passes. Nothing
 here mutates a stored gradient in place, so gradient arrays may be shared.
 """
 
@@ -24,7 +40,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +56,7 @@ __all__ = [
     "default_dtype",
     "using_dtype",
     "backward",
+    "leaf_gradients",
 ]
 
 _ALLOWED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -112,8 +129,12 @@ class Tensor:
 
 
 # A backward rule receives d(loss)/d(output) and returns one gradient per
-# input (None where an input is a non-differentiable constant).
-BackwardRule = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
+# input: an array, a zero-argument function that computes it when the sweep
+# first needs it (deferred), or None where an input is a non-differentiable
+# constant.
+BackwardRule = Callable[
+    [np.ndarray], Sequence["np.ndarray | Callable[[], np.ndarray] | None"]
+]
 
 
 @dataclass
@@ -191,55 +212,92 @@ def _validate_graph(graph: Graph) -> dict[int, int]:
     return produced
 
 
-def backward(loss: Tensor, graph: Graph) -> dict[Tensor, np.ndarray]:
-    """Reverse-sweep the tape and return d(loss)/d(leaf) for every leaf on it.
+def leaf_gradients(loss: Tensor, graph: Graph) -> Iterator[tuple[Tensor, np.ndarray]]:
+    """Reverse-sweep the tape, yielding ``(leaf, d(loss)/d(leaf))`` per leaf.
 
     A leaf is a ``requires_grad`` input of some node that no node produced,
-    such as a parameter; every leaf on the tape is in the returned map,
-    zero-filled if the loss does not depend on it. ``loss`` must be scalar
-    and must have been produced by ``graph``. Gradients accumulate across
-    fan-out in tape order. A node's output gradient is dropped once its rule
-    has run, and a gradient for an input that does not require one (a
-    constant such as the network's input image) is shape-checked and
-    discarded.
+    such as a parameter. Each leaf is yielded once, as soon as the earliest
+    node that reads it has had its rule run (or has been passed over, off
+    the loss's path), so no later rule reads it and its gradient is final;
+    zero-filled if the loss does not depend on it. The consumer may then
+    update the leaf in place. ``loss`` must be scalar and must have been
+    produced by ``graph``; both are checked here, before the sweep starts.
+    Gradients accumulate across fan-out in the order the rules run. A
+    node's output gradient is dropped once its rule has run, and a gradient
+    for an input that does not require one (a constant such as the
+    network's input image) is shape-checked and discarded, or discarded
+    uncalled if deferred. The tape is only read.
     """
     if loss.shape != (1, 1, 1, 1):
         raise ShapeError(f"backward: loss must be scalar (1,1,1,1), got {loss.shape}")
     produced = _validate_graph(graph)
     if id(loss) not in produced:
         raise GraphError("backward: loss tensor was not produced by this graph")
-
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1, 1, 1), dtype=loss.dtype)}
-
-    for node in reversed(graph.nodes):
-        g_out = grads.pop(id(node.output), None)
-        if g_out is None:
-            continue  # not on the loss's ancestor path
-        in_grads = node.backward(g_out)
-        if len(in_grads) != len(node.inputs):
-            raise GraphError(f"backward rule of {node.op} returned wrong arity")
-        for inp, gi in zip(node.inputs, in_grads):
-            if gi is None:
-                continue
-            if gi.shape != inp.shape:
-                raise GraphError(
-                    f"backward rule of {node.op} produced gradient shape {gi.shape} "
-                    f"for input shape {inp.shape}"
-                )
-            if not inp.requires_grad:
-                continue
-            key = id(inp)
-            if key in grads:
-                grads[key] = grads[key] + gi
-            else:
-                grads[key] = gi
-
-    # Every produced gradient was popped above; what is left belongs to leaves.
-    # Leaves the loss does not depend on have a well-defined gradient of zero.
-    result: dict[Tensor, np.ndarray] = {}
-    for node in graph.nodes:
+    due: dict[int, list[Tensor]] = {}  # node index -> leaves it reads first
+    seen: set[int] = set()
+    for idx, node in enumerate(graph.nodes):
         for inp in node.inputs:
-            if inp.requires_grad and id(inp) not in produced and inp not in result:
-                g = grads.get(id(inp))
-                result[inp] = g if g is not None else np.zeros(inp.shape, dtype=loss.dtype)
-    return result
+            if inp.requires_grad and id(inp) not in produced and id(inp) not in seen:
+                seen.add(id(inp))
+                due.setdefault(idx, []).append(inp)
+    return _sweep(loss, graph.nodes, due)
+
+
+def _sweep(loss: Tensor, nodes: list[Node],
+           due: dict[int, list[Tensor]]) -> Iterator[tuple[Tensor, np.ndarray]]:
+    # Pending gradients by tensor id: an array, or a deferred one as
+    # (zero-argument function, node whose rule returned it).
+    grads: dict[int, object] = {id(loss): np.ones((1, 1, 1, 1), dtype=loss.dtype)}
+    for idx in range(len(nodes) - 1, -1, -1):
+        node = nodes[idx]
+        if id(node.output) in grads:  # else not on the loss's ancestor path
+            _run_rule(node, grads.pop(id(node.output)), grads)
+        for leaf in due.get(idx, ()):
+            g = grads.pop(id(leaf), None)
+            yield leaf, np.zeros(leaf.shape, dtype=loss.dtype) if g is None else _value(g, leaf)
+            del g  # hold no gradient while the next rules run
+
+
+def _run_rule(node: Node, g_out, grads: dict[int, object]) -> None:
+    """Run ``node``'s rule and add what it returns into ``grads``, in place;
+    its results are released on return, once stored or summed."""
+    in_grads = node.backward(_value(g_out, node.output))
+    if len(in_grads) != len(node.inputs):
+        raise GraphError(f"backward rule of {node.op} returned wrong arity")
+    for inp, gi in zip(node.inputs, in_grads):
+        if gi is None:
+            continue
+        if callable(gi):
+            gi = (gi, node)  # a constant's deferred gradient is never called
+        else:
+            _checked(gi, inp, node)
+        if not inp.requires_grad:
+            continue
+        key = id(inp)
+        if key in grads:
+            grads[key] = _value(grads[key], inp) + _value(gi, inp)
+        else:
+            grads[key] = gi
+
+
+def _value(g, inp: Tensor) -> np.ndarray:
+    """A pending gradient of ``inp`` as an array, calling it if deferred."""
+    if isinstance(g, tuple):
+        fn, node = g
+        return _checked(fn(), inp, node)
+    return g
+
+
+def _checked(g: np.ndarray, inp: Tensor, node: Node) -> np.ndarray:
+    if g.shape != inp.shape:
+        raise GraphError(
+            f"backward rule of {node.op} produced gradient shape {g.shape} "
+            f"for input shape {inp.shape}"
+        )
+    return g
+
+
+def backward(loss: Tensor, graph: Graph) -> dict[Tensor, np.ndarray]:
+    """d(loss)/d(leaf) for every leaf on the tape: the :func:`leaf_gradients`
+    stream collected into a map, keyed in the order it yields."""
+    return dict(leaf_gradients(loss, graph))

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .tensor import Tensor, backward, default_dtype, recording
+from .errors import ConfigError, GraphError, ShapeError
+from .tensor import Tensor, default_dtype, leaf_gradients, recording
 from .losses import sigmoid, total_loss
 from .metrics import MASK_THRESHOLD, ConfusionCounts, MetricsReport, confusion, metrics
 from .model import DOWNSAMPLE_FACTOR
@@ -101,6 +101,51 @@ class AdamState:
             v=[np.zeros_like(p.data) for p in params],
         )
 
+    def advance(self) -> tuple[float, float]:
+        """Count one more step; return its bias corrections 1 - beta^t."""
+        self.t += 1
+        return 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
+
+
+class _Scratch:
+    """Adam's work buffers: two flat arrays per dtype, sized to the largest
+    parameter and shared by all of them, allocated on first use."""
+
+    def __init__(self, params: Sequence[Tensor]):
+        self.size = max((p.data.size for p in params), default=0)
+        self.buffers: dict[tuple[int, np.dtype], np.ndarray] = {}
+
+    def __call__(self, slot: int, like: np.ndarray) -> np.ndarray:
+        """Scratch shaped and typed like ``like``; slot 0 or 1."""
+        key = (slot, like.dtype)
+        if key not in self.buffers:
+            self.buffers[key] = np.empty(self.size, dtype=like.dtype)
+        return self.buffers[key][: like.size].reshape(like.shape)
+
+
+def _adam_update(p: Tensor, g: np.ndarray, m: np.ndarray, v: np.ndarray, lr: float,
+                 bc1: float, bc2: float, temp: _Scratch) -> None:
+    """Adam's update of one parameter and its moments, in place, given the
+    step's bias corrections ``bc1`` and ``bc2``."""
+    if g.shape != p.data.shape:
+        raise ShapeError(
+            f"adam_step: gradient shape {g.shape} does not match parameter "
+            f"shape {p.data.shape}"
+        )
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=temp(0, g))
+    v *= BETA2
+    gg = np.multiply(g, g, out=temp(0, g))
+    gg *= 1.0 - BETA2
+    v += gg
+    step = np.divide(m, bc1, out=temp(0, m))
+    step *= lr
+    denom = np.divide(v, bc2, out=temp(1, v))
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    step /= denom
+    p.data -= step
+
 
 def adam_step(
     params: Sequence[Tensor],
@@ -121,38 +166,10 @@ def adam_step(
             f"adam_step: {len(params)} params vs {len(grads)} grads vs "
             f"{len(state.m)} m and {len(state.v)} v state slots"
         )
-    state.t += 1
-    bc1 = 1.0 - BETA1 ** state.t
-    bc2 = 1.0 - BETA2 ** state.t
-    size = max((p.data.size for p in params), default=0)
-    scratch: dict[tuple[int, np.dtype], np.ndarray] = {}
-
-    def temp(slot: int, like: np.ndarray) -> np.ndarray:
-        """Scratch shaped and typed like ``like``; slot 0 or 1."""
-        key = (slot, like.dtype)
-        if key not in scratch:
-            scratch[key] = np.empty(size, dtype=like.dtype)
-        return scratch[key][: like.size].reshape(like.shape)
-
+    bc1, bc2 = state.advance()
+    temp = _Scratch(params)
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.data.shape:
-            raise ShapeError(
-                f"adam_step: gradient shape {g.shape} does not match parameter "
-                f"shape {p.data.shape}"
-            )
-        m *= BETA1
-        m += np.multiply(g, 1.0 - BETA1, out=temp(0, g))
-        v *= BETA2
-        gg = np.multiply(g, g, out=temp(0, g))
-        gg *= 1.0 - BETA2
-        v += gg
-        step = np.divide(m, bc1, out=temp(0, m))
-        step *= lr
-        denom = np.divide(v, bc2, out=temp(1, v))
-        np.sqrt(denom, out=denom)
-        denom += EPS
-        step /= denom
-        p.data -= step
+        _adam_update(p, g, m, v, lr, bc1, bc2, temp)
 
 
 class _BatchSampler:
@@ -187,32 +204,52 @@ def train(
     """Run max_iter optimization steps and return the (step, lr, loss) trace.
 
     ``on_step(step, loss)`` may return True to stop early (the trace keeps
-    whatever was run). Deterministic given the seed: batch order and
-    arithmetic both derive from it.
+    whatever was run); the step's tape and gradients are gone by then.
+    Deterministic given the seed: batch order and arithmetic both derive
+    from it. The parameters end bit-identical to ``backward`` followed by
+    ``adam_step`` on each batch.
     """
     if len(dataset) == 0:
         raise ConfigError("train: dataset is empty")
     params = list(model.parameters().values())
     reg_params = model.kernel_parameters()
     state = AdamState.for_params(params)
+    moments = {id(p): (m, v) for p, m, v in zip(params, state.m, state.v)}
+    temp = _Scratch(params)
     rng = np.random.default_rng(cfg.seed)
     sampler = _BatchSampler(len(dataset), rng)
     trace: list[tuple[int, float, float]] = []
 
     for step in range(cfg.max_iter):
-        indices = sampler.take(cfg.batch)
-        xb, yb = _stack_batch(dataset, indices)
-        with recording() as graph:
-            loss = total_loss(model.forward(xb), yb, reg_params, cfg.lam, cfg.beta)
-            grad_map = backward(loss, graph)
-        grads = [grad_map[p] for p in params]
         lr = poly_lr(step, cfg)
-        adam_step(params, grads, state, lr)
-        loss_value = loss.item()
+        batch = _stack_batch(dataset, sampler.take(cfg.batch))
+        loss_value = _train_step(model, batch, reg_params, cfg, lr, state, moments, temp)
         trace.append((step, lr, loss_value))
         if on_step is not None and on_step(step, loss_value):
             break
     return trace
+
+
+def _train_step(model, batch, reg_params, cfg: TrainConfig, lr: float, state: AdamState,
+                moments: dict[int, tuple[np.ndarray, np.ndarray]], temp: _Scratch) -> float:
+    """One forward, backward and Adam update; returns the loss.
+
+    Each parameter is updated as soon as :func:`leaf_gradients` yields its
+    final gradient, so one parameter gradient is held at a time. The tape
+    and the gradients are locals here, released when the step returns.
+    """
+    xb, yb = batch
+    with recording() as graph:
+        loss = total_loss(model.forward(xb), yb, reg_params, cfg.lam, cfg.beta)
+        bc1, bc2 = state.advance()
+        updated = 0
+        for p, g in leaf_gradients(loss, graph):
+            _adam_update(p, g, *moments[id(p)], lr, bc1, bc2, temp)
+            updated += 1
+            del g
+    if updated != len(moments):
+        raise GraphError(f"train: {len(moments) - updated} parameters are not on the tape")
+    return loss.item()
 
 
 def predict_probs(model, image: np.ndarray) -> np.ndarray:

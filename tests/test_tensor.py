@@ -16,6 +16,7 @@ from dnet.tensor import (
     Node,
     Tensor,
     backward,
+    leaf_gradients,
     record_op,
     recording,
     using_dtype,
@@ -187,7 +188,8 @@ def keep_everything_backward(loss, graph):
 
     It stores the gradient of every tensor it reaches, produced or constant,
     in the same accumulation order as :func:`backward`, and returns those of
-    the ``requires_grad`` tensors.
+    the ``requires_grad`` tensors. A deferred gradient is formed where the
+    rule returns it.
     """
     grads = {id(loss): np.ones((1, 1, 1, 1), dtype=loss.dtype)}
     by_id = {id(loss): loss}
@@ -198,6 +200,8 @@ def keep_everything_backward(loss, graph):
         for inp, gi in zip(node.inputs, node.backward(g_out)):
             if gi is None:
                 continue
+            if callable(gi):
+                gi = gi()
             key = id(inp)
             grads[key] = grads[key] + gi if key in grads else gi
             by_id[key] = inp
@@ -243,6 +247,95 @@ def test_backward_parameter_gradients_match_keep_everything_sweep(deterministic,
     assert set(map(id, grads)) == set(map(id, params.values()))
     for name, p in params.items():
         assert np.array_equal(grads[p], reference[p]), name
+
+
+def scalar(value, requires_grad=False):
+    return tensor([value], shape=(1, 1, 1, 1), requires_grad=requires_grad)
+
+
+def logged_op(log, name, inputs, out_data, rule):
+    """``record_op`` whose rule appends ``name`` to ``log`` when it runs."""
+
+    def logged(g):
+        log.append(name)
+        return rule(g)
+
+    return record_op(name, inputs, out_data, logged)
+
+
+def test_leaf_is_yielded_before_any_earlier_rule_runs():
+    a, b = scalar(2.0, requires_grad=True), scalar(3.0, requires_grad=True)
+    log = []
+    with recording() as g:
+        h = logged_op(log, "scale a", (a,), a.data * 2.0, lambda gr: (gr * 2.0,))
+        k = logged_op(log, "h times b", (h, b), h.data * b.data,
+                      lambda gr: (gr * b.data, gr * h.data))
+        loss = logged_op(log, "loss", (k,), k.data.copy(), lambda gr: (gr,))
+    grads = {}
+    for leaf, grad in leaf_gradients(loss, g):
+        log.append("yield a" if leaf is a else "yield b")
+        grads[leaf] = grad
+    assert log == ["loss", "h times b", "yield b", "scale a", "yield a"]
+    assert grads[a].item() == 6.0 and grads[b].item() == 4.0
+
+
+def test_deferred_first_term_sums_left_to_right():
+    # In float32, (1e8 + -1e8) + 1 is 1 but 1e8 + (-1e8 + 1) is 0: the sum
+    # is only right if the deferred term stays first.
+    terms = [np.full((1, 1, 1, 1), v, dtype=np.float32) for v in (1e8, -1e8, 1.0)]
+    left, right = (terms[0] + terms[1]) + terms[2], terms[0] + (terms[1] + terms[2])
+    assert left.tobytes() != right.tobytes()
+    w = scalar(0.5, requires_grad=True)
+    log = []
+
+    def deferred():
+        log.append("deferred")
+        return terms[0]
+
+    with recording() as g:
+        # The sweep runs these rules last to first: 1e8 deferred, -1e8, 1.
+        outs = [logged_op(log, name, (w,), w.data.copy(), rule) for name, rule in (
+            ("gives 1", lambda gr: (terms[2],)),
+            ("gives -1e8", lambda gr: (terms[1],)),
+            ("defers 1e8", lambda gr: (deferred,)),
+        )]
+        loss = record_op("sum", tuple(outs), sum(o.data for o in outs), lambda gr: (gr, gr, gr))
+    grads = dict(leaf_gradients(loss, g))
+    assert grads[w].tobytes() == left.tobytes()
+    assert log == ["defers 1e8", "gives -1e8", "deferred", "gives 1"]  # called at its first sum
+
+
+def test_leaf_with_only_a_deferred_gradient_gets_its_value():
+    w = scalar(0.5, requires_grad=True)
+    c = scalar(1.0)
+
+    def never():
+        raise AssertionError("a constant's deferred gradient was formed")
+
+    value = np.full((1, 1, 1, 1), 7.25, dtype=np.float32)
+    with recording() as g:
+        loss = record_op("deferred", (w, c), w.data * c.data, lambda gr: (lambda: value, never))
+    [(leaf, grad)] = leaf_gradients(loss, g)
+    assert leaf is w and grad is value
+
+
+def test_deferred_gradient_is_shape_checked_when_formed():
+    w = scalar(0.5, requires_grad=True)
+    with recording() as g:
+        loss = record_op("bad", (w,), w.data.copy(), lambda gr: (lambda: np.zeros((1, 1, 2, 1)),))
+    with pytest.raises(GraphError):
+        backward(loss, g)
+
+
+def test_off_path_leaf_is_yielded_zero_filled_where_its_reader_is_passed():
+    on, off = scalar(2.0, requires_grad=True), scalar(3.0, requires_grad=True)
+    with recording() as g:
+        _ = relu(off)  # node 0, not an ancestor of the loss
+        loss = sum_all(multiply(on, on))
+    stream = list(leaf_gradients(loss, g))
+    assert [leaf for leaf, _ in stream] == [on, off]
+    zero = stream[1][1]
+    assert zero.shape == off.shape and zero.dtype == loss.dtype and np.all(zero == 0.0)
 
 
 def test_backward_rejects_non_scalar_loss():
