@@ -87,7 +87,10 @@ each part into its channel slice of the stacked exact pass's and the
 shifted rule's padded copy; the tap windows, the exact stride phases and
 the shifted GEMM's band buffer are filled from each part; only the 1x1
 GEMM on an unpadded map and transposed_conv join the parts, for the call.
-A pooled (n, 1, 1, c) part is broadcast, its bilinear upsample (``_split``).
+``_parts`` hands the helpers every part as an array over the whole map: a
+pooled (n, 1, 1, c) part as a zero-copy broadcast view, its bilinear
+upsample, whose gradient ``_split`` sums back; no helper tests a part's
+shape.
 
 A kernel with ``relu`` set fuses its ReLU into the operator's one tape
 node: the output is rectified in place, so the pre-activation is never
@@ -311,11 +314,11 @@ def _im2col(xs: tuple, kh: int, kw: int, d: int, s: int, pads, ho: int, wo: int)
     """Column matrix of the tap gather over the map of the unpadded parts
     ``xs`` grown by ``pads``: row (n, i, j), column (a, b, channel), zero
     where the tap reads padding."""
-    n, h, w, c = shape = _frame(xs)
+    n, _, _, c = shape = _frame(xs)
     cols = np.zeros((n, ho, wo, kh, kw, c), dtype=xs[0].dtype)
     for a, b, o, i in _windows(shape, pads, (kh, kw), d, s, 0, ho, wo):
         for p, c0, c1 in _slices(xs):
-            cols[o][..., a, b, c0:c1] = p[i] if p.shape[1:3] == (h, w) else p
+            cols[o][..., a, b, c0:c1] = p[i]
     return cols.reshape(n * ho * wo, -1)
 
 
@@ -371,20 +374,20 @@ def _exact_channel_first(xs: tuple, w: np.ndarray, d: int, s: int, pads,
     is ``xp[:, pa::s, pb::s, c]`` on a zero-filled (n, hq, wq) grid, hq and
     wq the padded extents over ``s`` rounded up, one flat contiguous run per
     (phase, channel). Phase (pa, pb) is tap (pa, pb) of an s x s, stride-s
-    gather, so each part fills its window (``_windows``), a broadcast part
-    all of it, and no padding is copied. The accumulator, seeded with
-    ``out``, is one contiguous (cout, n*hq*wq) matrix on the same grid. Tap
-    (a, b) reads phase (pa, pb) from qa*wq + qb on, where (qa, pa) =
-    divmod(a*d, s) and (qb, pb) = divmod(b*d, s), so accumulator pixel (k,
-    i, j) meets the input pixel the naive loop reads for output (k, i, j).
-    Each run ends in a zero tail as long as the largest such offset, so
-    every tap's products with one channel are one multiply over the whole
-    accumulator and one add into it; the grid's columns past an output row,
-    its rows below an image's output and any NaN formed there are discarded.
-    Both must be contiguous: an add into a column slice of the accumulator
-    ran ≈ 3x slower (8 x 1122 elements, 3.9 against 1.2 us), and a
-    transposed reshape of ``xp`` is a view whose elements lie a pixel's
-    channels apart, which multiplies no faster than the strided tap view.
+    gather, so each part fills its window (``_windows``) and no padding is
+    copied. The accumulator, seeded with ``out``, is one contiguous (cout,
+    n*hq*wq) matrix on the same grid. Tap (a, b) reads phase (pa, pb) from
+    qa*wq + qb on, where (qa, pa) = divmod(a*d, s) and (qb, pb) =
+    divmod(b*d, s), so accumulator pixel (k, i, j) meets the input pixel the
+    naive loop reads for output (k, i, j). Each run ends in a zero tail as
+    long as the largest such offset, so every tap's products with one
+    channel are one multiply over the whole accumulator and one add into it;
+    the grid's columns past an output row, its rows below an image's output
+    and any NaN formed there are discarded. Both must be contiguous: an add
+    into a column slice of the accumulator ran ≈ 3x slower (8 x 1122
+    elements, 3.9 against 1.2 us), and a transposed reshape of ``xp`` is a
+    view whose elements lie a pixel's channels apart, which multiplies no
+    faster than the strided tap view.
     """
     kh, kw, cin, cout = w.shape
     _, ho, wo, _ = out.shape
@@ -396,7 +399,7 @@ def _exact_channel_first(xs: tuple, w: np.ndarray, d: int, s: int, pads,
     grid = planes[..., :size].reshape(s, s, cin, n, hq, wq).transpose(0, 1, 3, 4, 5, 2)
     for pa, pb, o, i in _windows(shape, pads, (s, s), 1, s, 0, hq, wq):
         for p, c0, c1 in _slices(xs):
-            grid[pa, pb][o][..., c0:c1] = p[i] if p.shape[1:3] == (h, wd) else p
+            grid[pa, pb][o][..., c0:c1] = p[i]
     acc = np.zeros((cout, n, hq, wq), dtype=out.dtype)
     acc[:, :, :ho, :wo] = out.transpose(3, 0, 1, 2)
     flat = acc.reshape(cout, size)
@@ -437,15 +440,15 @@ def _shifted_gemm(xs: tuple, w: np.ndarray, d: int, pads, out: np.ndarray,
     + (kh - 1)*d). They are filled from the unpadded parts ``xs``, each into
     its channels, in one zero-bordered buffer over the padded width, which
     every band reuses: its padding columns stay zero, and a band at an
-    image's top or bottom zeroes the rows it takes from the padding; a
-    broadcast part fills all its rows. Flattened to a (pixels, channels)
-    matrix, tap (a, b) reads its contiguous rows of the buffer from a*d*wp +
-    b*d on, (i1 - i0 - 1)*wp + wo of them, so never past it: the products
-    land in a band accumulator laid out over the padded width, whose first
-    ``wo`` columns go into ``out`` and whose other columns, which mix taps
-    across a row end, are discarded. The input buffer, the accumulator and
-    the temporary that takes each later tap's product hold three eighths of
-    ``_BAND_ELEMENTS`` together, but at least one output row.
+    image's top or bottom zeroes the rows it takes from the padding.
+    Flattened to a (pixels, channels) matrix, tap (a, b) reads its
+    contiguous rows of the buffer from a*d*wp + b*d on, (i1 - i0 - 1)*wp +
+    wo of them, so never past it: the products land in a band accumulator
+    laid out over the padded width, whose first ``wo`` columns go into
+    ``out`` and whose other columns, which mix taps across a row end, are
+    discarded. The input buffer, the accumulator and the temporary that
+    takes each later tap's product hold three eighths of ``_BAND_ELEMENTS``
+    together, but at least one output row.
     """
     kh, kw, cin, cout = w.shape
     n, h, wd, _ = _frame(xs)
@@ -466,8 +469,7 @@ def _shifted_gemm(xs: tuple, w: np.ndarray, d: int, pads, out: np.ndarray,
             hi = min(max(pt + h - i0, lo), nb)
             xb[:lo] = 0.0
             for p, c0, c1 in _slices(xs):
-                rows_in = p[k, i0 + lo - pt : i0 + hi - pt] if p.shape[1] == h else p[k]
-                xb[lo:hi, pl : pl + wd, c0:c1] = rows_in
+                xb[lo:hi, pl : pl + wd, c0:c1] = p[k, i0 + lo - pt : i0 + hi - pt]
             xb[hi:nb] = 0.0
             m = (i1 - i0 - 1) * wp + wo
             for t, (a, b) in enumerate(np.ndindex(kh, kw)):
@@ -634,15 +636,16 @@ def _depthwise(xs: tuple, w: np.ndarray, d: int, s: int, pads, out: np.ndarray) 
             view = out[o]
             t = tmp[:, : view.shape[1], : view.shape[2]]
             for p, c0, c1 in slices:
-                window = p[i] if p.shape[1:3] == shape[1:3] else p  # else broadcast
-                np.multiply(window, w[a, b, c0:c1], out=t[..., c0:c1])
+                np.multiply(p[i], w[a, b, c0:c1], out=t[..., c0:c1])
             np.add(view, t, out=view)
 
 
 def _parts(op: str, x, kernel: ConvKernel, cin: int, bias_channels: int):
-    """(parts, (n, h, w, c) map) of the input ``x``, a Tensor or a tuple of
-    parts (``_frame``), checked against the kernel. Parts share the batch
-    and dtype; each spans the map or is a broadcast (n, 1, 1, c) one."""
+    """(parts, arrays, (n, h, w, c) map) of the input ``x``, a Tensor or a
+    tuple of parts (``_frame``), checked against the kernel. Parts share the
+    batch and dtype; each spans the map or is a broadcast (n, 1, 1, c) one.
+    ``arrays`` are what the helpers read: each part's data over the whole
+    map, a broadcast part's as a zero-copy ``np.broadcast_to`` view."""
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
     if not parts:
         raise ShapeError(f"{op}: the input has no parts")
@@ -657,7 +660,9 @@ def _parts(op: str, x, kernel: ConvKernel, cin: int, bias_channels: int):
         raise ShapeError(
             f"{op}: bias has {kernel.bias.channels} channels, expected {bias_channels}"
         )
-    return parts, frame
+    xs = tuple([p.data if p.shape[1:3] == frame[1:3]
+                else np.broadcast_to(p.data, (*frame[:3], p.shape[3])) for p in parts])
+    return parts, xs, frame
 
 
 def _gather_frame(op: str, shape, kernel: ConvKernel) -> tuple[int, int]:
@@ -767,13 +772,13 @@ def conv2d(x: Tensor | tuple[Tensor, ...], kernel: ConvKernel,
     """
     _, _, cin, cout = kernel.weight.shape
     op = f"conv2d {kernel.name}".rstrip()  # for errors
-    parts, frame = _parts(op, x, kernel, cin, cout)
+    parts, xs, frame = _parts(op, x, kernel, cin, cout)
     ho, wo = _gather_frame(op, frame, kernel)
     shape = (frame[0], ho, wo, cout)
     if residual is not None and residual.shape != shape:
         raise ShapeError(f"{op}: residual shape {residual.shape} differs from "
                          f"the output's {shape}")
-    xs, s, d = tuple([p.data for p in parts]), kernel.stride, kernel.dilation
+    s, d = kernel.stride, kernel.dilation
     rows, cols, pads = _live_window(frame[1], frame[2], kernel)
     w = kernel.weight.data[rows, cols]
     out = np.empty(shape, dtype=xs[0].dtype)
@@ -805,9 +810,9 @@ def depthwise_conv2d(x: Tensor | tuple[Tensor, ...], kernel: ConvKernel) -> Tens
     op = f"depthwise_conv2d {kernel.name}".rstrip()
     if mult != 1:
         raise ShapeError(f"{op}: channel multiplier must be 1, got {mult}")
-    parts, frame = _parts(op, x, kernel, cin, cin)
+    parts, xs, frame = _parts(op, x, kernel, cin, cin)
     ho, wo = _gather_frame(op, frame, kernel)
-    xs, s, d = tuple([p.data for p in parts]), kernel.stride, kernel.dilation
+    s, d = kernel.stride, kernel.dilation
     rows, cols, pads = _live_window(frame[1], frame[2], kernel)
     w = kernel.weight.data[rows, cols, :, 0]  # (kh, kw, C) over the window
     taps = w.shape[:2]
@@ -823,8 +828,7 @@ def depthwise_conv2d(x: Tensor | tuple[Tensor, ...], kernel: ConvKernel) -> Tens
             gx[i] += g[o] * w[a, b]
             prod = np.zeros_like(g)  # summed over the whole grid: the padded sum's order
             for p, c0, c1 in _slices(xs):
-                window = p[i] if p.shape[1:3] == frame[1:3] else p  # else broadcast
-                np.multiply(window, g[o][..., c0:c1], out=prod[o][..., c0:c1])
+                np.multiply(p[i], g[o][..., c0:c1], out=prod[o][..., c0:c1])
             gw[a, b, :, 0] = prod.sum(axis=(0, 1, 2))
         return gx, gw
 
@@ -898,7 +902,7 @@ def transposed_conv(x: Tensor | tuple[Tensor, ...], kernel: ConvKernel) -> Tenso
     """
     kh, kw, cin, cout = kernel.weight.shape
     op = f"transposed_conv {kernel.name}".rstrip()
-    parts, (n, h, wdt, _) = _parts(op, x, kernel, cin, cout)
+    parts, xs, (n, h, wdt, _) = _parts(op, x, kernel, cin, cout)
     s, d = kernel.stride, kernel.dilation
     pt, pb, pl, pr = kernel.padding
     ho = (h - 1) * s + dilated_kernel_extent(kh, d) - pt - pb
@@ -906,7 +910,7 @@ def transposed_conv(x: Tensor | tuple[Tensor, ...], kernel: ConvKernel) -> Tenso
     if ho < 1 or wo < 1:
         raise ShapeError(f"transposed_conv: non-positive output size {ho}x{wo}")
 
-    xs, w, unpadded = tuple([p.data for p in parts]), kernel.weight.data, (0, 0, 0, 0)
+    w, unpadded = kernel.weight.data, (0, 0, 0, 0)
     out = _spread(_pad_input(xs, unpadded), w.swapaxes(2, 3), (n, ho, wo, cout),
                   kernel.padding, d, s)
     _epilogue(out, out, None if kernel.bias is None else kernel.bias.data, relu=kernel.relu)

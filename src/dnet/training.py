@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -86,90 +86,71 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
-
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    t: int = 0
-
-    @classmethod
-    def for_params(cls, params: Sequence[Tensor]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p.data) for p in params],
-            v=[np.zeros_like(p.data) for p in params],
-        )
-
-    def advance(self) -> tuple[float, float]:
-        """Count one more step; return its bias corrections 1 - beta^t."""
-        self.t += 1
-        return 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
-
-
-class _Scratch:
-    """Adam's work buffers: two flat arrays per dtype, sized to the largest
-    parameter and shared by all of them, allocated on first use."""
+    """Adam's state over a fixed set of parameters: the (m, v) moments of
+    each, keyed by the parameter, the shared step count ``t``, and two work
+    buffers per dtype, sized to the largest parameter and shared by all of
+    them, allocated on first use and kept across steps."""
 
     def __init__(self, params: Sequence[Tensor]):
-        self.size = max((p.data.size for p in params), default=0)
-        self.buffers: dict[tuple[int, np.dtype], np.ndarray] = {}
+        self.moments = {p: (np.zeros_like(p.data), np.zeros_like(p.data)) for p in params}
+        self.t = 0
+        self._size = max((p.data.size for p in params), default=0)
+        self._buffers: dict[tuple[int, np.dtype], np.ndarray] = {}
 
-    def __call__(self, slot: int, like: np.ndarray) -> np.ndarray:
-        """Scratch shaped and typed like ``like``; slot 0 or 1."""
+    def _buffer(self, slot: int, like: np.ndarray) -> np.ndarray:
+        """Work buffer ``slot`` (0 or 1) shaped and typed like ``like``."""
         key = (slot, like.dtype)
-        if key not in self.buffers:
-            self.buffers[key] = np.empty(self.size, dtype=like.dtype)
-        return self.buffers[key][: like.size].reshape(like.shape)
+        if key not in self._buffers:
+            self._buffers[key] = np.empty(self._size, dtype=like.dtype)
+        return self._buffers[key][: like.size].reshape(like.shape)
 
 
-def _adam_update(p: Tensor, g: np.ndarray, m: np.ndarray, v: np.ndarray, lr: float,
-                 bc1: float, bc2: float, temp: _Scratch) -> None:
-    """Adam's update of one parameter and its moments, in place, given the
-    step's bias corrections ``bc1`` and ``bc2``."""
-    if g.shape != p.data.shape:
-        raise ShapeError(
-            f"adam_step: gradient shape {g.shape} does not match parameter "
-            f"shape {p.data.shape}"
-        )
-    m *= BETA1
-    m += np.multiply(g, 1.0 - BETA1, out=temp(0, g))
-    v *= BETA2
-    gg = np.multiply(g, g, out=temp(0, g))
-    gg *= 1.0 - BETA2
-    v += gg
-    step = np.divide(m, bc1, out=temp(0, m))
-    step *= lr
-    denom = np.divide(v, bc2, out=temp(1, v))
-    np.sqrt(denom, out=denom)
-    denom += EPS
-    step /= denom
-    p.data -= step
+def adam_step(pairs: Iterable[tuple[Tensor, np.ndarray]], state: AdamState, lr: float) -> None:
+    """One Adam step over the (parameter, gradient) ``pairs``, each
+    parameter updated in place as its pair arrives.
 
-
-def adam_step(
-    params: Sequence[Tensor],
-    grads: Sequence[np.ndarray],
-    state: AdamState,
-    lr: float,
-) -> None:
-    """One Adam update, in place on the parameter buffers.
-
-    The step counter increments first, then bias-corrected moments drive
+    The step count increments first, then bias-corrected moments drive
     p -= lr * m_hat / (sqrt(v_hat) + eps), with eps added outside the root.
-    Every intermediate is written into two scratch buffers sized to the
-    largest parameter and shared by all of them, in the operation order of
-    the plain array expression, so the result is bit-identical to it.
+    Every intermediate is written into the state's two work buffers, in the
+    operation order of the plain array expression, so the result is
+    bit-identical to it. A gradient is dropped before the next pair is
+    asked for, so a stream such as :func:`leaf_gradients` holds one at a
+    time. Raises ShapeError for a parameter the state does not hold or a
+    gradient of another shape, and GraphError unless every parameter of
+    the state came exactly once; the pairs before the error are applied.
     """
-    if not len(params) == len(grads) == len(state.m) == len(state.v):
-        raise ShapeError(
-            f"adam_step: {len(params)} params vs {len(grads)} grads vs "
-            f"{len(state.m)} m and {len(state.v)} v state slots"
-        )
-    bc1, bc2 = state.advance()
-    temp = _Scratch(params)
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        _adam_update(p, g, m, v, lr, bc1, bc2, temp)
+    state.t += 1
+    bc1, bc2 = 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t
+    temp = state._buffer
+    seen: set[int] = set()
+    for p, g in pairs:
+        if p not in state.moments:
+            raise ShapeError(f"adam_step: a parameter of shape {p.shape} is not in the state")
+        if id(p) in seen:
+            raise GraphError(f"adam_step: a parameter of shape {p.shape} came twice")
+        if g.shape != p.data.shape:
+            raise ShapeError(f"adam_step: gradient shape {g.shape} does not match "
+                             f"parameter shape {p.data.shape}")
+        seen.add(id(p))
+        m, v = state.moments[p]
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=temp(0, g))
+        v *= BETA2
+        gg = np.multiply(g, g, out=temp(0, g))
+        gg *= 1.0 - BETA2
+        v += gg
+        step = np.divide(m, bc1, out=temp(0, m))
+        step *= lr
+        denom = np.divide(v, bc2, out=temp(1, v))
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        step /= denom
+        p.data -= step
+        del g
+    if len(seen) != len(state.moments):
+        raise GraphError(f"adam_step: {len(state.moments) - len(seen)} of "
+                         f"{len(state.moments)} parameters got no gradient")
 
 
 class _BatchSampler:
@@ -203,6 +184,10 @@ def train(
 ) -> list[tuple[int, float, float]]:
     """Run max_iter optimization steps and return the (step, lr, loss) trace.
 
+    Each step streams the backward sweep, :func:`leaf_gradients`, into
+    :func:`adam_step`, so a parameter is updated as soon as its gradient is
+    final and one parameter gradient is held at a time; the one
+    :class:`AdamState` keeps the moments and work buffers across steps.
     ``on_step(step, loss)`` may return True to stop early (the trace keeps
     whatever was run); the step's tape and gradients are gone by then.
     Deterministic given the seed: batch order and arithmetic both derive
@@ -211,11 +196,8 @@ def train(
     """
     if len(dataset) == 0:
         raise ConfigError("train: dataset is empty")
-    params = list(model.parameters().values())
+    state = AdamState(list(model.parameters().values()))
     reg_params = model.kernel_parameters()
-    state = AdamState.for_params(params)
-    moments = {id(p): (m, v) for p, m, v in zip(params, state.m, state.v)}
-    temp = _Scratch(params)
     rng = np.random.default_rng(cfg.seed)
     sampler = _BatchSampler(len(dataset), rng)
     trace: list[tuple[int, float, float]] = []
@@ -223,32 +205,21 @@ def train(
     for step in range(cfg.max_iter):
         lr = poly_lr(step, cfg)
         batch = _stack_batch(dataset, sampler.take(cfg.batch))
-        loss_value = _train_step(model, batch, reg_params, cfg, lr, state, moments, temp)
+        loss_value = _train_step(model, batch, reg_params, cfg, lr, state)
         trace.append((step, lr, loss_value))
         if on_step is not None and on_step(step, loss_value):
             break
     return trace
 
 
-def _train_step(model, batch, reg_params, cfg: TrainConfig, lr: float, state: AdamState,
-                moments: dict[int, tuple[np.ndarray, np.ndarray]], temp: _Scratch) -> float:
-    """One forward, backward and Adam update; returns the loss.
-
-    Each parameter is updated as soon as :func:`leaf_gradients` yields its
-    final gradient, so one parameter gradient is held at a time. The tape
-    and the gradients are locals here, released when the step returns.
-    """
+def _train_step(model, batch, reg_params, cfg: TrainConfig, lr: float, state: AdamState) -> float:
+    """One recorded forward, then its backward sweep streamed into
+    :func:`adam_step`; returns the loss. The tape is a local here, released
+    when the step returns."""
     xb, yb = batch
     with recording() as graph:
         loss = total_loss(model.forward(xb), yb, reg_params, cfg.lam, cfg.beta)
-        bc1, bc2 = state.advance()
-        updated = 0
-        for p, g in leaf_gradients(loss, graph):
-            _adam_update(p, g, *moments[id(p)], lr, bc1, bc2, temp)
-            updated += 1
-            del g
-    if updated != len(moments):
-        raise GraphError(f"train: {len(moments) - updated} parameters are not on the tape")
+        adam_step(leaf_gradients(loss, graph), state, lr)
     return loss.item()
 
 

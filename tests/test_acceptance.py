@@ -278,9 +278,9 @@ def test_criterion_08_schedule_and_optimizer():
         params = [tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
         initial = [p.data.copy() for p in params]
         grad_steps = [[rng.normal(size=s) for s in shapes] for _ in range(3)]
-        state = AdamState.for_params(params)
+        state = AdamState(params)
         for grads in grad_steps:
-            adam_step(params, grads, state, lr=2e-3)
+            adam_step(zip(params, grads), state, lr=2e-3)
         expected = reference_adam(initial, grad_steps, lr=2e-3)
         for p, e in zip(params, expected):
             assert np.abs(p.data - e).max() < 1e-10

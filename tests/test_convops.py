@@ -1873,11 +1873,16 @@ class TestConvOverParts:
         deterministic, (n, h, w), k, dilation, stride, pads, cout = self.ROUTES[route]
         # A small band budget cuts the shifted forward into several bands.
         monkeypatch.setattr(convops, "_BAND_ELEMENTS", 1 << 12)
-        ran = []
+        ran, spans = [], []
         for name in ("_exact_channel_first", "_exact_stacked", "_shifted_gemm", "_im2col"):
             helper = getattr(convops, name)
-            monkeypatch.setattr(convops, name,
-                                lambda *a, _h=helper, _n=name, **kw: ran.append(_n) or _h(*a, **kw))
+
+            def spy(xs, *a, _h=helper, _n=name, **kw):
+                ran.append(_n)
+                spans.extend(x.shape[:3] for x in xs)  # every array spans the map
+                return _h(xs, *a, **kw)
+
+            monkeypatch.setattr(convops, name, spy)
         with using_dtype(dtype), using_deterministic(deterministic):
             parts = self._parts(n, h, w, rng)
             kern = ConvKernel(tensor(rng.normal(size=(k, k, sum(self.WIDTHS), cout)),
@@ -1895,6 +1900,7 @@ class TestConvOverParts:
                 conv2d(parts, kern, residual)
             assert ran == self.HELPERS[route]
             got = self._run(conv2d, lambda: parts, kern, (residual,), u, leaves)
+        assert set(spans) <= {(n, h, w)}
         trimmed = convops._live_window(h, w, kern)[0].indices(k) != (0, k, 1)
         assert trimmed == route.startswith("trimmed")
         for g, r, t in zip(got, want, (None, *leaves)):

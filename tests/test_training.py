@@ -10,7 +10,7 @@ import pytest
 import dnet
 from dnet import tensor as tensor_module
 from dnet.convops import using_deterministic
-from dnet.errors import ConfigError, ShapeError
+from dnet.errors import ConfigError, GraphError, ShapeError
 from dnet.losses import total_loss
 from dnet.model import DNet, DNetConfig
 from dnet.tensor import Tensor, backward, recording, using_dtype
@@ -57,7 +57,8 @@ def expression_adam(params, grads, state, lr):
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g in zip(params, grads):
+        m, v = state.moments[p]
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2
@@ -92,15 +93,15 @@ class TestAdam:
     def test_zero_gradient_fresh_state_no_motion(self, rng):
         p = tensor(rng.normal(size=(2, 2, 2, 2)), requires_grad=True)
         before = p.data.copy()
-        state = AdamState.for_params([p])
-        adam_step([p], [np.zeros_like(p.data)], state, lr=0.1)
+        state = AdamState([p])
+        adam_step(zip([p], [np.zeros_like(p.data)]), state, lr=0.1)
         assert np.array_equal(p.data, before)
 
     def test_one_step_magnitude_about_lr(self):
         with using_dtype(np.float64):
             p = tensor(np.zeros((1, 1, 1, 1)), requires_grad=True)
-            state = AdamState.for_params([p])
-            adam_step([p], [np.full((1, 1, 1, 1), 7.0)], state, lr=0.01)
+            state = AdamState([p])
+            adam_step(zip([p], [np.full((1, 1, 1, 1), 7.0)]), state, lr=0.01)
             # bias corrections cancel at t=1: step = lr * g / (|g| + eps')
             assert abs(abs(p.data.ravel()[0]) - 0.01) < 1e-6
 
@@ -112,9 +113,9 @@ class TestAdam:
             grad_steps = [
                 [rng.normal(size=s) for s in shapes] for _ in range(3)
             ]
-            state = AdamState.for_params(params)
+            state = AdamState(params)
             for grads in grad_steps:
-                adam_step(params, grads, state, lr=1e-3)
+                adam_step(zip(params, grads), state, lr=1e-3)
             expected = reference_adam(initial, grad_steps, lr=1e-3)
             for p, e in zip(params, expected):
                 assert np.abs(p.data - e).max() < 1e-10
@@ -128,14 +129,14 @@ class TestAdam:
         initial = [rng.normal(size=s).astype(param_dtype) for s in shapes]
         ours = [Tensor(p.copy(), requires_grad=True) for p in initial]
         theirs = [Tensor(p.copy(), requires_grad=True) for p in initial]
-        ours_state, theirs_state = AdamState.for_params(ours), AdamState.for_params(theirs)
+        ours_state, theirs_state = AdamState(ours), AdamState(theirs)
         for step in range(6):
             grads = [(rng.normal(size=s) * 10.0 ** -step).astype(grad_dtype) for s in shapes]
             lr = 1e-3 * (1.0 - step / 6) ** 0.9
-            adam_step(ours, grads, ours_state, lr)
+            adam_step(zip(ours, grads), ours_state, lr)
             expression_adam(theirs, grads, theirs_state, lr)
-            for a, b in zip([p.data for p in ours] + ours_state.m + ours_state.v,
-                            [p.data for p in theirs] + theirs_state.m + theirs_state.v):
+            for a, b in zip([x for p in ours for x in (p.data, *ours_state.moments[p])],
+                            [x for p in theirs for x in (p.data, *theirs_state.moments[p])]):
                 assert a.dtype == b.dtype == param_dtype
                 assert np.array_equal(a, b)
 
@@ -144,33 +145,63 @@ class TestAdam:
             g = np.full((1, 1, 1, 3), 0.25)
             p1 = tensor(np.ones((1, 1, 1, 3)), requires_grad=True)
             p2 = tensor(np.ones((1, 1, 1, 3)), requires_grad=True)
-            adam_step([p1], [g], AdamState.for_params([p1]), lr=0.01)
-            adam_step([p2], [2.0 * g], AdamState.for_params([p2]), lr=0.01)
+            adam_step(zip([p1], [g]), AdamState([p1]), lr=0.01)
+            adam_step(zip([p2], [2.0 * g]), AdamState([p2]), lr=0.01)
             d1 = p1.data - 1.0
             d2 = p2.data - 1.0
             assert np.abs(d1 - d2).max() / np.abs(d1).max() < 1e-6
 
     def test_shape_mismatch_rejected(self, rng):
         p = tensor(rng.normal(size=(1, 1, 1, 2)), requires_grad=True)
-        state = AdamState.for_params([p])
+        state = AdamState([p])
         with pytest.raises(ShapeError):
-            adam_step([p], [np.zeros((1, 1, 1, 3))], state, lr=0.1)
+            adam_step(zip([p], [np.zeros((1, 1, 1, 3))]), state, lr=0.1)
 
-    @pytest.mark.parametrize("short", ["m", "v"])
-    def test_short_state_rejected(self, short, rng):
+    def test_missing_parameter_rejected(self, rng):
         params = [tensor(rng.normal(size=(1, 1, 1, 2)), requires_grad=True) for _ in range(2)]
-        before = [p.data.copy() for p in params]
-        state = AdamState.for_params(params)
-        getattr(state, short).pop()
-        with pytest.raises(ShapeError, match="state slots"):
-            adam_step(params, [np.ones((1, 1, 1, 2))] * 2, state, lr=0.1)
-        assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
+        state = AdamState(params)
+        with pytest.raises(GraphError, match="1 of 2 parameters got no gradient"):
+            adam_step(zip(params[:1], [np.ones((1, 1, 1, 2))]), state, lr=0.1)
+
+    def test_unknown_parameter_rejected(self, rng):
+        p, stranger = (tensor(rng.normal(size=(1, 1, 1, 2)), requires_grad=True) for _ in range(2))
+        state = AdamState([p])
+        before = stranger.data.copy()
+        with pytest.raises(ShapeError, match="not in the state"):
+            adam_step(zip([stranger], [np.ones((1, 1, 1, 2))]), state, lr=0.1)
+        assert np.array_equal(stranger.data, before)
+
+    def test_repeated_parameter_rejected(self, rng):
+        """A parameter twice cannot stand in for a missing one."""
+        params = [tensor(rng.normal(size=(1, 1, 1, 2)), requires_grad=True) for _ in range(2)]
+        state = AdamState(params)
+        g = np.ones((1, 1, 1, 2))
+        with pytest.raises(GraphError, match="came twice"):
+            adam_step(zip([params[0], params[0]], [g, g]), state, lr=0.1)
+
+    def test_one_gradient_alive_at_a_time(self, rng):
+        params = [tensor(rng.normal(size=(1, 2, 2, 3)), requires_grad=True) for _ in range(4)]
+        state = AdamState(params)
+        asked = []
+
+        def stream():
+            last = None
+            for p in params:
+                assert last is None or last() is None, "the previous gradient is still alive"
+                g = rng.normal(size=p.shape)
+                last = weakref.ref(g)
+                yield p, g
+                del g
+                asked.append(p)
+
+        adam_step(stream(), state, lr=0.1)
+        assert len(asked) == len(params)
 
     def test_step_counter_increments(self, rng):
         p = tensor(rng.normal(size=(1, 1, 1, 1)), requires_grad=True)
-        state = AdamState.for_params([p])
+        state = AdamState([p])
         for expected in (1, 2, 3):
-            adam_step([p], [np.ones_like(p.data)], state, lr=0.0)
+            adam_step(zip([p], [np.ones_like(p.data)]), state, lr=0.0)
             assert state.t == expected
 
 
@@ -293,7 +324,7 @@ class TestTrainLoop:
     def test_regularization_only_shrinks_weights_monotonically(self):
         model = DNet(DNetConfig(**MICRO), seed=0)
         weights = model.kernel_parameters()
-        state = AdamState.for_params(weights)
+        state = AdamState(weights)
         cfg = TrainConfig(lr=1e-3, max_iter=20, lam=1e-2, beta=0.0)
         # A constant prediction: the weights' gradients are the L2 term's alone.
         pred = tensor(np.zeros((1, 32, 32, 1)))  # logit 0: probability 0.5
@@ -306,7 +337,7 @@ class TestTrainLoop:
         for step in range(cfg.max_iter):
             with recording() as g:
                 grads = backward(total_loss(pred, target, weights, cfg.lam, cfg.beta), g)
-            adam_step(weights, [grads[w] for w in weights], state, poly_lr(step, cfg))
+            adam_step(zip(weights, [grads[w] for w in weights]), state, poly_lr(step, cfg))
             norms.append(weight_norm())
         assert all(a > b for a, b in zip(norms, norms[1:]))
 
@@ -344,7 +375,7 @@ class TestTrainLoop:
         cfg = TrainConfig(lr=1e-3, max_iter=3, batch=4, seed=5)
         ours, theirs = (DNet(DNetConfig(channels_scale=0.125), seed=3) for _ in range(2))
         params = list(theirs.parameters().values())
-        state = AdamState.for_params(params)
+        state = AdamState(params)
         sampler = _BatchSampler(len(ds), np.random.default_rng(cfg.seed))
         expected = []
         with using_deterministic(exact):
@@ -356,7 +387,7 @@ class TestTrainLoop:
                                       cfg.lam, cfg.beta)
                     grads = backward(loss, g)
                 lr = poly_lr(step, cfg)
-                adam_step(params, [grads[p] for p in params], state, lr)
+                adam_step(zip(params, [grads[p] for p in params]), state, lr)
                 expected.append((step, lr, loss.item()))
         assert trace == expected
         for (name, p), q in zip(ours.parameters().items(), params):
